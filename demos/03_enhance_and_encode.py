@@ -8,7 +8,7 @@ group's word problem.
 from smforge import search
 from smforge.enhance import (accepting_computation_from_history,
                              add_historical_sectors, build_enhanced_standard,
-                             compose, embed_input, pad_locked)
+                             compose, pad_locked)
 from smforge.encode import EncodeError, emulation_history, presentation_to_machine
 from smforge.fixtures import toy_deleter, z2_presentation
 from smforge.machine import accept_configuration, input_configuration, run
@@ -32,7 +32,7 @@ t = search.accepts(s, inp, bound=8).length
 h = accepting_computation_from_history(
     e, search.accepts(s, inp, bound=8).history)
 print(f"S accepts in {t} steps, E_S in {len(h)} = 7*{t}+6")
-comp = run(e, embed_input(e, inp), h)
+comp = run(e, input_configuration(e, inp), h)
 print("replays:", comp.ok and comp.end == accept_configuration(e))
 
 # build_enhanced_standard is the three stages in one call.

@@ -3,8 +3,8 @@
 Every subcommand reads JSON produced by this package (machines,
 presentations) and writes canonical JSON, DOT, or plain text, so output
 is byte-identical across runs.  Exit codes: 0 success or an affirmative
-answer, 2 bad input, 3 a certified negative answer, 4 out of budget
-with nothing certified either way.
+answer, 1 a certified negative answer, 2 bad input, 3 bound exhausted
+with nothing certified either way, 4 an internal invariant violated.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import argparse
 import json
 import sys
 
-from .words import Word, WordError
+from .words import SmforgeError, Word
 from .machine import MachineError, input_configuration, parse_admissible, run
-from .serialize import SerializeError, dumps_canonical, load_machine, machine_dumps
+from .serialize import dumps_canonical, load_machine, machine_dumps
 from .primitive import build_lr, build_rl
 from .enhance import add_historical_sectors, compose, make_cyclic, pad_locked
-from .encode import EncodeError, GroupPresentation, presentation_to_machine
+from .encode import GroupPresentation, presentation_to_machine
 from .group import (GroupError, computation_to_trapezium,
                     conjugator_from_accepting, machine_to_group,
                     trapezium_dumps, trapezium_to_dot, validate_trapezium)
@@ -27,8 +27,7 @@ from . import search
 # 0 yes / 1 no / 2 bad input / 3 bound exhausted / 4 invariant violation.
 OK, NEGATIVE, BAD_INPUT, BOUND, INVARIANT = 0, 1, 2, 3, 4
 
-_ERRORS = (MachineError, WordError, SerializeError, EncodeError, GroupError,
-           json.JSONDecodeError, FileNotFoundError)
+_ERRORS = (SmforgeError, json.JSONDecodeError, FileNotFoundError)
 
 
 def _emit(text: str, args) -> None:

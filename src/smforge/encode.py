@@ -34,13 +34,14 @@ from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, make_rule)
 from smforge.search import BOUNDED, FOUND
 from smforge.serialize import SCHEMA_VERSION, dumps_canonical
-from smforge.words import (EMPTY, Atom, Word, atom, cyclic_min, free_reduce,
-                           is_cyclically_reduced, symmetrized_closure)
+from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, cyclic_min,
+                           free_reduce, is_cyclically_reduced,
+                           symmetrized_closure)
 
 IMPOSSIBLE = "impossible"
 
 
-class EncodeError(ValueError):
+class EncodeError(SmforgeError):
     pass
 
 
@@ -557,7 +558,8 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
             for _ in range(len(s) - 1):
                 mo_last()
             y = tape[-2]
-            assert tape[-1] == d.bar(y)
+            if tape[-1] != d.bar(y):
+                raise EncodeError("no cancelling pair exposed at the tape end")
             out.extend(_tau_del(y))
             del tape[-2:]
     while stack:
@@ -569,7 +571,9 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
             out.extend(_mi_restore(d, rec))
             tape.append(d.bar(rec))
     expect = free_reduce(a * s * c)
-    assert tape == [x for x, _ in meta["doubled"].positivize(expect)]
+    if tape != [x for x, _ in meta["doubled"].positivize(expect)]:
+        raise EncodeError("insertion did not leave the reduced tape "
+                          f"{expect.tokens()!r}")
     return out
 
 

@@ -40,7 +40,6 @@ from smforge.machine import (
     RulePart,
     SRule,
     StatePart,
-    input_configuration,
 )
 from smforge.words import EMPTY, Word, atom
 
@@ -302,12 +301,6 @@ def make_cyclic(m: Machine) -> Machine:
     meta = dict(m.meta)
     meta["cyclic_of"] = m.name
     return Machine(f"{m.name}.cyclic", hw, rules, meta)
-
-
-def embed_input(em: Machine, inputs=EMPTY) -> AdmissibleWord:
-    """Input configuration of an enhanced machine; the working sectors
-    keep the original tape alphabet, so input words carry over as-is."""
-    return input_configuration(em, inputs)
 
 
 def working_length(m: Machine, aw: AdmissibleWord) -> int:

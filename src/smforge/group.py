@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import Atom, EMPTY, Word, atom, free_reduce, symmetrized_closure
+from .words import (Atom, EMPTY, SmforgeError, Word, atom, free_reduce,
+                    symmetrized_closure)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import dumps_canonical
 
 
-class GroupError(ValueError):
+class GroupError(SmforgeError):
     pass
 
 

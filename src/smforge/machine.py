@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from smforge.words import EMPTY, Atom, Word, atom, free_reduce
+from smforge.words import EMPTY, Atom, SmforgeError, Word, atom, free_reduce
 
 
-class MachineError(ValueError):
+class MachineError(SmforgeError):
     pass
 
 
@@ -424,6 +424,9 @@ class Machine:
             if r.name in self.rule_by_name:
                 raise MachineError(f"two rules named {r.name!r}")
             self.rule_by_name[r.name] = r
+        self._signed_rules = tuple(
+            (r, sign) for r in sorted(self.rules, key=lambda r: r.name)
+            for sign in (1, -1))
         self.meta = dict(meta or {})
 
     # Hardware shortcuts.
@@ -459,11 +462,7 @@ class Machine:
 
     def signed_rules(self):
         """All (rule, sign) pairs in deterministic order."""
-        out = []
-        for r in sorted(self.rules, key=lambda r: r.name):
-            out.append((r, 1))
-            out.append((r, -1))
-        return out
+        return self._signed_rules
 
     # -- application -------------------------------------------------------
 

@@ -14,16 +14,17 @@ across, which pins its length to 2|u| + 1.
 """
 from __future__ import annotations
 
-from smforge.machine import Hardware, Machine, RulePart, StatePart, make_rule
+from smforge.machine import (Hardware, Machine, MachineError, RulePart,
+                             StatePart, make_rule)
 from smforge.words import Word, atom, copy_alphabet
 
 
 def _base(letters):
     base = tuple(a if not isinstance(a, str) else atom(a) for a in letters)
     if not base:
-        raise ValueError("the alphabet must be nonempty")
+        raise MachineError("the alphabet must be nonempty")
     if len(set(base)) != len(base):
-        raise ValueError("repeated letter in the alphabet")
+        raise MachineError("repeated letter in the alphabet")
     return base
 
 

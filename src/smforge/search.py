@@ -2,9 +2,11 @@
 
 Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
-the opposite signs.  Searches are deterministic: rules are tried in
-(name, sign) order and frontiers kept in insertion order, so the witness
-history found for a given query never changes between runs.
+the opposite signs.  Every search here expands configurations through
+one generator, successors, and the breadth-first ones through its layer
+step, _layer.  Those two hold the determinism contract: rules are tried
+in (name, sign) order and frontiers kept in insertion order, so the
+witness history found for a given query never changes between runs.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from typing import Callable, Iterator, Optional
 from smforge.machine import (
     AdmissibleWord,
     Machine,
+    SRule,
     accept_configuration,
     input_configuration,
 )
@@ -57,31 +60,46 @@ def _history_from_parents(parents, key) -> Word:
     return Word(reversed(steps))
 
 
+def successors(m: Machine, config: AdmissibleWord, skip=None
+               ) -> Iterator[tuple[SRule, int, AdmissibleWord]]:
+    """(rule, sign, result) for every signed rule that applies to config,
+    in (name, sign) order.  The signed rule skip is passed over without
+    being tried."""
+    for rule, sign in m.signed_rules():
+        if skip is not None and rule is skip[0] and sign == skip[1]:
+            continue
+        res = m.try_apply(config, rule, sign)
+        if res is not None:
+            yield rule, sign, res
+
+
+def _layer(m: Machine, frontier, parents) -> Iterator[tuple[tuple, AdmissibleWord]]:
+    """One breadth-first layer: (key, config) for every configuration
+    first reached from frontier, in discovery order, its parent recorded."""
+    for c in frontier:
+        ckey = c.key()
+        for rule, sign, res in successors(m, c):
+            k = res.key()
+            if k not in parents:
+                parents[k] = (ckey, rule, sign)
+                yield k, res
+
+
 def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
               max_steps: int) -> ReachResult:
     """Breadth-first search from start; shortest history to target."""
     if start == target:
         return ReachResult(FOUND, EMPTY, 0, 1)
-    srules = m.signed_rules()
     tkey = target.key()
     parents = {start.key(): None}
     frontier = [start]
     for depth in range(1, max_steps + 1):
         nxt = []
-        for c in frontier:
-            ckey = c.key()
-            for rule, sign in srules:
-                res = m.try_apply(c, rule, sign)
-                if res is None:
-                    continue
-                k = res.key()
-                if k in parents:
-                    continue
-                parents[k] = (ckey, rule, sign)
-                if k == tkey:
-                    return ReachResult(FOUND, _history_from_parents(parents, k),
-                                       depth, len(parents))
-                nxt.append(res)
+        for k, res in _layer(m, frontier, parents):
+            if k == tkey:
+                return ReachResult(FOUND, _history_from_parents(parents, k),
+                                   depth, len(parents))
+            nxt.append(res)
         if not nxt:
             return ReachResult(UNREACHABLE, explored=len(parents))
         frontier = nxt
@@ -92,20 +110,14 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
                       max_steps: int) -> tuple[dict[AdmissibleWord, int], bool]:
     """All configurations within max_steps of start, with their distances.
     The flag reports whether the whole component was exhausted."""
-    srules = m.signed_rules()
+    parents = {start.key(): None}
     dist = {start: 0}
     frontier = [start]
     for depth in range(1, max_steps + 1):
-        nxt = []
-        for c in frontier:
-            for rule, sign in srules:
-                res = m.try_apply(c, rule, sign)
-                if res is not None and res not in dist:
-                    dist[res] = depth
-                    nxt.append(res)
-        if not nxt:
+        frontier = [res for _, res in _layer(m, frontier, parents)]
+        if not frontier:
             return dist, True
-        frontier = nxt
+        dist.update(dict.fromkeys(frontier, depth))
     return dist, False
 
 
@@ -117,59 +129,32 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     would return)."""
     if start == target:
         return ReachResult(FOUND, EMPTY, 0, 1)
-    srules = m.signed_rules()
-    sides = {
-        "f": {"parents": {start.key(): None}, "frontier": [start], "depth": 0},
-        "b": {"parents": {target.key(): None}, "frontier": [target], "depth": 0},
-    }
-    best: Optional[tuple[int, ...]] = None
-    best_len = None
-
-    def reconstruct(meet_key):
-        fw = _history_from_parents(sides["f"]["parents"], meet_key)
-        bw = _history_from_parents(sides["b"]["parents"], meet_key)
-        # bw leads target -> meet; invert it to continue meet -> target.
-        return fw * bw.inverse()
-
-    while True:
-        f, b = sides["f"], sides["b"]
-        if best_len is not None and f["depth"] + b["depth"] + 1 > best_len:
-            explored = len(f["parents"]) + len(b["parents"])
-            return ReachResult(FOUND, reconstruct(best), best_len, explored)
-        if f["depth"] + b["depth"] >= max_steps or not f["frontier"] or not b["frontier"]:
-            break
-        side = f if len(f["frontier"]) <= len(b["frontier"]) else b
-        other = b if side is f else f
+    # Index 0 searches forward from start, index 1 backward from target.
+    parents = ({start.key(): None}, {target.key(): None})
+    frontiers = [[start], [target]]
+    depths = [0, 0]
+    meet = None
+    while meet is None and all(frontiers) and sum(depths) < max_steps:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        other = parents[1 - side]
         nxt = []
-        for c in side["frontier"]:
-            ckey = c.key()
-            for rule, sign in srules:
-                res = m.try_apply(c, rule, sign)
-                if res is None:
-                    continue
-                k = res.key()
-                if k in side["parents"]:
-                    continue
-                side["parents"][k] = (ckey, rule, sign)
-                nxt.append(res)
-                if k in other["parents"]:
-                    total = side["depth"] + 1 + other["depth"]
-                    # distance of k on the other side may be less than its
-                    # frontier depth; recover it by walking the chain.
-                    d = 0
-                    kk = k
-                    while other["parents"][kk] is not None:
-                        kk = other["parents"][kk][0]
-                        d += 1
-                    total = side["depth"] + 1 + d
-                    if best_len is None or total < best_len:
-                        best_len, best = total, k
-        side["frontier"] = nxt
-        side["depth"] += 1
-    explored = len(sides["f"]["parents"]) + len(sides["b"]["parents"])
-    if best_len is not None:
-        return ReachResult(FOUND, reconstruct(best), best_len, explored)
-    if not sides["f"]["frontier"] or not sides["b"]["frontier"]:
+        for k, res in _layer(m, frontiers[side], parents[side]):
+            nxt.append(res)
+            # A meet in this layer has length sum(depths) + 1: k cannot be
+            # shallower on the other side, or its parent here would have
+            # met that side a layer earlier.
+            if meet is None and k in other:
+                meet = k
+        frontiers[side] = nxt
+        depths[side] += 1
+    explored = len(parents[0]) + len(parents[1])
+    if meet is not None:
+        # the backward half leads target -> meet; invert it to continue
+        # meet -> target.
+        history = (_history_from_parents(parents[0], meet)
+                   * _history_from_parents(parents[1], meet).inverse())
+        return ReachResult(FOUND, history, sum(depths), explored)
+    if not all(frontiers):
         return ReachResult(UNREACHABLE, explored=explored)
     return ReachResult(BOUNDED, explored=explored)
 
@@ -249,18 +234,21 @@ def reduced_computations(m: Machine, start: AdmissibleWord, max_steps: int,
     history is freely reduced, as (steps, end) pairs.  steps is a tuple
     of (rule, sign).  prune(config, depth) may cut a branch after it is
     yielded."""
-    srules = m.signed_rules()
 
-    def rec(c, steps, depth):
-        yield steps, c
-        if depth == max_steps or (prune is not None and prune(c, depth)):
-            return
-        last = steps[-1] if steps else None
-        for rule, sign in srules:
-            if last is not None and last[0] is rule and last[1] == -sign:
-                continue
-            res = m.try_apply(c, rule, sign)
-            if res is not None:
-                yield from rec(res, steps + ((rule, sign),), depth + 1)
+    def stop(c, depth):
+        return depth == max_steps or (prune is not None and prune(c, depth))
 
-    yield from rec(start, (), 0)
+    yield (), start
+    # One frame per open configuration: its history and its successors.
+    stack = [] if stop(start, 0) else [((), successors(m, start))]
+    while stack:
+        steps, succ = stack[-1]
+        step = next(succ, None)
+        if step is None:
+            stack.pop()
+            continue
+        rule, sign, end = step
+        steps += ((rule, sign),)
+        yield steps, end
+        if not stop(end, len(steps)):
+            stack.append((steps, successors(m, end, (rule, -sign))))

@@ -22,12 +22,12 @@ from smforge.machine import (
     StatePart,
     make_rule,
 )
-from smforge.words import Word
+from smforge.words import SmforgeError, Word
 
 SCHEMA_VERSION = 1
 
 
-class SerializeError(ValueError):
+class SerializeError(SmforgeError):
     pass
 
 

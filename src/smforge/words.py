@@ -11,7 +11,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 
-class WordError(ValueError):
+class SmforgeError(ValueError):
+    """Base class of the errors this package raises."""
+
+
+class WordError(SmforgeError):
     pass
 
 
@@ -139,9 +143,6 @@ class Word:
                 return False
         return True
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        return g * self * g.inverse()
-
     # -- views -------------------------------------------------------------
 
     def __len__(self):
@@ -253,10 +254,6 @@ class AlphabetMorphism:
 def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
     """Deterministic renaming copy of an alphabet, e.g. fmt='{}#1'."""
     return AlphabetMorphism({a: atom(fmt.format(a.name)) for a in base})
-
-
-def copy_word(w: Word, m: AlphabetMorphism) -> Word:
-    return m(w)
 
 
 def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:

@@ -12,7 +12,7 @@ from smforge.encode import (abelianized_trivial, certify_h_invariance,
                             emulation_history, history_block_count,
                             presentation_to_machine)
 from smforge.enhance import (accepting_computation_from_history,
-                             build_enhanced_standard, embed_input)
+                             build_enhanced_standard)
 from smforge.fixtures import (one_sector_left_multiplier, paired_multiplier,
                               toy_deleter, two_sided_multiplier,
                               z2_presentation)
@@ -211,7 +211,7 @@ def test_04_enhanced_language_equality():
         assert res.found and res.length == abs(k) + 1
         witness = accepting_computation_from_history(e, res.history)
         assert len(witness) == 7 * res.length + 6 <= bound
-        comp = run(e, embed_input(e, alpha), witness)
+        comp = run(e, input_configuration(e, alpha), witness)
         assert comp.ok and comp.end == acc
     assert time.monotonic() - t0 < 300
 

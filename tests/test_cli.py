@@ -41,6 +41,12 @@ class TestConstruction:
         code, _ = invoke(capsys, "primitive", "--letters", "")
         assert code == 2
 
+    def test_primitive_repeated_letter(self, capsys):
+        code = main(["primitive", "--letters", "y,y"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_primitive_deterministic(self, capsys):
         _, a = invoke(capsys, "primitive", "--letters", "y,z")
         _, b = invoke(capsys, "primitive", "--letters", "y,z")

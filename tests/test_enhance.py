@@ -5,7 +5,6 @@ from smforge.enhance import (
     add_historical_sectors,
     build_enhanced_standard,
     compose,
-    embed_input,
     hl,
     hr,
     make_cyclic,
@@ -154,7 +153,7 @@ class TestComposed:
         em = build_enhanced_standard(trivial_acceptor())
         h = accepting_computation_from_history(em, EMPTY)
         assert h.tokens() == "sigma(12) zeta@2 sigma(23) sigma(34) xi@4 sigma(45)"
-        comp = run(em, embed_input(em, EMPTY), h)
+        comp = run(em, input_configuration(em, EMPTY), h)
         assert comp.end == accept_configuration(em)
 
     def test_accepting_run_deleter(self):
@@ -164,19 +163,19 @@ class TestComposed:
                            ("y y", "del del acc"), ("y^-1", "del^-1 acc")]:
             h = accepting_computation_from_history(em, W(hist))
             assert len(h) == 7 * len(W(hist)) + 6
-            comp = run(em, embed_input(em, W(text)), h)
+            comp = run(em, input_configuration(em, W(text)), h)
             assert comp.end == accept_configuration(em)
 
     def test_wrong_history_fails(self):
         em = build_enhanced_standard(toy_deleter())
         h = accepting_computation_from_history(em, W("acc"))
-        comp = run(em, embed_input(em, W("y")), h, strict=False)
+        comp = run(em, input_configuration(em, W("y")), h, strict=False)
         assert not comp.ok
 
     def test_phase_summary(self):
         em = build_enhanced_standard(toy_deleter())
         h = accepting_computation_from_history(em, W("del acc"))
-        comp = run(em, embed_input(em, W("y")), h)
+        comp = run(em, input_configuration(em, W("y")), h)
         assert step_history(comp) == ["1", "2", "3", "4", "5"]
         h0 = accepting_computation_from_history(em, EMPTY)
         assert step_history(h0) == ["12", "2", "23", "34", "4", "45"]
@@ -185,7 +184,7 @@ class TestComposed:
         m = toy_deleter()
         em = build_enhanced_standard(m)
         h = accepting_computation_from_history(em, W("del acc"))
-        comp = run(em, embed_input(em, W("y")), h)
+        comp = run(em, input_configuration(em, W("y")), h)
         lengths = [working_length(em, c) for c in comp.configs]
         # the input letter survives phases 1-2 plus two transitions
         # (9 steps) and dies at del@3, which is step 10.
@@ -204,7 +203,7 @@ class TestComposed:
         em = build_enhanced_standard(m)
         # mul prepends, so b a is erased from the front: b^-1, then a^-1.
         h = accepting_computation_from_history(em, W("mul(b)^-1 mul(a)^-1"))
-        comp = run(em, embed_input(em, W("b a")), h)
+        comp = run(em, input_configuration(em, W("b a")), h)
         assert comp.end == accept_configuration(em)
 
 
@@ -219,7 +218,7 @@ class TestCyclic:
     def test_runs_like_the_flat_machine(self):
         em = make_cyclic(build_enhanced_standard(toy_deleter()))
         h = accepting_computation_from_history(em, W("del acc"))
-        comp = run(em, embed_input(em, W("y")), h)
+        comp = run(em, input_configuration(em, W("y")), h)
         assert comp.end == accept_configuration(em)
 
     def test_serializes(self):

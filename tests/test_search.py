@@ -12,6 +12,7 @@ from smforge.search import (
     meet_reach,
     reachable_configs,
     reduced_computations,
+    successors,
     time_function,
     tm_of_config,
 )
@@ -20,6 +21,26 @@ from smforge.words import EMPTY, Word
 
 def W(text):
     return Word.from_tokens(text)
+
+
+class TestSuccessors:
+    def test_name_sign_order(self):
+        m = toy_deleter()
+        c = input_configuration(m, W("y"))
+        got = [(r.name, s) for r, s, _ in successors(m, c)]
+        want = [(r.name, s) for r, s in m.signed_rules()
+                if m.try_apply(c, r, s) is not None]
+        assert got == want == [("del", 1), ("del", -1)]
+
+    def test_skip_is_never_tried(self):
+        m = one_sector_left_multiplier()
+        c = input_configuration(m, W("a"))
+        tried = []
+        apply = m.try_apply
+        m.try_apply = lambda aw, r, s: tried.append((r.name, s)) or apply(aw, r, s)
+        got = [(r.name, s) for r, s, _ in successors(m, c, (m.rule("mul(a)"), -1))]
+        assert ("mul(a)", -1) not in tried
+        assert got == tried == [("mul(a)", 1), ("mul(b)", 1), ("mul(b)", -1)]
 
 
 class TestBfs:
@@ -82,6 +103,18 @@ class TestReachableConfigs:
 
 
 class TestMeet:
+    def test_explored_is_frozen(self):
+        # smforge tm prints explored, so these counts from the
+        # deterministic searches must not drift: each search stops the
+        # moment its answer is certain.
+        m = one_sector_left_multiplier()
+        for method, explored in (("bfs", 34), ("meet", 22)):
+            res = accepts(m, W("a b a"), 9, method)
+            assert (res.length, res.explored) == (3, explored)
+        for method in ("bfs", "meet"):
+            res = accepts(toy_deleter(), W("y y y"), 3, method)
+            assert (res.status, res.explored) == (BOUNDED, 7)
+
     def test_agrees_with_bfs_on_lengths(self):
         m = toy_deleter()
         for text in ["ε", "y", "y y", "y^-1"]:
@@ -174,3 +207,12 @@ class TestReducedComputations:
         for steps, c in seen:
             if len(steps) >= 2:
                 assert c.tape_length() <= 2
+
+    def test_deep_enumeration(self):
+        # One rule: from the empty tape the reduced histories are mul^k
+        # and mul^-k for k <= 1500, far deeper than the recursion limit.
+        m = one_sector_left_multiplier(("a",))
+        comps = list(reduced_computations(m, input_configuration(m, EMPTY), 1500))
+        assert len(comps) == 3001
+        assert max(len(steps) for steps, _ in comps) == 1500
+        assert comps[1500][1].tape_length() == 1500
