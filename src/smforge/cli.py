@@ -27,7 +27,7 @@ from . import search
 # 0 yes / 1 no / 2 bad input / 3 bound exhausted / 4 invariant violation.
 OK, NEGATIVE, BAD_INPUT, BOUND, INVARIANT = 0, 1, 2, 3, 4
 
-_ERRORS = (SmforgeError, json.JSONDecodeError, FileNotFoundError)
+_ERRORS = (SmforgeError, json.JSONDecodeError, OSError, UnicodeDecodeError)
 
 
 def _emit(text: str, args) -> None:

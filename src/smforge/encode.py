@@ -26,10 +26,6 @@ import json
 import re
 from typing import Iterable, Optional, Sequence
 
-import jsonschema
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form
-
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, make_rule)
 from smforge.search import BOUNDED, FOUND
@@ -111,6 +107,7 @@ class GroupPresentation:
 
     @staticmethod
     def from_dict(doc: dict) -> "GroupPresentation":
+        import jsonschema  # here, not at the top: it costs ~0.1 s to import
         try:
             jsonschema.validate(doc, PRESENTATION_SCHEMA)
         except jsonschema.ValidationError as e:
@@ -366,14 +363,27 @@ def certify_h_invariance(m: Machine, max_area: int = 2,
 
 def abelianized_trivial(p: GroupPresentation, w: Word) -> bool:
     """Necessary condition for w = 1: its exponent vector lies in the
-    lattice spanned by the relator vectors (Hermite-form comparison)."""
+    lattice spanned by the relator vectors.  Integer row echelon form:
+    at each coordinate Euclid leaves one pivot among the relator
+    vectors, and w's vector, reduced by the pivot, must vanish there."""
     if not p.generators:
         return not free_reduce(w)
-    v = Matrix(len(p.generators), 1, list(p.word_vector(w)))
-    cols = [p.word_vector(r) for r in p.relators]
-    mat = Matrix(len(p.generators), len(cols),
-                 lambda i, j: cols[j][i])
-    return hermite_normal_form(mat.row_join(v)) == hermite_normal_form(mat)
+    v = p.word_vector(w)
+    rows = [p.word_vector(r) for r in p.relators]
+    for i in range(len(v)):
+        pivot, rest = (0,) * len(v), []
+        for r in rows:
+            while r[i]:
+                q = pivot[i] // r[i]
+                pivot, r = r, tuple(a - q * b for a, b in zip(pivot, r))
+            rest.append(r)
+        rows = rest
+        if pivot[i]:
+            q = v[i] // pivot[i]
+            v = tuple(a - q * b for a, b in zip(v, pivot))
+        if v[i]:
+            return False
+    return True
 
 
 class AreaResult:

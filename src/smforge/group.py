@@ -257,8 +257,6 @@ class _Builder:
 def _spell_admissible(bld, aw):
     """Fresh edges spelling an admissible word; returns (path, state edge
     ids, per-sector tape edge ids)."""
-    if bld is None:
-        bld = _Builder()
     b_state = [bld.new_edge(a, "q") for a, _ in aw.states]
     b_tape = [[bld.new_edge(a, "a") for a, _ in w.letters] for w in aw.tapes]
     path = [(b_state[0], aw.states[0][1])]

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
-
 from smforge.machine import (
     Hardware,
     Machine,
@@ -144,6 +142,7 @@ def machine_to_dict(m: Machine) -> dict:
 
 
 def machine_from_dict(doc: dict) -> Machine:
+    import jsonschema  # here, not at the top: it costs ~0.1 s to import
     try:
         jsonschema.validate(doc, MACHINE_SCHEMA)
     except jsonschema.ValidationError as e:
@@ -199,12 +198,12 @@ def machine_dumps(m: Machine) -> str:
 
 
 def save_machine(m: Machine, path) -> None:
-    Path(path).write_text(machine_dumps(m))
+    Path(path).write_text(machine_dumps(m), encoding="utf-8")
 
 
 def load_machine(path) -> Machine:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise SerializeError(f"not valid JSON: {e}")
     return machine_from_dict(doc)

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from smforge.cli import main
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
 from smforge.serialize import load_machine, save_machine
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -80,6 +84,21 @@ class TestConstruction:
     def test_missing_file(self, capsys):
         code, _ = invoke(capsys, "historical", "no_such_file.json")
         assert code == 2
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        code = main(["tm", str(tmp_path), "--bound", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["present", "encode"])
+    def test_non_utf8_input(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"name": "\xff\xfe"}')
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRun:
@@ -221,7 +240,32 @@ class TestGroupCommands:
         assert doc["end"] == "q0f q1f"
 
 
+def _fresh_python(*argv, cwd=None, **env_overrides):
+    """Run a fresh interpreter with this checkout's src first on its path."""
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestEntryPoint:
+    def test_cold_import_skips_heavy_dependencies(self):
+        proc = _fresh_python(
+            "-c", "import sys, smforge.cli; "
+                  "print(sorted({'sympy', 'jsonschema'} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_machine_file_is_utf8_under_c_locale(self, tmp_path):
+        assert main(["primitive", "--letters", "ä",
+                     "-o", str(tmp_path / "m.json")]) == 0
+        proc = _fresh_python("-m", "smforge.cli", "present", "m.json",
+                             "-o", "g.json", cwd=tmp_path, LC_ALL="C",
+                             PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert proc.returncode == 0, proc.stderr
+        assert "ä" in (tmp_path / "g.json").read_text(encoding="utf-8")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "smforge.cli", "--help"],
