@@ -10,12 +10,13 @@ with nothing certified either way, 4 an internal invariant violated.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from .words import SmforgeError, Word
 from .machine import MachineError, input_configuration, parse_admissible, run
-from .serialize import dumps_canonical, load_machine, machine_dumps
+from .serialize import (SCHEMA_VERSION, dumps_canonical, load_machine,
+                        machine_dumps)
 from .primitive import build_lr, build_rl
 from .enhance import add_historical_sectors, compose, make_cyclic, pad_locked
 from .encode import GroupPresentation, presentation_to_machine
@@ -27,19 +28,22 @@ from . import search
 # 0 yes / 1 no / 2 bad input / 3 bound exhausted / 4 invariant violation.
 OK, NEGATIVE, BAD_INPUT, BOUND, INVARIANT = 0, 1, 2, 3, 4
 
-_ERRORS = (SmforgeError, json.JSONDecodeError, OSError, UnicodeDecodeError)
+_ERRORS = (SmforgeError, OSError, UnicodeError)
 
 
 def _emit(text: str, args) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    else:  # UTF-8 whatever the locale, like the files
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
-def _machine(args):
-    return load_machine(args.machine)
+def _text(arg: str) -> str:
+    """A word or name argument decoded as UTF-8 whatever the locale.  File
+    names stay as the locale decoded them, which is how they reopen."""
+    return os.fsencode(arg).decode("utf-8", "surrogateescape")
 
 
 def _start_config(m, args):
@@ -71,7 +75,7 @@ def cmd_encode(args) -> int:
 
 def _transform(fn):
     def go(args) -> int:
-        _emit(machine_dumps(fn(_machine(args))), args)
+        _emit(machine_dumps(fn(load_machine(args.machine))), args)
         return OK
     return go
 
@@ -87,12 +91,12 @@ cmd_cyclic = _transform(make_cyclic)
 # -- running subcommands -----------------------------------------------------
 
 def cmd_run(args) -> int:
-    m = _machine(args)
+    m = load_machine(args.machine)
     start = _start_config(m, args)
     comp = run(m, start, Word.from_tokens(args.history), strict=False)
     if args.format == "json":
         doc = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "machine": m.name,
             "start": start.tokens(),
             "history": args.history,
@@ -111,14 +115,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_tm(args) -> int:
-    m = _machine(args)
+    m = load_machine(args.machine)
     if (args.max_n is None) == (args.input is None and args.start is None):
         raise MachineError("pass either an input to decide or --max-n for "
                            "the time function table")
     if args.max_n is not None:
         tf = search.time_function(m, args.max_n, args.bound, method=args.method)
         doc = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "machine": m.name,
             "bound": args.bound,
             "max_n": args.max_n,
@@ -132,7 +136,7 @@ def cmd_tm(args) -> int:
     start = _start_config(m, args)
     res = search.tm_of_config(m, start, args.bound, method=args.method)
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "machine": m.name,
         "start": start.tokens(),
         "bound": args.bound,
@@ -151,7 +155,7 @@ def cmd_tm(args) -> int:
 # -- group subcommands -------------------------------------------------------
 
 def cmd_present(args) -> int:
-    mp = machine_to_group(_machine(args), strict=args.strict)
+    mp = machine_to_group(load_machine(args.machine), strict=args.strict)
     _emit(mp.as_presentation().dumps(), args)
     return OK
 
@@ -166,7 +170,7 @@ def _computation(m, args):
 
 
 def cmd_trapezium(args) -> int:
-    m = _machine(args)
+    m = load_machine(args.machine)
     trap = computation_to_trapezium(m, _computation(m, args))
     try:
         validate_trapezium(trap)
@@ -179,7 +183,7 @@ def cmd_trapezium(args) -> int:
 
 
 def cmd_conjugator(args) -> int:
-    m = _machine(args)
+    m = load_machine(args.machine)
     comp = _computation(m, args)
     try:
         g = conjugator_from_accepting(m, comp)
@@ -188,7 +192,7 @@ def cmd_conjugator(args) -> int:
         return NEGATIVE
     if args.format == "json":
         doc = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "machine": m.name,
             "start": comp.configs[0].tokens(),
             "end": comp.end.tokens(),
@@ -209,9 +213,9 @@ def _add_output(p):
 
 
 def _add_config_args(p):
-    p.add_argument("--input", action="append", metavar="TOKENS",
+    p.add_argument("--input", action="append", type=_text, metavar="TOKENS",
                    help="input word, once per input sector")
-    p.add_argument("--start", metavar="TOKENS",
+    p.add_argument("--start", type=_text, metavar="TOKENS",
                    help="full start configuration (overrides --input)")
 
 
@@ -223,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitive", help="build an LR or RL machine")
     p.add_argument("--kind", choices=["lr", "rl"], default="lr")
-    p.add_argument("--letters", required=True, metavar="A,B,...")
-    p.add_argument("--name")
+    p.add_argument("--letters", required=True, type=_text, metavar="A,B,...")
+    p.add_argument("--name", type=_text)
     _add_output(p)
     p.set_defaults(func=cmd_primitive)
 
@@ -249,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="apply a history to a configuration")
     p.add_argument("machine", metavar="MACHINE.json")
     _add_config_args(p)
-    p.add_argument("--history", required=True, metavar="TOKENS")
+    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
     p.add_argument("--format", choices=["json", "text"], default="json")
     _add_output(p)
     p.set_defaults(func=cmd_run)
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trapezium", help="flatten a computation to a diagram")
     p.add_argument("machine", metavar="MACHINE.json")
     _add_config_args(p)
-    p.add_argument("--history", required=True, metavar="TOKENS")
+    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     _add_output(p)
     p.set_defaults(func=cmd_trapezium)
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugator", help="side word conjugating end to start")
     p.add_argument("machine", metavar="MACHINE.json")
     _add_config_args(p)
-    p.add_argument("--history", required=True, metavar="TOKENS")
+    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
     p.add_argument("--format", choices=["json", "text"], default="text")
     _add_output(p)
     p.set_defaults(func=cmd_conjugator)

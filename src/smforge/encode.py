@@ -22,14 +22,14 @@ certifiable rule by rule.
 """
 from __future__ import annotations
 
-import json
 import re
 from typing import Iterable, Optional, Sequence
 
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, make_rule)
 from smforge.search import BOUNDED, FOUND
-from smforge.serialize import SCHEMA_VERSION, dumps_canonical
+from smforge.serialize import (SCHEMA_VERSION, dumps_canonical, read_json,
+                               schema_violation)
 from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, cyclic_min,
                            free_reduce, is_cyclically_reduced,
                            symmetrized_closure)
@@ -107,13 +107,9 @@ class GroupPresentation:
 
     @staticmethod
     def from_dict(doc: dict) -> "GroupPresentation":
-        import jsonschema  # here, not at the top: it costs ~0.1 s to import
-        try:
-            jsonschema.validate(doc, PRESENTATION_SCHEMA)
-        except jsonschema.ValidationError as e:
-            where = "/".join(str(p) for p in e.absolute_path) or "top level"
-            raise EncodeError(f"bad presentation document at {where}: "
-                              f"{e.message}") from None
+        bad = schema_violation(doc, PRESENTATION_SCHEMA)
+        if bad:
+            raise EncodeError(f"bad presentation document at {bad}")
         return GroupPresentation(doc["generators"], doc["relators"],
                                  name=doc.get("name", "G"))
 
@@ -126,8 +122,7 @@ class GroupPresentation:
 
     @staticmethod
     def load(path) -> "GroupPresentation":
-        with open(path, encoding="utf-8") as f:
-            return GroupPresentation.from_dict(json.load(f))
+        return GroupPresentation.from_dict(read_json(path))
 
     def __repr__(self):
         return (f"<presentation {self.name}: {len(self.generators)} "

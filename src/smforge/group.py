@@ -16,7 +16,7 @@ from .words import (Atom, EMPTY, SmforgeError, Word, atom, free_reduce,
                     symmetrized_closure)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
-from .serialize import dumps_canonical
+from .serialize import SCHEMA_VERSION, dumps_canonical
 
 
 class GroupError(SmforgeError):
@@ -565,7 +565,7 @@ def run_dichotomy(m: Machine, comp: Computation, L: int = None) -> list[dict]:
 
 def trapezium_to_dict(trap: Trapezium) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "machine": trap.machine.name,
         "history": trap.history().tokens(),
         "words": [aw.tokens() for aw in trap.words],

@@ -114,12 +114,6 @@ class Hardware:
             return i
         return None
 
-    def state_atoms(self) -> frozenset[Atom]:
-        return frozenset(self.part_of)
-
-    def tape_atoms(self) -> frozenset[Atom]:
-        return frozenset(self.sector_of)
-
 
 class RulePart:
     """The action of a rule on one part: frm -> left . to . right."""
@@ -131,9 +125,6 @@ class RulePart:
         self.to = _atom(to)
         self.left = left
         self.right = right
-
-    def is_identity(self) -> bool:
-        return self.frm is self.to and not self.left and not self.right
 
     def __eq__(self, other):
         return (isinstance(other, RulePart) and self.frm is other.frm
@@ -390,16 +381,15 @@ class ApplyOutcome:
     """
 
     __slots__ = ("ok", "result", "stripped_prefix", "stripped_suffix",
-                 "reason", "position")
+                 "reason")
 
     def __init__(self, ok, result=None, stripped_prefix=EMPTY,
-                 stripped_suffix=EMPTY, reason=None, position=None):
+                 stripped_suffix=EMPTY, reason=None):
         self.ok = ok
         self.result = result
         self.stripped_prefix = stripped_prefix
         self.stripped_suffix = stripped_suffix
         self.reason = reason
-        self.position = position
 
     def __bool__(self):
         return self.ok
@@ -469,18 +459,18 @@ class Machine:
     def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:
         r = rule if sign > 0 else invert_rule(rule)
         part_of = self.hw.part_of
-        for j, (a, e) in enumerate(aw.states):
+        for a, _ in aw.states:
             if r.parts[part_of[a]].frm is not a:
                 return ApplyOutcome(
                     False, reason=f"state letter {a.name!r} does not match "
-                    f"rule {rule.name!r}", position=j)
+                    f"rule {rule.name!r}")
         for j, w in enumerate(aw.tapes):
             dom = r.domains[aw.gap_sectors[j]]
             for a, _ in w.letters:
                 if a not in dom:
                     return ApplyOutcome(
                         False, reason=f"letter {a.name!r} in gap {j} outside "
-                        f"the domain of rule {rule.name!r}", position=j)
+                        f"the domain of rule {rule.name!r}")
         trip = [_emissions(r.parts[part_of[a]], e) for a, e in aw.states]
         states = [t[1] for t in trip]
         tapes = [trip[j][2] * aw.tapes[j] * trip[j + 1][0]

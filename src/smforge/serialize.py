@@ -1,6 +1,6 @@
-"""JSON serialization for machines.
+"""JSON documents: reading, validation against their schemas, writing.
 
-The format is canonical: dumps are sorted, indented, and end in a
+The machine format is canonical: dumps are sorted, indented, and end in a
 newline, so equal machines produce byte-identical files.  Empty write
 words are omitted, a domain equal to the whole sector alphabet is
 written as "full", and a part carries ``"lock": true`` exactly when the
@@ -99,6 +99,56 @@ MACHINE_SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "boolean": bool}
+
+
+def schema_violation(value, schema, path="") -> str | None:
+    """The first place where ``value`` breaks ``schema``, as "<path>: <why>",
+    or None.  Reads the subset of JSON Schema the document schemas use:
+    ``type`` (by exact Python type: unlike in JSON Schema, 1.0 is no int),
+    ``required``, closed ``properties``, ``items``, ``minItems``, ``const``
+    and ``anyOf``."""
+    where = path or "top level"
+    if "anyOf" in schema:
+        if all(schema_violation(value, s, path) for s in schema["anyOf"]):
+            return f"{where}: {value!r} is not valid under any of the schemas"
+        return None
+    if "const" in schema:
+        const = schema["const"]
+        if type(value) is type(const) and value == const:
+            return None
+        return f"{where}: {const!r} was expected"
+    if type(value) is not _TYPES[schema["type"]]:
+        return f"{where}: {value!r} is not of type {schema['type']!r}"
+    children = ()
+    if isinstance(value, dict):
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            return f"{where}: {missing[0]!r} is a required property"
+        extra = [k for k in value if k not in schema["properties"]]
+        if extra:
+            return f"{where}: unexpected property {extra[0]!r}"
+        children = [(k, v, schema["properties"][k]) for k, v in value.items()]
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{where}: {value!r} is too short"
+        children = [(i, v, schema["items"]) for i, v in enumerate(value)]
+    for key, child, sub in children:
+        found = schema_violation(child, sub, f"{path}/{key}" if path else str(key))
+        if found:
+            return found
+    return None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise SerializeError(f"not valid JSON: {e}") from None
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -142,22 +192,15 @@ def machine_to_dict(m: Machine) -> dict:
 
 
 def machine_from_dict(doc: dict) -> Machine:
-    import jsonschema  # here, not at the top: it costs ~0.1 s to import
-    try:
-        jsonschema.validate(doc, MACHINE_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "top level"
-        raise SerializeError(f"invalid machine document at {where}: {e.message}")
+    bad = schema_violation(doc, MACHINE_SCHEMA)
+    if bad:
+        raise SerializeError(f"invalid machine document at {bad}")
     parts = [StatePart(p["name"], p["letters"], p.get("start"), p.get("end"))
              for p in doc["parts"]]
     hw = Hardware(parts, doc["sector_alphabets"],
                   doc.get("input_sectors", ()), doc.get("cyclic", False))
     rules = []
     for rd in doc["rules"]:
-        if len(rd["parts"]) != hw.n_parts:
-            raise SerializeError(
-                f"rule {rd['name']!r} has {len(rd['parts'])} parts, "
-                f"machine has {hw.n_parts}")
         rps = []
         locked = set()
         for i, pd in enumerate(rd["parts"]):
@@ -173,10 +216,6 @@ def machine_from_dict(doc: dict) -> Machine:
         domains = rd.get("domains")
         if domains is None:
             domains = [[] if s in locked else "full" for s in range(hw.n_sectors)]
-        elif len(domains) != hw.n_sectors:
-            raise SerializeError(
-                f"rule {rd['name']!r} has {len(domains)} domains, "
-                f"machine has {hw.n_sectors} sectors")
         try:
             rule = make_rule(hw, rd["name"], rps, domains)
         except MachineError as e:
@@ -202,8 +241,4 @@ def save_machine(m: Machine, path) -> None:
 
 
 def load_machine(path) -> Machine:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise SerializeError(f"not valid JSON: {e}")
-    return machine_from_dict(doc)
+    return machine_from_dict(read_json(path))

@@ -240,31 +240,56 @@ class TestGroupCommands:
         assert doc["end"] == "q0f q1f"
 
 
-def _fresh_python(*argv, cwd=None, **env_overrides):
+def _fresh_python(*argv, cwd=None, text=True, **env_overrides):
     """Run a fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=text, timeout=60)
+
+
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 class TestEntryPoint:
-    def test_cold_import_skips_heavy_dependencies(self):
+    def test_cold_import_skips_heavy_dependencies(self, tmp_path):
         proc = _fresh_python(
             "-c", "import sys, smforge.cli; "
                   "print(sorted({'sympy', 'jsonschema'} & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+        # Reading and validating documents imports nothing heavy either.
+        save_machine(toy_deleter(), tmp_path / "m.json")
+        z2_presentation().save(tmp_path / "p.json")
+        proc = _fresh_python(
+            "-c", "import sys; from smforge.cli import main; "
+                  "codes = [main(['present', 'm.json']), "
+                  "main(['encode', 'p.json'])]; "
+                  "print(codes, sorted({'sympy', 'jsonschema'} & "
+                  "set(sys.modules)), file=sys.stderr)", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[0, 0] []\n"
 
-    def test_machine_file_is_utf8_under_c_locale(self, tmp_path):
+    def test_machine_file_is_utf8_under_c_locale(self, capsys, tmp_path):
         assert main(["primitive", "--letters", "ä",
                      "-o", str(tmp_path / "m.json")]) == 0
         proc = _fresh_python("-m", "smforge.cli", "present", "m.json",
-                             "-o", "g.json", cwd=tmp_path, LC_ALL="C",
-                             PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+                             "-o", "g.json", cwd=tmp_path, **C_LOCALE)
         assert proc.returncode == 0, proc.stderr
         assert "ä" in (tmp_path / "g.json").read_text(encoding="utf-8")
+        # stdout and word arguments are UTF-8 too: the same bytes as here.
+        assert main(["present", str(tmp_path / "m.json")]) == 0
+        presented = capsys.readouterr().out.encode("utf-8")
+        proc = _fresh_python("-m", "smforge.cli", "present", "m.json",
+                             cwd=tmp_path, text=False, **C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == presented
+        proc = _fresh_python("-m", "smforge.cli", "primitive", "--letters",
+                             "ä", "-o", "c.json", cwd=tmp_path, **C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "c.json").read_bytes()
+                == (tmp_path / "m.json").read_bytes())
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -23,7 +23,7 @@ from smforge.encode import (
 from smforge.fixtures import commutator_presentation, z2_presentation
 from smforge.machine import accept_configuration, input_configuration, run
 from smforge.search import BOUNDED, FOUND, accepts
-from smforge.serialize import machine_dumps, machine_from_dict
+from smforge.serialize import SerializeError, machine_dumps, machine_from_dict
 from smforge.words import EMPTY, Word, atom, atoms, free_reduce, reduced_words
 
 
@@ -87,6 +87,12 @@ class TestPresentation:
         # canonical bytes: rewriting changes nothing
         q.save(path)
         assert json.loads(path.read_text())["name"] == "z2"
+
+    def test_bad_json_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        with pytest.raises(SerializeError, match="not valid JSON"):
+            GroupPresentation.load(path)
 
     def test_word_vector(self):
         p = commutator_presentation()

@@ -159,7 +159,8 @@ class TestApply:
         m = toy_deleter()
         c = accept_configuration(m)
         out = m.apply_ex(c, m.rule("del"))
-        assert not out.ok and out.position == 0
+        assert not out.ok
+        assert out.reason.startswith(f"state letter {c.states[0][0].name!r}")
 
     def test_left_and_right_multiplication(self):
         m = two_sided_multiplier()
