@@ -119,8 +119,11 @@ def cmd_tm(args) -> int:
     if (args.max_n is None) == (args.input is None and args.start is None):
         raise MachineError("pass either an input to decide or --max-n for "
                            "the time function table")
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise MachineError("--max-nodes must be positive")
     if args.max_n is not None:
-        tf = search.time_function(m, args.max_n, args.bound, method=args.method)
+        tf = search.time_function(m, args.max_n, args.bound, args.method,
+                                  args.max_nodes)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "machine": m.name,
@@ -134,7 +137,8 @@ def cmd_tm(args) -> int:
         _emit(dumps_canonical(doc), args)
         return OK if all(tf.complete.values()) else BOUND
     start = _start_config(m, args)
-    res = search.tm_of_config(m, start, args.bound, method=args.method)
+    res = search.tm_of_config(m, start, args.bound, args.method,
+                              args.max_nodes)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "machine": m.name,
@@ -265,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n",
                    help="tabulate TM(n) for n up to this instead")
     p.add_argument("--method", choices=["bfs", "meet"], default="bfs")
+    p.add_argument("--max-nodes", type=int, dest="max_nodes", metavar="N",
+                   help="stop bound-limited after visiting N configurations")
     _add_output(p)
     p.set_defaults(func=cmd_tm)
 
@@ -301,6 +307,9 @@ def main(argv=None) -> int:
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as e:  # a bug: one line and exit 4, never a traceback
+        print("internal error:", *f"{type(e).__name__}: {e}".split(), file=sys.stderr)
+        return INVARIANT
 
 
 if __name__ == "__main__":

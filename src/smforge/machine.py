@@ -17,9 +17,14 @@ by the rule (the tape must be empty, and nothing may be written there —
 write words are themselves required to lie in the domains, which is
 exactly what makes a rule and its formal inverse undo each other on
 every admissible word).
+
+All application runs through one kernel, ``Machine._step``, on signed rules
+compiled once per machine and indexed by state letter.  A rule keeps the base,
+so the gap sectors too: its results skip validation, words from users do not.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from smforge.words import EMPTY, Atom, SmforgeError, Word, atom, free_reduce
@@ -270,10 +275,15 @@ class AdmissibleWord:
                     raise MachineError(
                         f"letter {a.name!r} in gap {j} does not belong to "
                         f"sector {s}")
+        self._fill(hw, states, tapes, tuple(sectors))
+
+    def _fill(self, hw, states, tapes, gap_sectors):
+        """Set the slots unchecked: after validation, or for a rule's result,
+        which keeps the base, so the gap sectors, of the word it rewrote."""
         object.__setattr__(self, "hw", hw)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "tapes", tapes)
-        object.__setattr__(self, "gap_sectors", tuple(sectors))
+        object.__setattr__(self, "gap_sectors", gap_sectors)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):
@@ -289,7 +299,7 @@ class AdmissibleWord:
         for w, q in zip(self.tapes, self.states[1:]):
             letters.extend(w.letters)
             letters.append(q)
-        return Word(letters)
+        return Word._of(tuple(letters))
 
     def tokens(self) -> str:
         return self.to_word().tokens()
@@ -395,10 +405,21 @@ class ApplyOutcome:
         return self.ok
 
 
-def _emissions(rp: RulePart, sign: int):
-    if sign > 0:
-        return rp.left, (rp.to, 1), rp.right
-    return rp.right.inverse(), (rp.to, -1), rp.left.inverse()
+class _SignedRule:
+    """rule^sign compiled: emit[q, e] = (pre, letter, post), in letter tuples,
+    is what q^e becomes if its part must carry q; None marks a full domain."""
+
+    __slots__ = ("rule", "sign", "emit", "domains")
+
+    def __init__(self, hw: Hardware, rule: SRule, sign: int):
+        r = rule if sign > 0 else invert_rule(rule)
+        self.rule, self.sign, self.emit = rule, sign, {}
+        for p in r.parts:
+            self.emit[p.frm, 1] = p.left.letters, (p.to, 1), p.right.letters
+            self.emit[p.frm, -1] = (p.right.inverse().letters, (p.to, -1),
+                                    p.left.inverse().letters)
+        self.domains = tuple(None if d == hw.sector_alphabets[s] else d
+                             for s, d in enumerate(r.domains))
 
 
 class Machine:
@@ -456,32 +477,49 @@ class Machine:
 
     # -- application -------------------------------------------------------
 
-    def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:
-        r = rule if sign > 0 else invert_rule(rule)
-        part_of = self.hw.part_of
-        for a, _ in aw.states:
-            if r.parts[part_of[a]].frm is not a:
-                return ApplyOutcome(
-                    False, reason=f"state letter {a.name!r} does not match "
-                    f"rule {rule.name!r}")
-        for j, w in enumerate(aw.tapes):
-            dom = r.domains[aw.gap_sectors[j]]
-            for a, _ in w.letters:
+    @cached_property
+    def _table(self):
+        """(rule, sign) -> _SignedRule, and state letter -> candidates in order."""
+        entries = {rs: _SignedRule(self.hw, *rs) for rs in self._signed_rules}
+        return entries, {a: [e for e in entries.values() if (a, 1) in e.emit]
+                         for a in self.hw.part_of}
+
+    def _entry(self, rule: SRule, sign: int) -> _SignedRule:
+        return self._table[0].get((rule, sign)) or _SignedRule(self.hw, rule, sign)
+
+    def _step(self, entry: _SignedRule, aw: AdmissibleWord):
+        """The application kernel: (result, None), or (None, why it fails)."""
+        if aw.hw is not self.hw:
+            aw = AdmissibleWord(self.hw, aw.states, aw.tapes)
+        trip = []
+        for q in aw.states:
+            out = entry.emit.get(q)
+            if out is None:
+                return None, (f"state letter {q[0].name!r} does not match "
+                              f"rule {entry.rule.name!r}")
+            trip.append(out)
+        for j, s in enumerate(aw.gap_sectors):
+            dom = entry.domains[s]
+            for a, _ in (aw.tapes[j].letters if dom is not None else ()):
                 if a not in dom:
-                    return ApplyOutcome(
-                        False, reason=f"letter {a.name!r} in gap {j} outside "
-                        f"the domain of rule {rule.name!r}")
-        trip = [_emissions(r.parts[part_of[a]], e) for a, e in aw.states]
-        states = [t[1] for t in trip]
-        tapes = [trip[j][2] * aw.tapes[j] * trip[j + 1][0]
-                 for j in range(len(aw.tapes))]
-        result = AdmissibleWord(self.hw, states, tapes)
-        return ApplyOutcome(True, result, stripped_prefix=trip[0][0],
-                            stripped_suffix=trip[-1][2])
+                    return None, (f"letter {a.name!r} in gap {j} outside "
+                                  f"the domain of rule {entry.rule.name!r}")
+        tapes = tuple([free_reduce(Word._of(trip[j][2] + w.letters + trip[j + 1][0]))
+                       for j, w in enumerate(aw.tapes)])
+        res = object.__new__(AdmissibleWord)
+        res._fill(aw.hw, tuple([t[1] for t in trip]), tapes, aw.gap_sectors)
+        return res, None
+
+    def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:
+        entry = self._entry(rule, sign)
+        result, reason = self._step(entry, aw)
+        if result is None:
+            return ApplyOutcome(False, reason=reason)
+        return ApplyOutcome(True, result, Word(entry.emit[aw.states[0]][0]),
+                            Word(entry.emit[aw.states[-1]][2]))
 
     def try_apply(self, aw, rule, sign=1) -> Optional[AdmissibleWord]:
-        out = self.apply_ex(aw, rule, sign)
-        return out.result if out.ok else None
+        return self._step(self._entry(rule, sign), aw)[0]
 
     def apply(self, aw, rule, sign=1) -> AdmissibleWord:
         out = self.apply_ex(aw, rule, sign)

@@ -4,9 +4,10 @@ Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
 the opposite signs.  Every search here expands configurations through
 one generator, successors, and the breadth-first ones through its layer
-step, _layer.  Those two hold the determinism contract: rules are tried
-in (name, sign) order and frontiers kept in insertion order, so the
-witness history found for a given query never changes between runs.
+step, _layer.  Those two, on the machine's compiled rules, hold the
+determinism contract: rules are tried in (name, sign) order and frontiers
+kept in insertion order, so the witness history found for a given query
+never changes between runs.
 """
 from __future__ import annotations
 
@@ -65,17 +66,19 @@ def successors(m: Machine, config: AdmissibleWord, skip=None
     """(rule, sign, result) for every signed rule that applies to config,
     in (name, sign) order.  The signed rule skip is passed over without
     being tried."""
-    for rule, sign in m.signed_rules():
-        if skip is not None and rule is skip[0] and sign == skip[1]:
+    for entry in m._table[1].get(config.states[0][0], ()):
+        if skip is not None and entry.rule is skip[0] and entry.sign == skip[1]:
             continue
-        res = m.try_apply(config, rule, sign)
+        res = m._step(entry, config)[0]
         if res is not None:
-            yield rule, sign, res
+            yield entry.rule, entry.sign, res
 
 
-def _layer(m: Machine, frontier, parents) -> Iterator[tuple[tuple, AdmissibleWord]]:
+def _layer(m: Machine, frontier, parents, stop=None
+           ) -> Iterator[tuple[tuple, AdmissibleWord]]:
     """One breadth-first layer: (key, config) for every configuration
-    first reached from frontier, in discovery order, its parent recorded."""
+    first reached from frontier, in discovery order, its parent recorded;
+    cut short once parents holds stop entries."""
     for c in frontier:
         ckey = c.key()
         for rule, sign, res in successors(m, c):
@@ -83,11 +86,14 @@ def _layer(m: Machine, frontier, parents) -> Iterator[tuple[tuple, AdmissibleWor
             if k not in parents:
                 parents[k] = (ckey, rule, sign)
                 yield k, res
+                if stop is not None and len(parents) >= stop:
+                    return
 
 
 def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
-              max_steps: int) -> ReachResult:
-    """Breadth-first search from start; shortest history to target."""
+              max_steps: int, max_nodes: Optional[int] = None) -> ReachResult:
+    """Breadth-first search from start; shortest history to target.  It
+    gives up, BOUNDED, after visiting max_nodes configurations."""
     if start == target:
         return ReachResult(FOUND, EMPTY, 0, 1)
     tkey = target.key()
@@ -95,13 +101,15 @@ def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     frontier = [start]
     for depth in range(1, max_steps + 1):
         nxt = []
-        for k, res in _layer(m, frontier, parents):
+        for k, res in _layer(m, frontier, parents, max_nodes):
             if k == tkey:
                 return ReachResult(FOUND, _history_from_parents(parents, k),
                                    depth, len(parents))
             nxt.append(res)
         if not nxt:
             return ReachResult(UNREACHABLE, explored=len(parents))
+        if max_nodes is not None and len(parents) >= max_nodes:
+            break
         frontier = nxt
     return ReachResult(BOUNDED, explored=len(parents))
 
@@ -122,11 +130,12 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
 
 
 def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
-               max_steps: int) -> ReachResult:
+               max_steps: int, max_nodes: Optional[int] = None) -> ReachResult:
     """Bidirectional layered search.  Finds the exact minimal history
     length whenever it is at most max_steps; the witness history is some
     minimal one (deterministic, but not necessarily the one bfs_reach
-    would return)."""
+    would return).  It gives up, BOUNDED, after visiting max_nodes
+    configurations on both sides together."""
     if start == target:
         return ReachResult(FOUND, EMPTY, 0, 1)
     # Index 0 searches forward from start, index 1 backward from target.
@@ -137,8 +146,11 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     while meet is None and all(frontiers) and sum(depths) < max_steps:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         other = parents[1 - side]
+        stop = None if max_nodes is None else max_nodes - len(other)
+        if stop is not None and len(parents[side]) >= stop:
+            break
         nxt = []
-        for k, res in _layer(m, frontiers[side], parents[side]):
+        for k, res in _layer(m, frontiers[side], parents[side], stop):
             nxt.append(res)
             # A meet in this layer has length sum(depths) + 1: k cannot be
             # shallower on the other side, or its parent here would have
@@ -163,15 +175,18 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
 
 
 def tm_of_config(m: Machine, config: AdmissibleWord, bound: int,
-                 method: str = "bfs") -> ReachResult:
+                 method: str = "bfs", max_nodes: Optional[int] = None
+                 ) -> ReachResult:
     """Length of a shortest computation from config to the accept
     configuration."""
     search = meet_reach if method == "meet" else bfs_reach
-    return search(m, config, accept_configuration(m), bound)
+    return search(m, config, accept_configuration(m), bound, max_nodes)
 
 
-def accepts(m: Machine, inputs, bound: int, method: str = "bfs") -> ReachResult:
-    return tm_of_config(m, input_configuration(m, inputs), bound, method)
+def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
+            max_nodes: Optional[int] = None) -> ReachResult:
+    return tm_of_config(m, input_configuration(m, inputs), bound, method,
+                        max_nodes)
 
 
 def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]:
@@ -208,14 +223,15 @@ class TimeFunction:
         return self.values[n]
 
 
-def time_function(m: Machine, n_max: int, bound: int,
-                  method: str = "bfs") -> TimeFunction:
+def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
+                  max_nodes: Optional[int] = None) -> TimeFunction:
     values, complete, rejected = {}, {}, []
     best = 0
     all_complete = True
     for n in range(n_max + 1):
         for inputs in enumerate_inputs(m, n, exact=True):
-            res = tm_of_config(m, input_configuration(m, inputs), bound, method)
+            res = tm_of_config(m, input_configuration(m, inputs), bound,
+                               method, max_nodes)
             if res.found:
                 best = max(best, res.length)
             elif res.status == UNREACHABLE:

@@ -83,6 +83,13 @@ class Word:
                 raise WordError(f"bad letter {(a, s)!r}")
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _of(cls, letters: tuple) -> "Word":
+        """A Word from a tuple of letters known to be valid, unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -170,7 +177,7 @@ class Word:
 
     def key(self) -> tuple[int, ...]:
         """Fast hashable key: signed atom ids."""
-        return tuple(a.id * s for a, s in self.letters)
+        return tuple([a.id * s for a, s in self.letters])
 
     def sort_key(self):
         return (len(self.letters), tuple((a.name, -s) for a, s in self.letters))
@@ -187,7 +194,7 @@ def free_reduce(w: Word) -> Word:
             out.pop()
         else:
             out.append((a, s))
-    return Word(out)
+    return Word._of(tuple(out))
 
 
 def rotations(w: Word) -> list[Word]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from smforge import cli
 from smforge.cli import main
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
 from smforge.serialize import load_machine, save_machine
@@ -173,6 +174,32 @@ class TestTm:
         assert doc["values"] == {"0": 1, "1": 2, "2": 3}
         assert all(doc["complete"].values())
 
+    def test_node_budget(self, capsys, deleter_file):
+        argv = ["tm", deleter_file, "--input", "y y", "--bound", "6"]
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        # A budget of the configurations the search visits anyway changes
+        # nothing; a smaller one leaves it bound-limited.
+        explored = json.loads(out)["explored"]
+        assert invoke(capsys, *argv, "--max-nodes", str(explored)) == (code, out)
+        code, out = invoke(capsys, *argv, "--max-nodes", "2")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["status"] == "bound-limited" and doc["explored"] == 2
+        code, out = invoke(capsys, "tm", deleter_file, "--max-n", "2",
+                           "--bound", "8", "--max-nodes", "2")
+        assert code == 3
+        assert not all(json.loads(out)["complete"].values())
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "many"])
+    def test_bad_node_budget(self, capsys, deleter_file, budget):
+        try:
+            code = main(["tm", deleter_file, "--input", "y", "--bound", "6",
+                         "--max-nodes", budget])
+        except SystemExit as e:  # argparse rejects what is not an integer
+            code = e.code
+        assert code == 2
+
     def test_needs_exactly_one_mode(self, capsys, deleter_file):
         code, _ = invoke(capsys, "tm", deleter_file, "--bound", "4")
         assert code == 2
@@ -290,6 +317,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert ((tmp_path / "c.json").read_bytes()
                 == (tmp_path / "m.json").read_bytes())
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch, deleter_file):
+        def boom(args):
+            raise RuntimeError("broken\ninvariant")
+        monkeypatch.setattr(cli, "cmd_present", boom)
+        code = main(["present", deleter_file])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: broken invariant\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,7 +1,24 @@
+import time
+
 import pytest
 
-from smforge.fixtures import one_sector_left_multiplier, toy_deleter, trivial_acceptor
-from smforge.machine import accept_configuration, input_configuration, run
+from smforge.encode import presentation_to_machine
+from smforge.fixtures import (
+    commutator_presentation,
+    one_sector_left_multiplier,
+    toy_deleter,
+    trivial_acceptor,
+)
+from smforge.machine import (
+    Hardware,
+    Machine,
+    StatePart,
+    accept_configuration,
+    input_configuration,
+    make_rule,
+    parse_admissible,
+    run,
+)
 from smforge.search import (
     BOUNDED,
     FOUND,
@@ -36,8 +53,9 @@ class TestSuccessors:
         m = one_sector_left_multiplier()
         c = input_configuration(m, W("a"))
         tried = []
-        apply = m.try_apply
-        m.try_apply = lambda aw, r, s: tried.append((r.name, s)) or apply(aw, r, s)
+        step = m._step
+        # Every attempt goes through the application kernel.
+        m._step = lambda e, aw: tried.append((e.rule.name, e.sign)) or step(e, aw)
         got = [(r.name, s) for r, s, _ in successors(m, c, (m.rule("mul(a)"), -1))]
         assert ("mul(a)", -1) not in tried
         assert got == tried == [("mul(a)", 1), ("mul(b)", 1), ("mul(b)", -1)]
@@ -100,6 +118,45 @@ class TestReachableConfigs:
         m = trivial_acceptor()
         dist, complete = reachable_configs(m, input_configuration(m, EMPTY), 5)
         assert complete and len(dist) == 1
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("search", [bfs_reach, meet_reach])
+    def test_budget_stops_or_agrees(self, search):
+        m = toy_deleter()
+        start, acc = input_configuration(m, W("y y y")), accept_configuration(m)
+        free = search(m, start, acc, 10)
+        assert free.found
+        for budget in range(2, free.explored + 1):
+            res = search(m, start, acc, 10, max_nodes=budget)
+            assert res.explored <= budget
+            assert res.status == BOUNDED or res.history == free.history
+        assert search(m, start, acc, 10, max_nodes=2).status == BOUNDED
+        same = search(m, start, acc, 10, max_nodes=free.explored)
+        assert (same.status, same.history, same.explored) == (
+            free.status, free.history, free.explored)
+
+    def test_budget_never_certifies(self):
+        # p0 - p1 - p2 is the whole component; p3 lies outside it.
+        hw = Hardware([StatePart("P", ["p0", "p1", "p2", "p3"]),
+                       StatePart("R", ["r"])], [[]])
+        m = Machine("chain", hw, [
+            make_rule(hw, f"s{i}", [(f"p{i}", f"p{i + 1}"), ("r", "r")])
+            for i in range(2)])
+        start, target = (parse_admissible(hw, f"{p} r") for p in ("p0", "p3"))
+        for search in (bfs_reach, meet_reach):
+            assert search(m, start, target, 5).status == UNREACHABLE
+            assert search(m, start, target, 5, max_nodes=2).status == BOUNDED
+
+    def test_runaway_query_stops_at_budget(self):
+        # bound 6 on the commutator encoder grows past 1 GB without a budget
+        m = presentation_to_machine(commutator_presentation())
+        t0 = time.monotonic()
+        for method in ("bfs", "meet"):
+            res = accepts(m, W("x"), 6, method, max_nodes=20000)
+            assert res.status == BOUNDED
+            assert res.explored <= 20000
+        assert time.monotonic() - t0 < 10
 
 
 class TestMeet:

@@ -3,13 +3,25 @@
 Machines are small (2-3 parts, at most two letters per sector, at most
 three rules with writes of length at most one inside the domains), so
 every search below finishes in milliseconds.  Examples are derandomized
-to keep the suite deterministic.
+to keep the suite deterministic.  The rule-application kernel is also
+checked against a reference that applies each rule afresh, on these
+machines and on the fixtures.
 """
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from smforge.encode import presentation_to_machine
+from smforge.enhance import build_enhanced_standard, make_cyclic
+from smforge.fixtures import (
+    paired_multiplier,
+    toy_deleter,
+    two_sided_multiplier,
+    z2_presentation,
+)
 from smforge.machine import (
+    AdmissibleWord,
     Hardware,
     Machine,
     MachineError,
@@ -17,10 +29,13 @@ from smforge.machine import (
     StatePart,
     accept_configuration,
     input_configuration,
+    invert_rule,
     make_rule,
+    parse_admissible,
     run,
 )
 from smforge.search import (
+    BOUNDED,
     FOUND,
     bfs_reach,
     meet_reach,
@@ -119,3 +134,112 @@ def test_rule_then_inverse_is_identity(case):
     for c in dist:
         for rule, sign, res in successors(m, c):
             assert m.try_apply(res, rule, -sign) == c
+
+
+def _reference_apply(m, aw, rule, sign):
+    """Rule application done afresh on every call, as before the compiled
+    table: invert the rule, check it, emit, and validate the result.
+    Returns (result, reason, stripped prefix, stripped suffix)."""
+    r = rule if sign > 0 else invert_rule(rule)
+    part_of = m.hw.part_of
+    for a, _ in aw.states:
+        if r.parts[part_of[a]].frm is not a:
+            return (None, f"state letter {a.name!r} does not match "
+                    f"rule {rule.name!r}", None, None)
+    for j, w in enumerate(aw.tapes):
+        for a, _ in w.letters:
+            if a not in r.domains[aw.gap_sectors[j]]:
+                return (None, f"letter {a.name!r} in gap {j} outside "
+                        f"the domain of rule {rule.name!r}", None, None)
+
+    def emissions(rp, e):
+        if e > 0:
+            return rp.left, (rp.to, 1), rp.right
+        return rp.right.inverse(), (rp.to, -1), rp.left.inverse()
+
+    trip = [emissions(r.parts[part_of[a]], e) for a, e in aw.states]
+    tapes = [trip[j][2] * w * trip[j + 1][0] for j, w in enumerate(aw.tapes)]
+    result = AdmissibleWord(m.hw, [t[1] for t in trip], tapes)
+    return result, None, trip[0][0], trip[-1][2]
+
+
+def _ball(m, start):
+    """The configurations within two steps of start, each with its inverse
+    and its folds q_0 .. q_k w_k q_k^-1 .. q_0^-1, so that state letters
+    of both signs and every kind of gap occur."""
+    dist, _ = reachable_configs(m, start, 2)
+    out = []
+    for c in dist:
+        out += [c, parse_admissible(m.hw, c.to_word().inverse())]
+        prefix = Word([c.states[0]])
+        for k, tape in enumerate(c.tapes):
+            out.append(parse_admissible(m.hw, prefix * tape * prefix.inverse()))
+            prefix = prefix * tape * Word([c.states[k + 1]])
+    return out
+
+
+def check_kernel(m, configs):
+    """successors, try_apply and apply_ex agree with _reference_apply."""
+    for c in configs:
+        want = []
+        for rule, sign in m.signed_rules():
+            res, reason, prefix, suffix = _reference_apply(m, c, rule, sign)
+            out = m.apply_ex(c, rule, sign)
+            assert (out.ok, out.reason) == (res is not None, reason)
+            assert m.try_apply(c, rule, sign) == out.result == res
+            if res is not None:
+                assert (out.stripped_prefix, out.stripped_suffix) == (prefix, suffix)
+                want.append((rule, sign, res))
+        got = list(successors(m, c))
+        assert [(r, s) for r, s, _ in got] == [(r, s) for r, s, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert a.states == b.states and a.tapes == b.tapes
+            assert a.gap_sectors == b.gap_sectors
+            again = AdmissibleWord(m.hw, a.states, a.tapes)
+            assert (again.tapes, again.gap_sectors) == (a.tapes, a.gap_sectors)
+
+
+@PROPERTY
+@given(machines())
+def test_kernel_agrees_with_reference(case):
+    m, start = case
+    check_kernel(m, _ball(m, start))
+
+
+def _unreduced_writer():
+    """One sector over {a, b}; w writes a . b . b^-1 on its left end and
+    b^-1 . b . a^-1 on its right, neither freely reduced."""
+    hw = Hardware([StatePart("U0", ["u0"]), StatePart("U1", ["u1"])],
+                  [[atom("a"), atom("b")]], input_sectors=[0])
+    rule = make_rule(hw, "w", [
+        RulePart("u0", "u0", right=Word.from_tokens("a b b^-1")),
+        RulePart("u1", "u1", left=Word.from_tokens("b^-1 b a^-1"))])
+    return Machine("unreduced_writer", hw, [rule])
+
+
+@pytest.mark.parametrize("build, inputs", [
+    (toy_deleter, "y y y^-1 y^-1"),
+    (paired_multiplier, "a_l b_r a_r^-1 b_l a_l"),
+    (two_sided_multiplier, "a b a b^-1 a"),
+    (_unreduced_writer, "a b a^-1 b a"),
+    (lambda: make_cyclic(build_enhanced_standard(toy_deleter())), "y y y"),
+    (lambda: presentation_to_machine(z2_presentation()), "x x x"),
+], ids=["deleter", "paired", "two_sided", "unreduced", "cyclic_enhanced",
+        "z2_encoder"])
+def test_kernel_on_fixtures(build, inputs):
+    m = build()
+    words = [Word.from_tokens(inputs)] + [EMPTY] * (len(m.input_sectors) - 1)
+    check_kernel(m, _ball(m, input_configuration(m, words)))
+
+
+@PROPERTY
+@given(machines(), st.integers(2, 12))
+def test_node_budget_never_changes_an_answer(case, budget):
+    m, start = case
+    acc = accept_configuration(m)
+    for search in (bfs_reach, meet_reach):
+        free = search(m, start, acc, 5)
+        cut = search(m, start, acc, 5, max_nodes=budget)
+        assert cut.explored <= budget
+        if cut.status != BOUNDED:
+            assert (cut.status, cut.history) == (free.status, free.history)
