@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .words import SmforgeError, Word
+from .words import InvariantError, SmforgeError, Word
 from .machine import MachineError, input_configuration, parse_admissible, run
 from .serialize import (SCHEMA_VERSION, dumps_canonical, load_machine,
                         machine_dumps)
@@ -304,10 +304,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return BAD_INPUT
-    except Exception as e:  # a bug: one line and exit 4, never a traceback
+    except Exception as e:
+        if isinstance(e, _ERRORS) and not isinstance(e, InvariantError):
+            print(f"error: {e}", file=sys.stderr)
+            return BAD_INPUT
+        # a bug: one line and exit 4, never a traceback
         print("internal error:", *f"{type(e).__name__}: {e}".split(), file=sys.stderr)
         return INVARIANT
 

@@ -30,9 +30,9 @@ from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
 from smforge.search import BOUNDED, FOUND
 from smforge.serialize import (SCHEMA_VERSION, dumps_canonical, read_json,
                                schema_violation)
-from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, cyclic_min,
-                           free_reduce, is_cyclically_reduced,
-                           symmetrized_closure)
+from smforge.words import (EMPTY, Atom, InvariantError, SmforgeError, Word,
+                           atom, cyclic_min, free_reduce,
+                           is_cyclically_reduced, splice, symmetrized_closure)
 
 IMPOSSIBLE = "impossible"
 
@@ -194,7 +194,7 @@ def stored_relators(p: GroupPresentation) -> tuple[Word, ...]:
     seen = set()
     out = []
     for r in p.relators:
-        for s in (r, free_reduce(r.inverse())):
+        for s in (r, r.inverse()):
             k = cyclic_min(s).key()
             if k not in seen:
                 seen.add(k)
@@ -410,7 +410,9 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     """Least number of relator insertions taking w to the empty word.
 
     Breadth-first from w: insert one relator (the symmetrized closure,
-    or just the stored ones) at any position, reduce, repeat.  All three
+    or just the stored ones) at any position, reduce, repeat.  The
+    insertions are reduced, and so is every word visited, so each product
+    is spliced at its two junctions.  All three
     outcomes are sound; only ``found`` and ``impossible`` are
     conclusive."""
     w = free_reduce(w)
@@ -437,8 +439,8 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
             for s in ins:
                 # right-to-left: end-of-word insertions realize cheapest
                 for pos in range(len(u), -1, -1):
-                    v = free_reduce(Word(u.letters[:pos]) * s
-                                    * Word(u.letters[pos:]))
+                    v = Word._of(splice(u.letters[:pos], s.letters,
+                                        u.letters[pos:])[0])
                     explored += 1
                     if len(v) > max_len or v.key() in info:
                         continue
@@ -517,22 +519,14 @@ def _rho_chain(ri: int, n: int, sign: int):
     return [_sig(nm, -1) for nm in reversed(names)]
 
 
-def _cancel_depth(a: Word, s: Word) -> int:
-    k = 0
-    la, ls = a.letters, s.letters
-    while (k < len(la) and k < len(ls)
-           and la[len(la) - 1 - k] == (ls[k][0], -ls[k][1])):
-        k += 1
-    return k
-
-
 def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
     """History fragment realizing one insertion step u -> reduce(u[:pos]
     · s · u[pos:]) on the positive working tape.  Exactly one rho block
     per call."""
     d = meta["doubled"]
     index = {t.key(): i for i, t in enumerate(meta["stored"])}
-    a, c = Word(u.letters[:pos]), Word(u.letters[pos:])
+    a, c = u.letters[:pos], u.letters[pos:]
+    product, k, _ = splice(a, s.letters, c)
     tape = [x for x, _ in d.positivize(u)]
     out, stack = [], []
 
@@ -543,11 +537,9 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
 
     for _ in range(len(c)):
         mo_last()
-    k = _cancel_depth(a, s)
-    sinv = free_reduce(s.inverse())
-    if k == len(s) and sinv.key() in index:
+    if k == len(s) and s.inverse().key() in index:
         # the whole relator cancels into a literal suffix: delete it
-        ri = index[sinv.key()]
+        ri = index[s.inverse().key()]
         out.extend(_rho_chain(ri, len(meta["positive"][ri]), -1))
         del tape[len(tape) - len(s):]
     else:
@@ -564,7 +556,7 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
                 mo_last()
             y = tape[-2]
             if tape[-1] != d.bar(y):
-                raise EncodeError("no cancelling pair exposed at the tape end")
+                raise InvariantError("no cancelling pair exposed at the tape end")
             out.extend(_tau_del(y))
             del tape[-2:]
     while stack:
@@ -575,10 +567,10 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
         else:
             out.extend(_mi_restore(d, rec))
             tape.append(d.bar(rec))
-    expect = free_reduce(a * s * c)
-    if tape != [x for x, _ in meta["doubled"].positivize(expect)]:
-        raise EncodeError("insertion did not leave the reduced tape "
-                          f"{expect.tokens()!r}")
+    expect = Word._of(product)
+    if tape != [x for x, _ in d.positivize(expect)]:
+        raise InvariantError("insertion did not leave the reduced tape "
+                             f"{expect.tokens()!r}")
     return out
 
 
@@ -603,7 +595,7 @@ def emulation_history(m: Machine, w: Word,
     u = w
     for s, pos in steps:
         hist.extend(_realize_insertion(meta, u, s, pos))
-        u = free_reduce(Word(u.letters[:pos]) * s * Word(u.letters[pos:]))
+        u = Word._of(splice(u.letters[:pos], s.letters, u.letters[pos:])[0])
     if u:
         raise EncodeError("derivation does not end at the empty word")
     hist.append(_sig("omega", 1))

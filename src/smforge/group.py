@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Atom, EMPTY, SmforgeError, Word, atom, free_reduce,
-                    symmetrized_closure)
+from .words import (Atom, EMPTY, InvariantError, SmforgeError, Word, atom,
+                    free_reduce, symmetrized_closure)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
@@ -368,7 +368,7 @@ def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
     word = Word(tuple((bld.edges[e].atom, o) for e, o in row.top))
     if word != out.result.to_word():
-        raise GroupError("row top does not spell the resulting word")
+        raise InvariantError("row top does not spell the resulting word")
     return row, cells, out.result
 
 
@@ -428,12 +428,12 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     for t in range(len(rows) - 1):
         up, down = rows[t].top, rows[t + 1].bottom
         if len(up) != len(down):
-            raise GroupError("interface paths differ in length")
+            raise InvariantError("interface paths differ in length")
         for (e1, o1), (e2, o2) in zip(up, down):
             r1, r2 = find(e1), find(e2)
             a1, a2 = bld.edges[r1], bld.edges[r2]
             if o1 != o2 or a1.atom is not a2.atom or a1.kind != a2.kind:
-                raise GroupError("interface paths do not match")
+                raise InvariantError("interface paths do not match")
             if r1 != r2:
                 parent[max(r1, r2)] = min(r1, r2)
 

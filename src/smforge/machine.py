@@ -10,7 +10,9 @@ A rule acts on every part at once by the substitution
     q  ->  left . q' . right
 
 so the sector between parts ``i`` and ``i + 1`` is rewritten to
-``right_i . w . left_{i+1}`` followed by free reduction.  Application is
+``right_i . w . left_{i+1}`` followed by free reduction.  Tapes are stored
+reduced, and so are the compiled writes, so only the two junctions of the
+product can cancel (``words.splice``).  Application is
 guarded by per-sector domains: the rule applies only when each tape word
 is written in the domain alphabet.  A sector with empty domain is locked
 by the rule (the tape must be empty, and nothing may be written there —
@@ -27,7 +29,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from smforge.words import EMPTY, Atom, SmforgeError, Word, atom, free_reduce
+from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, free_reduce,
+                           splice)
 
 
 class MachineError(SmforgeError):
@@ -386,8 +389,9 @@ class ApplyOutcome:
     """Result of applying one rule, with trim diagnostics.
 
     ``stripped_prefix``/``stripped_suffix`` are the emissions of the two
-    end letters that fell off the ends of the word (always whole words;
-    they never interact with reduction inside the gaps).
+    end letters that fell off the ends of the word (always whole words, as
+    the rule writes them; they never interact with reduction inside the
+    gaps).
     """
 
     __slots__ = ("ok", "result", "stripped_prefix", "stripped_suffix",
@@ -407,17 +411,22 @@ class ApplyOutcome:
 
 class _SignedRule:
     """rule^sign compiled: emit[q, e] = (pre, letter, post), in letter tuples,
-    is what q^e becomes if its part must carry q; None marks a full domain."""
+    is what q^e becomes if its part must carry q; None marks a full domain.
+    The emissions are stored reduced, so that writing them onto a reduced
+    tape cancels at the junctions only; written[q, e] keeps the raw (pre,
+    post) Words, which is what falls off the ends of a word."""
 
-    __slots__ = ("rule", "sign", "emit", "domains")
+    __slots__ = ("rule", "sign", "emit", "written", "domains")
 
     def __init__(self, hw: Hardware, rule: SRule, sign: int):
         r = rule if sign > 0 else invert_rule(rule)
-        self.rule, self.sign, self.emit = rule, sign, {}
+        self.rule, self.sign, self.emit, self.written = rule, sign, {}, {}
         for p in r.parts:
-            self.emit[p.frm, 1] = p.left.letters, (p.to, 1), p.right.letters
-            self.emit[p.frm, -1] = (p.right.inverse().letters, (p.to, -1),
-                                    p.left.inverse().letters)
+            for e, pre, post in ((1, p.left, p.right),
+                                 (-1, p.right.inverse(), p.left.inverse())):
+                self.written[p.frm, e] = pre, post
+                self.emit[p.frm, e] = (free_reduce(pre).letters, (p.to, e),
+                                       free_reduce(post).letters)
         self.domains = tuple(None if d == hw.sector_alphabets[s] else d
                              for s, d in enumerate(r.domains))
 
@@ -504,7 +513,7 @@ class Machine:
                 if a not in dom:
                     return None, (f"letter {a.name!r} in gap {j} outside "
                                   f"the domain of rule {entry.rule.name!r}")
-        tapes = tuple([free_reduce(Word._of(trip[j][2] + w.letters + trip[j + 1][0]))
+        tapes = tuple([Word._of(splice(trip[j][2], w.letters, trip[j + 1][0])[0])
                        for j, w in enumerate(aw.tapes)])
         res = object.__new__(AdmissibleWord)
         res._fill(aw.hw, tuple([t[1] for t in trip]), tapes, aw.gap_sectors)
@@ -515,8 +524,8 @@ class Machine:
         result, reason = self._step(entry, aw)
         if result is None:
             return ApplyOutcome(False, reason=reason)
-        return ApplyOutcome(True, result, Word(entry.emit[aw.states[0]][0]),
-                            Word(entry.emit[aw.states[-1]][2]))
+        return ApplyOutcome(True, result, entry.written[aw.states[0]][0],
+                            entry.written[aw.states[-1]][1])
 
     def try_apply(self, aw, rule, sign=1) -> Optional[AdmissibleWord]:
         return self._step(self._entry(rule, sign), aw)[0]

@@ -4,7 +4,9 @@ Atoms are the indivisible symbols everything else is built from: tape
 letters, state letters, rule letters in presentations.  They are interned
 globally by name, so two alphabets that mention the same name share the
 same atom.  A Word is an immutable sequence of signed atoms; nothing here
-reduces automatically, free reduction is always an explicit step.
+reduces automatically.  Free reduction is an explicit step: ``free_reduce``
+for arbitrary words, and ``splice`` for a product of three pieces that are
+each already reduced, where only the two junctions can cancel.
 """
 from __future__ import annotations
 
@@ -17,6 +19,10 @@ class SmforgeError(ValueError):
 
 class WordError(SmforgeError):
     pass
+
+
+class InvariantError(SmforgeError):
+    """A self-check failed: a bug in this package, not bad input."""
 
 
 class Atom:
@@ -195,6 +201,24 @@ def free_reduce(w: Word) -> Word:
         else:
             out.append((a, s))
     return Word._of(tuple(out))
+
+
+def splice(left: tuple, mid: tuple, right: tuple) -> tuple[tuple, int, int]:
+    """The reduced product of three reduced letter tuples, with the number
+    of letters cancelled at the left junction (left against mid) and then
+    at the right one (what is left of left.mid against right).  Only the
+    junctions are scanned, so every piece must already be reduced."""
+    depths = []
+    for nxt in (mid, right):
+        k, n = 0, min(len(left), len(nxt))
+        while k < n:
+            (a, s), (b, t) = left[-1 - k], nxt[k]
+            if a is not b or s != -t:
+                break
+            k += 1
+        left = left[:len(left) - k] + nxt[k:]
+        depths.append(k)
+    return left, depths[0], depths[1]
 
 
 def rotations(w: Word) -> list[Word]:

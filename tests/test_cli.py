@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from smforge import cli
+from smforge import cli, group
 from smforge.cli import main
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
 from smforge.serialize import load_machine, save_machine
@@ -327,6 +327,20 @@ class TestEntryPoint:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: broken invariant\n"
+
+    def test_failed_self_check_exits_4(self, capsys, monkeypatch, deleter_file):
+        # Without the pairing of cancelling letters, the y^-1 that 'del'
+        # writes stays on the row top, which then misspells the result.
+        fold = group._fold
+        monkeypatch.setattr(group, "_fold", lambda *words: (
+            fold(*words)[0], [None] * sum(map(len, words))))
+        code = main(["trapezium", deleter_file, "--input", "y",
+                     "--history", "del acc"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == ("internal error: InvariantError: row top does "
+                                "not spell the resulting word\n")
 
     def test_module_invocation(self):
         proc = subprocess.run(

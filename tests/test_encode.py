@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -276,6 +278,44 @@ class TestAreaOracle:
         a = area_oracle(p, W("x x x x"), 3)
         b = area_oracle(p, W("x x x x"), 3)
         assert a.steps == b.steps and a.words == b.words
+
+
+def _trivial_words(p, seed, count):
+    """Seeded products of one or two conjugates g r^±1 g^-1 of relators,
+    with conjugators g of length at most three."""
+    rng = random.Random(seed)
+    letters = [(a, s) for a in p.generators for s in (1, -1)]
+    out = []
+    for _ in range(count):
+        w = EMPTY
+        for _ in range(rng.randint(1, 2)):
+            g = Word([rng.choice(letters) for _ in range(rng.randint(0, 3))])
+            r = rng.choice(p.relators)
+            w = w * g * (r if rng.random() < 0.5 else r.inverse()) * g.inverse()
+        out.append(free_reduce(w))
+    return out
+
+
+def test_area_results_are_pinned():
+    """Every field of the area oracle's answers, under both move sets, and
+    three emulation histories hash to the digest they had before insertions
+    were spliced at the junctions."""
+    h = hashlib.sha256()
+    for seed, p in enumerate((z2_presentation(), commutator_presentation())):
+        for w in _trivial_words(p, seed, 16):
+            for moves in ("symmetrized", "stored"):
+                res = area_oracle(p, w, max_area=2, moves=moves)
+                h.update(repr((res.status, res.area,
+                               [(s.tokens(), pos) for s, pos in res.steps],
+                               [v.tokens() for v in res.words],
+                               res.explored)).encode())
+    for p, text in ((z2_presentation(), "x x x x"),
+                    (z2_presentation(), "x^-1 x^-1"),
+                    (commutator_presentation(), "x y y x^-1 y^-1 y^-1")):
+        m = presentation_to_machine(p)
+        h.update(emulation_history(m, W(text), max_area=3).tokens().encode())
+    assert h.hexdigest() == ("15fe203e71a188fdedc5b01bf180f371"
+                             "31a75efd472d14315f6d62f082b7d1a1")
 
 
 class TestEmulation:

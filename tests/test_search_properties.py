@@ -166,9 +166,11 @@ def _reference_apply(m, aw, rule, sign):
 def _ball(m, start):
     """The configurations within two steps of start, each with its inverse
     and its folds q_0 .. q_k w_k q_k^-1 .. q_0^-1, so that state letters
-    of both signs and every kind of gap occur."""
+    of both signs and every kind of gap occur; and every state letter
+    alone, with both signs, where both of its writes fall off the ends."""
     dist, _ = reachable_configs(m, start, 2)
-    out = []
+    out = [AdmissibleWord(m.hw, [(a, e)], []) for a in m.hw.part_of
+           for e in (1, -1)]
     for c in dist:
         out += [c, parse_admissible(m.hw, c.to_word().inverse())]
         prefix = Word([c.states[0]])

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smforge.words import (
     EMPTY,
@@ -15,10 +16,13 @@ from smforge.words import (
     is_cyclically_reduced,
     reduced_words,
     rotations,
+    splice,
     symmetrized_closure,
 )
 
 x, y = atoms(["x", "y"])
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def W(text):
@@ -110,6 +114,38 @@ class TestFreeReduce:
     def test_reduced_detects(self):
         assert W("x y").is_reduced()
         assert not W("x x^-1").is_reduced()
+
+
+def _reduced():
+    return st.lists(st.sampled_from([(x, 1), (x, -1), (y, 1), (y, -1)]),
+                    max_size=5).map(lambda ls: free_reduce(Word(ls)))
+
+
+@st.composite
+def _reduced_triples(draw):
+    """(a.b, b^-1.c, c^-1.d), each piece reduced: the shared b and c make
+    deep cancellation at the junctions common, and empty b and c give
+    unrelated pieces."""
+    a, b, c, d = (draw(_reduced()) for _ in range(4))
+    return tuple(free_reduce(u).letters
+                 for u in (a * b, b.inverse() * c, c.inverse() * d))
+
+
+class TestSplice:
+    @PROPERTY
+    @given(_reduced_triples())
+    def test_agrees_with_free_reduce(self, triple):
+        left, mid, right = triple
+        product, dl, dr = splice(left, mid, right)
+        assert product == free_reduce(Word(left + mid + right)).letters
+        # Each depth is half the letters lost at its junction.
+        inner = free_reduce(Word(left + mid)).letters
+        assert 2 * dl == len(left) + len(mid) - len(inner)
+        assert 2 * dr == len(inner) + len(right) - len(product)
+
+    def test_mid_cancels_and_left_meets_right(self):
+        assert splice(W("x y").letters, W("y^-1").letters,
+                      W("x^-1").letters) == ((), 1, 1)
 
 
 class TestCyclic:
