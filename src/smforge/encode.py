@@ -268,7 +268,8 @@ def presentation_to_machine(p: GroupPresentation,
                            domains=[[], []]))
 
     meta = {"kind": "encoder", "presentation": p, "doubled": d,
-            "stored": stored, "positive": positive}
+            "stored": stored, "positive": positive,
+            "index": {r.key(): ri for ri, r in enumerate(stored)}}
     return Machine(name or f"encode.{p.name}", hw, rules, meta)
 
 
@@ -334,8 +335,7 @@ def rule_h_defect(m: Machine, rule) -> Word:
     return free_reduce(d.unbar(w))
 
 
-def certify_h_invariance(m: Machine, max_area: int = 2,
-                         max_len: Optional[int] = None) -> dict:
+def certify_h_invariance(m: Machine, max_area: int = 2) -> dict:
     """One area certificate per rule: each defect must die in the group.
     Returns {rule name: AreaResult}; raises if any rule resists the
     bound.  Together with an abelianized obstruction for a given input
@@ -345,8 +345,7 @@ def certify_h_invariance(m: Machine, max_area: int = 2,
     p = meta["presentation"]
     out = {}
     for r in m.rules:
-        res = area_oracle(p, rule_h_defect(m, r), max_area=max_area,
-                          max_len=max_len)
+        res = area_oracle(p, rule_h_defect(m, r), max_area=max_area)
         if res.status != FOUND:
             raise EncodeError(
                 f"defect of {r.name} not certified ({res.status})")
@@ -405,7 +404,6 @@ class AreaResult:
 
 
 def area_oracle(p: GroupPresentation, w: Word, max_area: int,
-                max_len: Optional[int] = None,
                 moves: str = "symmetrized") -> AreaResult:
     """Least number of relator insertions taking w to the empty word.
 
@@ -426,8 +424,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
         ins = list(stored_relators(p))
     else:
         raise EncodeError(f"unknown move set {moves!r}")
-    if max_len is None:
-        max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
+    max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
 
     # parent map: key -> (parent key, inserted word, position, word)
     info = {w.key(): (None, None, None, w)}
@@ -519,12 +516,12 @@ def _rho_chain(ri: int, n: int, sign: int):
     return [_sig(nm, -1) for nm in reversed(names)]
 
 
-def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
+def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):
     """History fragment realizing one insertion step u -> reduce(u[:pos]
-    · s · u[pos:]) on the positive working tape.  Exactly one rho block
-    per call."""
+    · s · u[pos:]) on the positive working tape, and that reduced word.
+    Exactly one rho block per call."""
     d = meta["doubled"]
-    index = {t.key(): i for i, t in enumerate(meta["stored"])}
+    index = meta["index"]
     a, c = u.letters[:pos], u.letters[pos:]
     product, k, _ = splice(a, s.letters, c)
     tape = [x for x, _ in d.positivize(u)]
@@ -571,13 +568,12 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int) -> list:
     if tape != [x for x, _ in d.positivize(expect)]:
         raise InvariantError("insertion did not leave the reduced tape "
                              f"{expect.tokens()!r}")
-    return out
+    return out, expect
 
 
 def emulation_history(m: Machine, w: Word,
                       steps: Optional[Sequence] = None,
-                      max_area: int = 8,
-                      max_len: Optional[int] = None) -> Word:
+                      max_area: int = 8) -> Word:
     """An accepting history for an input representing the identity:
     positivize, realize each insertion of the derivation, close with
     omega.  Raises when no derivation is found within the bounds."""
@@ -585,8 +581,7 @@ def emulation_history(m: Machine, w: Word,
     p = meta["presentation"]
     w = free_reduce(w)
     if steps is None:
-        res = area_oracle(p, w, max_area=max_area, max_len=max_len,
-                          moves="stored")
+        res = area_oracle(p, w, max_area=max_area, moves="stored")
         if res.status != FOUND:
             raise EncodeError(f"no derivation of {w.tokens()!r} within "
                               f"bounds ({res.status})")
@@ -594,8 +589,8 @@ def emulation_history(m: Machine, w: Word,
     hist = list(positivizing_computation(m, w))
     u = w
     for s, pos in steps:
-        hist.extend(_realize_insertion(meta, u, s, pos))
-        u = Word._of(splice(u.letters[:pos], s.letters, u.letters[pos:])[0])
+        block, u = _realize_insertion(meta, u, s, pos)
+        hist.extend(block)
     if u:
         raise EncodeError("derivation does not end at the empty word")
     hist.append(_sig("omega", 1))

@@ -228,7 +228,7 @@ class Trapezium:
         return Word(tuple((atom(r.rule), r.sign) for r in self.rows))
 
     def path_word(self, path) -> Word:
-        return Word(tuple((self.edges[e].atom, o) for e, o in path))
+        return Word._of(tuple([(self.edges[e].atom, o) for e, o in path]))
 
     def boundary_word(self) -> Word:
         """Label of the outer contour: bottom^-1 . left . top . right^-1."""
@@ -288,6 +288,13 @@ def _check_standard_base(aw: AdmissibleWord):
     want = tuple((i, 1) for i in range(aw.hw.n_parts))
     if aw.base != want:
         raise GroupError("trapezia need the standard base q_0 ... q_{n-1}")
+
+
+def _check_computation(comp: Computation):
+    if not comp.ok:
+        raise GroupError("computation failed; nothing to flatten")
+    for aw in comp.configs:
+        _check_standard_base(aw)
 
 
 def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
@@ -386,10 +393,7 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
 
     Every configuration must have the standard base; negative steps are
     built as their positive counterparts and mounted upside down."""
-    if not comp.ok:
-        raise GroupError("computation failed; nothing to flatten")
-    for aw in comp.configs:
-        _check_standard_base(aw)
+    _check_computation(comp)
     bld = _Builder()
     rows = []
     cells = []
@@ -416,35 +420,27 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
         return Trapezium(m, [], [], bld.edges, comp.configs, degenerate=path)
 
     # Glue consecutive rows: the top of one and the bottom of the next
-    # spell the same configuration edge for edge.
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
+    # spell the same configuration edge for edge.  Each row makes its own
+    # top edges, so every bottom edge maps straight to one of them.
+    alias = {}
     for t in range(len(rows) - 1):
         up, down = rows[t].top, rows[t + 1].bottom
         if len(up) != len(down):
             raise InvariantError("interface paths differ in length")
         for (e1, o1), (e2, o2) in zip(up, down):
-            r1, r2 = find(e1), find(e2)
-            a1, a2 = bld.edges[r1], bld.edges[r2]
+            a1, a2 = bld.edges[e1], bld.edges[e2]
             if o1 != o2 or a1.atom is not a2.atom or a1.kind != a2.kind:
                 raise InvariantError("interface paths do not match")
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
+            alias[e2] = e1
 
     def remap(path):
-        return tuple((find(e), o) for e, o in path)
+        return tuple([(alias.get(e, e), o) for e, o in path])
 
     rows = [Row(r.rule, r.sign, remap(r.bottom), remap(r.top),
                 remap(r.left), remap(r.right)) for r in rows]
     for c in cells:
         c.boundary = remap(c.boundary)
-    edges = {e: edge for e, edge in bld.edges.items() if find(e) == e}
+    edges = {e: edge for e, edge in bld.edges.items() if e not in alias}
     return Trapezium(m, rows, cells, edges, comp.configs)
 
 
@@ -477,24 +473,25 @@ def validate_trapezium(trap: Trapezium) -> bool:
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
 
-    closure = symmetrized_closure(machine_to_group(m).relators)
-    for c in trap.cells:
-        w = free_reduce(trap.path_word(c.boundary))
-        if w not in closure:
-            raise GroupError(f"cell {c!r} does not spell a relator")
-
     use = {}
     for c in trap.cells:
         for e, o in c.boundary:
             use.setdefault(e, []).append(o)
     for e, o in _outer_loop(trap):
         use.setdefault(e, []).append(o)
+    if not use.keys() <= trap.edges.keys():
+        raise GroupError("a path mentions an unknown edge")
+
+    closure = symmetrized_closure(machine_to_group(m).relators)
+    for c in trap.cells:
+        w = free_reduce(trap.path_word(c.boundary))
+        if w not in closure:
+            raise GroupError(f"cell {c!r} does not spell a relator")
+
     for e in trap.edges:
         if sorted(use.get(e, ())) != [-1, 1]:
             raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
                              "expected once each way")
-    if set(use) != set(trap.edges):
-        raise GroupError("a path mentions an unknown edge")
 
     for j, row in enumerate(trap.rows):
         rule = m.rule(row.rule)
@@ -617,21 +614,22 @@ def trapezium_to_dot(trap: Trapezium) -> str:
 def conjugator_from_accepting(m: Machine, comp: Computation) -> Word:
     """A word g with  g . word(end) . g^-1 = word(start)  in M(S).
 
-    Reads the side of the computation's trapezium; it exists when no step
-    emits tape letters past the outer parts, and then its length equals
-    the number of steps.  Needs the part-0 relations, so the default
-    (non-strict) presentation."""
-    trap = computation_to_trapezium(m, comp)
-    for path in (trap.left, trap.right):
-        for e, _ in path:
-            if trap.edges[e].kind != "theta":
-                raise GroupError(
-                    "a step emits tape letters at the boundary; "
-                    "the sides are not pure conjugators")
-    g = trap.path_word(trap.left)
-    if g != trap.path_word(trap.right):
-        raise GroupError("side labels disagree")
-    return g
+    g is the theta_0-projection of the history: one letter
+    theta_atom(rule, 0)^sign per step, unreduced, so its length equals
+    the number of steps.  It is the label of both sides of the
+    computation's trapezium, and so a conjugator, when no step writes
+    tape letters past the outer parts: every rule of the history must
+    have an empty parts[0].left and parts[-1].right, or this raises.
+    Needs the part-0 relations, so the default (non-strict)
+    presentation."""
+    _check_computation(comp)
+    for t, (rule, sign) in enumerate(comp.steps):
+        if m.try_apply(comp.configs[t], rule, sign) != comp.configs[t + 1]:
+            raise GroupError(f"step {t} does not replay")
+    if any(r.parts[0].left or r.parts[-1].right for r, _ in comp.steps):
+        raise GroupError("a step emits tape letters at the boundary; "
+                         "the sides are not pure conjugators")
+    return Word._of(tuple([(theta_atom(r.name, 0), s) for r, s in comp.steps]))
 
 
 def heisenberg_product(p: GroupPresentation,

@@ -52,15 +52,16 @@ _REGISTRY: dict[str, Atom] = {}
 
 
 def atom(name: str) -> Atom:
-    """Return the unique atom with this display name, creating it if new."""
+    """Return the unique atom with this display name, creating it if new.
+    Only a name that is not interned yet is validated."""
+    a = _REGISTRY.get(name)
+    if a is not None:
+        return a
     if not name:
         raise WordError("atom name must be nonempty")
     if any(c.isspace() for c in name) or "^" in name:
         raise WordError(f"atom name {name!r} may not contain whitespace or '^'")
-    a = _REGISTRY.get(name)
-    if a is None:
-        a = Atom(len(_REGISTRY) + 1, name)
-        _REGISTRY[name] = a
+    a = _REGISTRY[name] = Atom(len(_REGISTRY) + 1, name)
     return a
 
 
@@ -77,7 +78,9 @@ class Word:
     """Immutable word in the free group on the atom registry.
 
     Letters are (atom, sign) pairs with sign in {+1, -1}.  Multiplication
-    concatenates without reducing; use .reduced() or free_reduce().
+    concatenates without reducing; use .reduced() or free_reduce().  The
+    constructor checks its letters; words derived from valid words
+    (products, inverses, slices, rotations) are built unchecked.
     """
 
     __slots__ = ("letters",)
@@ -140,10 +143,10 @@ class Word:
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((a, -s) for a, s in reversed(self.letters)))
+        return Word._of(tuple([(a, -s) for a, s in reversed(self.letters)]))
 
     def reduced(self) -> "Word":
         return free_reduce(self)
@@ -166,7 +169,7 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
+            return Word._of(self.letters[i])
         return self.letters[i]
 
     def __bool__(self):
@@ -224,7 +227,7 @@ def splice(left: tuple, mid: tuple, right: tuple) -> tuple[tuple, int, int]:
 def rotations(w: Word) -> list[Word]:
     if not w:
         return [w]
-    return [Word(w.letters[i:] + w.letters[:i]) for i in range(len(w))]
+    return [Word._of(w.letters[i:] + w.letters[:i]) for i in range(len(w))]
 
 
 def is_cyclically_reduced(w: Word) -> bool:

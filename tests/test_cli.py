@@ -11,6 +11,8 @@ from smforge.cli import main
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
 from smforge.serialize import load_machine, save_machine
 
+from test_group import cyclic_emitter
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -265,6 +267,33 @@ class TestGroupCommands:
         assert doc["gamma"] == "del.0 acc.0"
         assert doc["length"] == 2
         assert doc["end"] == "q0f q1f"
+
+    def test_conjugator_refused_when_a_side_carries_tape(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "emitter.json"
+        save_machine(cyclic_emitter(), path)
+        code = main(["conjugator", str(path), "--start", "u a0 v",
+                     "--history", "emit"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("no conjugator: a step emits tape letters at "
+                                "the boundary; the sides are not pure "
+                                "conjugators\n")
+
+    def test_trapezium_failing_validation_exits_4(self, capsys, monkeypatch,
+                                                  deleter_file):
+        def refuse(trap):
+            raise group.GroupError("cell 0 does not spell a relator")
+
+        monkeypatch.setattr(cli, "validate_trapezium", refuse)
+        code = main(["trapezium", deleter_file, "--input", "y",
+                     "--history", "del acc"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == ("invariant violation: cell 0 does not spell "
+                                "a relator\n")
 
 
 def _fresh_python(*argv, cwd=None, text=True, **env_overrides):

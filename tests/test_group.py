@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,17 @@ import pytest
 from smforge.words import Word, atom, free_reduce
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, accept_configuration,
-                             input_configuration, make_rule, run)
-from smforge.encode import GroupPresentation, abelianized_trivial, area_oracle
+                             input_configuration, make_rule, parse_admissible,
+                             run)
+from smforge.encode import (GroupPresentation, abelianized_trivial,
+                            area_oracle, emulation_history,
+                            presentation_to_machine)
+from smforge.enhance import (accepting_computation_from_history,
+                             build_enhanced_standard)
 from smforge.fixtures import (one_sector_left_multiplier, toy_deleter,
                               z2_presentation)
-from smforge.group import (GroupError, Trapezium, computation_to_trapezium,
+from smforge.group import (Cell, GroupError, Row, Trapezium,
+                           computation_to_trapezium,
                            conjugator_from_accepting, dehn_cell_bound_check,
                            heisenberg_product, letter_types, machine_to_group,
                            modified_length, modified_length_from_types,
@@ -282,6 +289,94 @@ class TestTrapeziumExport:
         assert dot.count(" -- ") > 0
         for i in range(trap.n_cells()):
             assert f"c{i} [label=" in dot
+
+    def test_bytes_are_pinned(self):
+        """JSON, DOT and conjugator (or its refusal) of computations with
+        negative steps, a tape-carrying side, and three and eight parts,
+        hashed.  Renumbered edges, reordered cells or another side word
+        change the digest."""
+        d, em, lr = toy_deleter(), cyclic_emitter(), build_lr(["y"])
+        e = build_enhanced_standard(toy_deleter())
+        z2 = presentation_to_machine(z2_presentation())
+        cases = [
+            (d, input_configuration(d, W("y y")), W("del del del^-1 del acc")),
+            (em, parse_admissible(em.hw, "u a0 v"),
+             W("emit emit emit^-1 emit")),
+            (lr, home_configuration(lr, W("y y")),
+             standard_lr_computation(lr, W("y y"))),
+            (e, input_configuration(e, W("y y")),
+             accepting_computation_from_history(e, W("del del acc"))),
+            (z2, input_configuration(z2, W("x x")),
+             emulation_history(z2, W("x x"))),
+        ]
+        h = hashlib.sha256()
+        for m, start, history in cases:
+            comp = run(m, start, history)
+            trap = computation_to_trapezium(m, comp)
+            h.update(trapezium_dumps(trap).encode())
+            h.update(trapezium_to_dot(trap).encode())
+            try:
+                h.update(conjugator_from_accepting(m, comp).tokens().encode())
+            except GroupError as err:
+                h.update(str(err).encode())
+        assert h.hexdigest() == (
+            "bda35ee89b5dfd56e8f9833b01d73961e4840430a6a36e744fb7047256960cfa")
+
+
+def _first_square_flipped(t):
+    """The cells with one edge of the first (theta,a) square reversed."""
+    cells = list(t.cells)
+    i = next(i for i, c in enumerate(cells) if c.kind == "ta")
+    c = cells[i]
+    (e, o), *rest = c.boundary
+    cells[i] = Cell(c.kind, [(e, -o)] + rest, c.rule, c.index, c.row)
+    return cells
+
+
+def _unknown_edge_in_cell(t):
+    c = t.cells[0]
+    return [Cell(c.kind, [(1000000, 1)] + list(c.boundary[1:]), c.rule,
+                 c.index, c.row)] + list(t.cells[1:])
+
+
+def _unknown_edge_on_side(t):
+    r = t.rows[-1]
+    return list(t.rows[:-1]) + [Row(r.rule, r.sign, r.bottom, r.top,
+                                    r.left + ((1000000, 1),), r.right)]
+
+
+def _swapped_last_words(t):
+    return t.words[:-2] + (t.words[-1], t.words[-2])
+
+
+class TestValidation:
+    """Every corruption of a valid trapezium is refused with a GroupError
+    that names it.  The computation has a negative row (del^-1)."""
+
+    def trap(self):
+        m = toy_deleter()
+        comp = run(m, input_configuration(m, W("y y")),
+                   ["del", "del", "del^-1", "del", "acc"])
+        return computation_to_trapezium(m, comp)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda t: {"words": t.words[:-1]}, "one more stored word"),
+        (lambda t: {"cells": _first_square_flipped(t)},
+         "does not spell a relator"),
+        (lambda t: {"cells": t.cells[:1] + t.cells[2:]}, r"used \[-1\]"),
+        (lambda t: {"rows": _unknown_edge_on_side(t)}, "unknown edge"),
+        (lambda t: {"cells": _unknown_edge_in_cell(t)}, "unknown edge"),
+        (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
+    ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
+            "unknown_side_edge", "unknown_cell_edge", "swapped_words"])
+    def test_corruption_refused(self, corrupt, message):
+        t = self.trap()
+        parts = {"rows": t.rows, "cells": t.cells, "words": t.words}
+        parts.update(corrupt(t))
+        bad = Trapezium(t.machine, parts["rows"], parts["cells"], t.edges,
+                        parts["words"])
+        with pytest.raises(GroupError, match=message):
+            validate_trapezium(bad)
 
 
 class TestDichotomy:
