@@ -18,7 +18,8 @@ from .machine import MachineError, input_configuration, parse_admissible, run
 from .serialize import (SCHEMA_VERSION, dumps_canonical, load_machine,
                         machine_dumps)
 from .primitive import build_lr, build_rl
-from .enhance import add_historical_sectors, compose, make_cyclic, pad_locked
+from .enhance import (add_historical_sectors, build_enhanced_standard,
+                      make_cyclic, pad_locked)
 from .encode import GroupPresentation, presentation_to_machine
 from .group import (GroupError, computation_to_trapezium,
                     conjugator_from_accepting, machine_to_group,
@@ -84,7 +85,7 @@ def _transform(fn):
 # so each stage subcommand starts over from the base machine.
 cmd_historical = _transform(add_historical_sectors)
 cmd_pad = _transform(lambda m: pad_locked(add_historical_sectors(m)))
-cmd_enhance = _transform(lambda m: compose(pad_locked(add_historical_sectors(m))))
+cmd_enhance = _transform(build_enhanced_standard)
 cmd_cyclic = _transform(make_cyclic)
 
 
@@ -121,6 +122,8 @@ def cmd_tm(args) -> int:
                            "the time function table")
     if args.max_nodes is not None and args.max_nodes < 1:
         raise MachineError("--max-nodes must be positive")
+    if args.bound < 0 or (args.max_n or 0) < 0:
+        raise MachineError("--bound and --max-n must not be negative")
     if args.max_n is not None:
         tf = search.time_function(m, args.max_n, args.bound, args.method,
                                   args.max_nodes)

@@ -58,6 +58,17 @@ def hr(rule_name, block):
     return hist_atom("R", rule_name, block)
 
 
+def _tagged(p: StatePart, tag: str) -> StatePart:
+    """A copy of part p named p.tag, every letter q renamed q#tag."""
+    return StatePart(f"{p.name}.{tag}", [f"{q.name}#{tag}" for q in p.letters],
+                     f"{p.start.name}#{tag}", f"{p.end.name}#{tag}")
+
+
+def _tagged_rule(rp: RulePart, tag: str, left=EMPTY, right=EMPTY) -> RulePart:
+    """The action of rp on the copy _tagged(p, tag), writing left, right."""
+    return RulePart(f"{rp.frm.name}#{tag}", f"{rp.to.name}#{tag}", left, right)
+
+
 def _require(m: Machine, kind: str, what: str):
     if m.meta.get("kind") != kind:
         raise MachineError(f"{what} expects a machine built by this module "
@@ -71,13 +82,7 @@ def add_historical_sectors(s: Machine) -> Machine:
         raise MachineError("split a non-cyclic machine first")
     n = s.n_parts
     rule_names = [r.name for r in s.rules]
-    parts = []
-    for i, p in enumerate(s.parts):
-        for side in ("l", "r"):
-            parts.append(StatePart(
-                f"{p.name}.{side}",
-                [atom(f"{q.name}#{side}") for q in p.letters],
-                atom(f"{p.start.name}#{side}"), atom(f"{p.end.name}#{side}")))
+    parts = [_tagged(p, side) for p in s.parts for side in ("l", "r")]
     alphabets = []
     for i in range(n):
         alphabets.append([hl(rn, i) for rn in rule_names]
@@ -91,12 +96,9 @@ def add_historical_sectors(s: Machine) -> Machine:
         doms = []
         for i in range(n):
             rp = r.parts[i]
-            rps.append(RulePart(atom(f"{rp.frm.name}#l"), atom(f"{rp.to.name}#l"),
-                                left=rp.left,
-                                right=Word.of((hl(r.name, i), -1))))
-            rps.append(RulePart(atom(f"{rp.frm.name}#r"), atom(f"{rp.to.name}#r"),
-                                left=Word.of(hr(r.name, i)),
-                                right=rp.right))
+            rps.append(_tagged_rule(rp, "l", rp.left,
+                                    Word.of((hl(r.name, i), -1))))
+            rps.append(_tagged_rule(rp, "r", Word.of(hr(r.name, i)), rp.right))
             doms.append(hw.sector_alphabets[2 * i])
             if i < n - 1:
                 doms.append(r.domains[i])
@@ -118,14 +120,8 @@ def pad_locked(sh: Machine) -> Machine:
     rule_names = sh.meta["base_rules"]
     parts = []
     for i, p in enumerate(s.parts):
-        parts.append(StatePart(
-            f"{p.name}.p", [atom(f"{q.name}#p") for q in p.letters],
-            atom(f"{p.start.name}#p"), atom(f"{p.end.name}#p")))
-        parts.append(sh.parts[2 * i])
-        parts.append(sh.parts[2 * i + 1])
-        parts.append(StatePart(
-            f"{p.name}.s", [atom(f"{q.name}#s") for q in p.letters],
-            atom(f"{p.start.name}#s"), atom(f"{p.end.name}#s")))
+        parts += [_tagged(p, "p"), sh.parts[2 * i], sh.parts[2 * i + 1],
+                  _tagged(p, "s")]
     alphabets = []
     for i in range(n):
         alphabets.append([hist_atom("Lp", rn, i) for rn in rule_names]
@@ -142,14 +138,10 @@ def pad_locked(sh: Machine) -> Machine:
         doms = []
         for i in range(n):
             rp = r.parts[i]
-            rps.append(RulePart(atom(f"{rp.frm.name}#p"), atom(f"{rp.to.name}#p"),
-                                left=rp.left))
-            rps.append(RulePart(atom(f"{rp.frm.name}#l"), atom(f"{rp.to.name}#l"),
-                                right=Word.of((hl(r.name, i), -1))))
-            rps.append(RulePart(atom(f"{rp.frm.name}#r"), atom(f"{rp.to.name}#r"),
-                                left=Word.of(hr(r.name, i))))
-            rps.append(RulePart(atom(f"{rp.frm.name}#s"), atom(f"{rp.to.name}#s"),
-                                right=rp.right))
+            rps += [_tagged_rule(rp, "p", left=rp.left),
+                    _tagged_rule(rp, "l", right=Word.of((hl(r.name, i), -1))),
+                    _tagged_rule(rp, "r", left=Word.of(hr(r.name, i))),
+                    _tagged_rule(rp, "s", right=rp.right)]
             doms.append(frozenset())
             doms.append(hw.sector_alphabets[4 * i + 1])
             doms.append(frozenset())

@@ -586,6 +586,10 @@ def trapezium_dumps(trap: Trapezium) -> str:
     return dumps_canonical(trapezium_to_dict(trap))
 
 
+def _dot_string(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def trapezium_to_dot(trap: Trapezium) -> str:
     """The cell-adjacency graph: one node per cell plus the outer face,
     one edge per shared diagram edge."""
@@ -595,16 +599,17 @@ def trapezium_to_dot(trap: Trapezium) -> str:
             users.setdefault(e, []).append(f"c{i}")
     for e, _ in _outer_loop(trap):
         users.setdefault(e, []).append("outer")
-    lines = [f'graph "{trap.machine.name}" {{']
+    lines = [f"graph {_dot_string(trap.machine.name)} {{"]
     for i, c in enumerate(trap.cells):
         sign = "+" if trap.rows[c.row].sign > 0 else "-"
-        lines.append(f'  c{i} [label="{c.kind} {c.rule}{sign} @{c.index}"];')
+        label = _dot_string(f"{c.kind} {c.rule}{sign} @{c.index}")
+        lines.append(f"  c{i} [label={label}];")
     lines.append('  outer [label="outer"];')
     for e in sorted(users):
         pair = users[e]
         if len(pair) == 2:
             lines.append(f'  {pair[0]} -- {pair[1]} '
-                         f'[label="{trap.edges[e].atom.name}"];')
+                         f"[label={_dot_string(trap.edges[e].atom.name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

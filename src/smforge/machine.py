@@ -134,14 +134,6 @@ class RulePart:
         self.left = left
         self.right = right
 
-    def __eq__(self, other):
-        return (isinstance(other, RulePart) and self.frm is other.frm
-                and self.to is other.to and self.left == other.left
-                and self.right == other.right)
-
-    def __hash__(self):
-        return hash((self.frm, self.to, self.left, self.right))
-
     def __repr__(self):
         return (f"[{self.frm.name} -> {self.left.tokens()} . "
                 f"{self.to.name} . {self.right.tokens()}]")
@@ -404,9 +396,6 @@ class ApplyOutcome:
         self.stripped_prefix = stripped_prefix
         self.stripped_suffix = stripped_suffix
         self.reason = reason
-
-    def __bool__(self):
-        return self.ok
 
 
 class _SignedRule:

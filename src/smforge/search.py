@@ -219,9 +219,6 @@ class TimeFunction:
         self.complete = complete      # n -> bool
         self.rejected = rejected      # list of input tuples not accepted
 
-    def __getitem__(self, n):
-        return self.values[n]
-
 
 def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
                   max_nodes: Optional[int] = None) -> TimeFunction:

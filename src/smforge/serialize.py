@@ -145,7 +145,7 @@ def read_json(path):
     """The JSON document in the UTF-8 file at ``path``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SerializeError(f"not valid JSON: {e}") from None
 
 

@@ -278,12 +278,6 @@ class AlphabetMorphism:
         except KeyError as e:
             raise WordError(f"letter {e.args[0]!r} outside morphism domain") from None
 
-    def inverse(self) -> "AlphabetMorphism":
-        return AlphabetMorphism({v: k for k, v in self.mapping.items()})
-
-    def domain(self) -> frozenset[Atom]:
-        return frozenset(self.mapping)
-
 
 def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
     """Deterministic renaming copy of an alphabet, e.g. fmt='{}#1'."""

@@ -120,6 +120,15 @@ class TestRun:
         assert code == 0
         assert out.splitlines() == ["q0s y q1s", "q0s q1s"]
 
+    def test_text_failure(self, capsys, deleter_file):
+        code, out = invoke(capsys, "run", deleter_file, "--input", "y",
+                           "--history", "acc", "--format", "text")
+        assert code == 1
+        assert out.splitlines() == [
+            "q0s y q1s",
+            "# failed at step 0: letter 'y' in gap 0 outside the domain "
+            "of rule 'acc'"]
+
     def test_failing_history(self, capsys, deleter_file):
         code, out = invoke(capsys, "run", deleter_file,
                            "--history", "acc del")
@@ -201,6 +210,33 @@ class TestTm:
         except SystemExit as e:  # argparse rejects what is not an integer
             code = e.code
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "y", "--bound", "-1"],
+        ["--max-n", "-1", "--bound", "3"],
+        ["--max-n", "2", "--bound", "-1"],
+    ], ids=["bound", "max_n", "table_bound"])
+    def test_negative_bound_or_size(self, capsys, deleter_file, args):
+        code = main(["tm", deleter_file, *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_bound_is_valid(self, capsys, deleter_file):
+        code, out = invoke(capsys, "tm", deleter_file, "--input", "y",
+                           "--bound", "0")
+        assert code == 3
+        assert json.loads(out)["status"] == "bound-limited"
+
+    @pytest.mark.parametrize("command", ["present", "encode"])
+    def test_deeply_nested_input(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_needs_exactly_one_mode(self, capsys, deleter_file):
         code, _ = invoke(capsys, "tm", deleter_file, "--bound", "4")
@@ -372,8 +408,6 @@ class TestEntryPoint:
                                 "not spell the resulting word\n")
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "smforge.cli", "--help"],
-            capture_output=True, text=True)
+        proc = _fresh_python("-m", "smforge.cli", "--help")
         assert proc.returncode == 0
         assert "trapezium" in proc.stdout

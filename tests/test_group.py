@@ -290,6 +290,28 @@ class TestTrapeziumExport:
         for i in range(trap.n_cells()):
             assert f"c{i} [label=" in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        y = atom('y"\\')
+        hw = Hardware([StatePart("T0", ["q0s", "q0f"]),
+                       StatePart("T1", ["q1s", "q1f"])],
+                      [[y]], input_sectors=[0])
+        m = Machine('toy "q"', hw, [
+            make_rule(hw, 'd"el', [("q0s", "q0s"),
+                                   RulePart("q1s", "q1s",
+                                            left=Word.of((y, -1)))]),
+            make_rule(hw, "acc", [("q0s", "q0f"), ("q1s", "q1f")],
+                      domains=[[]])])
+        comp = run(m, input_configuration(m, Word.of(y)), ['d"el', "acc"])
+        dot = trapezium_to_dot(computation_to_trapezium(m, comp))
+        lines = dot.splitlines()
+        assert lines[0] == 'graph "toy \\"q\\"" {'
+        assert '  c0 [label="tq d\\"el+ @0"];' in lines
+        assert '  c0 -- c1 [label="d\\"el.1"];' in lines
+        assert '  c1 -- outer [label="y\\"\\\\"];' in lines
+        for line in lines[1:-1]:  # every quoted string is closed
+            unescaped = line.replace("\\\\", "").replace('\\"', "")
+            assert unescaped.count('"') == 2, line
+
     def test_bytes_are_pinned(self):
         """JSON, DOT and conjugator (or its refusal) of computations with
         negative steps, a tape-carrying side, and three and eight parts,
@@ -377,6 +399,24 @@ class TestValidation:
                         parts["words"])
         with pytest.raises(GroupError, match=message):
             validate_trapezium(bad)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda r: setattr(r[0], "left", r[4].left),
+         "row 0 left side label is wrong"),
+        (lambda r: setattr(r[4], "right", r[0].right),
+         "row 4 right side label is wrong"),
+        (lambda r: setattr(r[0], "rule", "acc"), "row 0 does not replay"),
+        (lambda r: setattr(r[1], "bottom", r[0].bottom),
+         "row 1 bottom label is wrong"),
+    ], ids=["left_side", "right_side", "rule", "bottom"])
+    def test_row_corruption_refused(self, corrupt, message):
+        """A row edited in place while the outer contour stays as built:
+        every edge is still used once each way, so only the row checks
+        can see it."""
+        t = self.trap()
+        corrupt(t.rows)
+        with pytest.raises(GroupError, match=message):
+            validate_trapezium(t)
 
 
 class TestDichotomy:

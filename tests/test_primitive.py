@@ -1,6 +1,12 @@
+import hashlib
+
 import pytest
 
-from smforge.machine import MachineError, run
+from smforge.enhance import (add_historical_sectors, compose, make_cyclic,
+                             pad_locked)
+from smforge.fixtures import (one_sector_left_multiplier, paired_multiplier,
+                              toy_deleter, two_sided_multiplier)
+from smforge.machine import Machine, MachineError, run
 from smforge.primitive import (
     build_lr,
     build_rl,
@@ -10,7 +16,8 @@ from smforge.primitive import (
 )
 from smforge.search import meet_reach
 from smforge.serialize import machine_dumps
-from smforge.words import Word, atoms, reduced_words
+from smforge.words import (AlphabetMorphism, Atom, Word, atoms,
+                           reduced_words)
 
 Y = atoms(["a", "b"])
 
@@ -104,3 +111,60 @@ class TestMinimality:
         res = meet_reach(m, home_configuration(m, u, 1),
                          home_configuration(m, u, 2), 2 * len(u))
         assert not res.found
+
+
+def _meta_text(v):
+    """A name-based rendering of a meta value: atoms by name, morphisms as
+    sorted name pairs, containers element by element."""
+    if isinstance(v, Atom):
+        return v.name
+    if isinstance(v, AlphabetMorphism):
+        return sorted((a.name, b.name) for a, b in v.mapping.items())
+    if isinstance(v, (tuple, list)):
+        return [_meta_text(x) for x in v]
+    if isinstance(v, frozenset):
+        return sorted(_meta_text(x) for x in v)
+    return v
+
+
+def _machine_text(m):
+    meta = {k: _meta_text(v) for k, v in sorted(m.meta.items())
+            if not isinstance(v, Machine)}
+    return "\n".join([machine_dumps(m), repr([r.name for r in m.rules]),
+                      repr(meta)])
+
+
+class TestPinnedMachines:
+    """Every byte of the copiers and of the pipeline machines built from
+    them and from the fixtures, hashed.  A flipped write sign, a moved
+    home sector or a renamed state letter changes the digest."""
+
+    def test_copiers_are_pinned(self):
+        h = hashlib.sha256()
+        for letters in (["y"], ["a", "b"], ["b", "a", "c"], ["ä", "x"]):
+            for build, std in [(build_lr, standard_lr_computation),
+                               (build_rl, standard_rl_computation)]:
+                for kw in ({}, {"name": "copier é"}):
+                    m = build(letters, **kw)
+                    h.update(_machine_text(m).encode())
+                    u = Word.from_tokens(" ".join(
+                        letters + [letters[-1]]
+                        + [f"{letters[0]}^-1"] * (len(letters) > 1)))
+                    for level in (1, 2):
+                        h.update(home_configuration(m, u, level)
+                                 .tokens().encode())
+                    h.update(std(m, u).tokens().encode())
+        assert h.hexdigest() == ("96bb728ded14f2ac660742659a142edc"
+                                 "2bb318776ced166b20030e99ba95a835")
+
+    def test_pipeline_machines_are_pinned(self):
+        h = hashlib.sha256()
+        for s in (toy_deleter(), build_lr(["y"]), two_sided_multiplier(),
+                  paired_multiplier(), one_sector_left_multiplier()):
+            sh = add_historical_sectors(s)
+            shp = pad_locked(sh)
+            e = compose(shp)
+            for m in (sh, shp, e, make_cyclic(s), make_cyclic(e)):
+                h.update(_machine_text(m).encode())
+        assert h.hexdigest() == ("c56e08b4e1372c16aca4c3e84d0c0b57"
+                                 "29cd9a42e7b690c3bdd2889ef769e680")

@@ -233,6 +233,12 @@ class TestInputsAndTimeFunction:
         assert all(tf.complete.values())
         assert tf.rejected == []
 
+    def test_rejected_inputs_recorded(self):
+        tf = time_function(trivial_acceptor(), 1, 4)
+        assert tf.values == {0: 0, 1: 0}
+        assert tf.complete == {0: True, 1: True}
+        assert tf.rejected == [(W("y"),), (W("y^-1"),)]
+
     def test_bound_limited_flagged(self):
         m = toy_deleter()
         tf = time_function(m, 3, 2)
