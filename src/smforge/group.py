@@ -373,7 +373,7 @@ def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
     row = Row(rule.name, 1, bottom, top,
               [(v_first, 1)] + pre[0],
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
-    word = Word(tuple((bld.edges[e].atom, o) for e, o in row.top))
+    word = Word._of(tuple([(bld.edges[e].atom, o) for e, o in row.top]))
     if word != out.result.to_word():
         raise InvariantError("row top does not spell the resulting word")
     return row, cells, out.result
@@ -461,6 +461,17 @@ def _outer_loop(trap: Trapezium):
             + _flip_path(trap.right))
 
 
+def _default_closure(m: Machine) -> frozenset[Word]:
+    """The symmetrized closure of the default M(m), built once per machine
+    and kept on it like ``Machine._table``.  A failure is not kept: it is
+    raised again on every call."""
+    closure = m.__dict__.get("_default_closure")
+    if closure is None:
+        closure = symmetrized_closure(machine_to_group(m).relators)
+        m.__dict__["_default_closure"] = closure
+    return closure
+
+
 def validate_trapezium(trap: Trapezium) -> bool:
     """Check a trapezium cell by cell and edge by edge.
 
@@ -482,7 +493,7 @@ def validate_trapezium(trap: Trapezium) -> bool:
     if not use.keys() <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
 
-    closure = symmetrized_closure(machine_to_group(m).relators)
+    closure = _default_closure(m)
     for c in trap.cells:
         w = free_reduce(trap.path_word(c.boundary))
         if w not in closure:
@@ -569,15 +580,12 @@ def trapezium_to_dict(trap: Trapezium) -> dict:
         "edges": [{"id": e.id, "atom": e.atom.name, "kind": e.kind}
                   for e in sorted(trap.edges.values(), key=lambda e: e.id)],
         "cells": [{"kind": c.kind, "rule": c.rule, "index": c.index,
-                   "row": c.row, "boundary": [[e, o] for e, o in c.boundary]}
+                   "row": c.row, "boundary": c.boundary}
                   for c in trap.cells],
-        "rows": [{"rule": r.rule, "sign": r.sign,
-                  "bottom": [[e, o] for e, o in r.bottom],
-                  "top": [[e, o] for e, o in r.top],
-                  "left": [[e, o] for e, o in r.left],
-                  "right": [[e, o] for e, o in r.right]}
+        "rows": [{"rule": r.rule, "sign": r.sign, "bottom": r.bottom,
+                  "top": r.top, "left": r.left, "right": r.right}
                  for r in trap.rows],
-        "boundary": {side: [[e, o] for e, o in getattr(trap, side)]
+        "boundary": {side: getattr(trap, side)
                      for side in ("bottom", "top", "left", "right")},
     }
 

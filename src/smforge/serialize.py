@@ -1,14 +1,17 @@
 """JSON documents: reading, validation against their schemas, writing.
 
-The machine format is canonical: dumps are sorted, indented, and end in a
-newline, so equal machines produce byte-identical files.  Empty write
-words are omitted, a domain equal to the whole sector alphabet is
-written as "full", and a part carries ``"lock": true`` exactly when the
-sector to its right has empty domain.
+Every document is written by ``dumps_canonical``, which emits the text
+itself: the bytes of ``json.dumps(indent=2, sort_keys=True,
+ensure_ascii=False)`` plus a final newline, with tuples written as arrays.
+The machine format is canonical, so equal machines produce byte-identical
+files.  Empty write words are omitted, a domain equal to the whole sector
+alphabet is written as "full", and a part carries ``"lock": true`` exactly
+when the sector to its right has empty domain.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from smforge.machine import (
@@ -149,8 +152,56 @@ def read_json(path):
         raise SerializeError(f"not valid JSON: {e}") from None
 
 
+_ENCODE_STRING = json.encoder.encode_basestring
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """``obj`` as canonical JSON text: keys sorted, two-space indent,
+    non-ASCII kept, and a final newline.  Takes dicts with string keys,
+    lists, tuples, strings, ints, bools and None."""
+    return _text(obj, "\n") + "\n"
+
+
+def _int_pairs(seq) -> bool:
+    """Whether ``seq`` holds only 2-tuples of ints (bools excluded)."""
+    return (type(seq[0]) is tuple and set(map(type, seq)) == {tuple}
+            and set(map(len, seq)) == {2}
+            and set(map(type, chain.from_iterable(seq))) == {int})
+
+
+def _text(o, nl: str) -> str:
+    """The text of ``o`` whose first line starts after ``nl``, the line
+    break and indent of the enclosing level."""
+    if isinstance(o, str):
+        return _ENCODE_STRING(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)])
+            + nl + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if _int_pairs(o):
+            # Edge paths: one format string writes a whole pair array.
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            items = map(pair.__mod__, o)
+        else:
+            items = [_text(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(
+        f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def machine_to_dict(m: Machine) -> dict:

@@ -53,12 +53,15 @@ _REGISTRY: dict[str, Atom] = {}
 
 def atom(name: str) -> Atom:
     """Return the unique atom with this display name, creating it if new.
-    Only a name that is not interned yet is validated."""
+    Only a name that is not interned yet is validated; the empty-word
+    token is no name, or a one-letter word would read back empty."""
     a = _REGISTRY.get(name)
     if a is not None:
         return a
     if not name:
         raise WordError("atom name must be nonempty")
+    if name == EMPTY_TOKEN:
+        raise WordError(f"atom name {name!r} is the empty-word token")
     if any(c.isspace() for c in name) or "^" in name:
         raise WordError(f"atom name {name!r} may not contain whitespace or '^'")
     a = _REGISTRY[name] = Atom(len(_REGISTRY) + 1, name)

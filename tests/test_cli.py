@@ -9,7 +9,7 @@ import pytest
 from smforge import cli, group
 from smforge.cli import main
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
-from smforge.serialize import load_machine, save_machine
+from smforge.serialize import load_machine, machine_dumps, save_machine
 
 from test_group import cyclic_emitter
 
@@ -53,6 +53,27 @@ class TestConstruction:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_primitive_empty_word_letter(self, capsys):
+        code = main(["primitive", "--letters", "ε"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1)
+
+    def test_machine_naming_empty_word_token(self, capsys, tmp_path):
+        # A document written before ε was refused: its tape letter y is ε.
+        path = tmp_path / "eps.json"
+        text = machine_dumps(toy_deleter())
+        assert text.count('"y') == 2
+        path.write_text(text.replace('"y', '"ε'), encoding="utf-8")
+        code = main(["present", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1)
 
     def test_primitive_deterministic(self, capsys):
         _, a = invoke(capsys, "primitive", "--letters", "y,z")

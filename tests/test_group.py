@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from smforge import group
 from smforge.words import Word, atom, free_reduce
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, accept_configuration,
@@ -373,7 +374,9 @@ def _swapped_last_words(t):
 
 class TestValidation:
     """Every corruption of a valid trapezium is refused with a GroupError
-    that names it.  The computation has a negative row (del^-1)."""
+    that names it.  The computation has a negative row (del^-1).  The
+    valid trapezium is validated first, so M(S) of its machine is already
+    built when the corruption is checked."""
 
     def trap(self):
         m = toy_deleter()
@@ -393,6 +396,7 @@ class TestValidation:
             "unknown_side_edge", "unknown_cell_edge", "swapped_words"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
+        assert validate_trapezium(t)
         parts = {"rows": t.rows, "cells": t.cells, "words": t.words}
         parts.update(corrupt(t))
         bad = Trapezium(t.machine, parts["rows"], parts["cells"], t.edges,
@@ -414,9 +418,60 @@ class TestValidation:
         every edge is still used once each way, so only the row checks
         can see it."""
         t = self.trap()
+        assert validate_trapezium(t)
         corrupt(t.rows)
         with pytest.raises(GroupError, match=message):
             validate_trapezium(t)
+
+
+class TestGroupBuiltOnce:
+    """validate_trapezium builds M(S) once per machine.  Neither a verdict
+    nor a failure to build M(S) is kept."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        names = []
+        build = group.machine_to_group
+
+        def counting(m, strict=False):
+            names.append(m.name)
+            return build(m, strict)
+
+        monkeypatch.setattr(group, "machine_to_group", counting)
+        return names
+
+    def test_two_trapezia_of_one_machine(self, builds):
+        m = toy_deleter()
+        for history in (["del", "acc"], ["del", "del^-1", "del", "acc"]):
+            comp = run(m, input_configuration(m, W("y")), history)
+            assert validate_trapezium(computation_to_trapezium(m, comp))
+        assert builds == ["toy_deleter"]
+        other = toy_deleter()
+        comp = run(other, input_configuration(other, W("y")), ["del", "acc"])
+        assert validate_trapezium(computation_to_trapezium(other, comp))
+        assert builds == ["toy_deleter"] * 2
+
+    def test_theta_collision_raises_every_call(self, builds):
+        # The tape letter go.1 is also the theta letter of rule go at gap 1.
+        hw = Hardware([StatePart("T0", ["s0"]), StatePart("T1", ["s1"])],
+                      [["go.1"]], input_sectors=[0])
+        m = Machine("collide", hw,
+                    [make_rule(hw, "go", [("s0", "s0"), ("s1", "s1")])])
+        comp = run(m, input_configuration(m, W("go.1")), ["go"])
+        trap = computation_to_trapezium(m, comp)
+        for _ in range(2):
+            with pytest.raises(GroupError, match="collides"):
+                validate_trapezium(trap)
+        assert builds == ["collide"] * 2
+
+    def test_strict_presentation_unchanged(self):
+        m = toy_deleter()
+        strict = machine_to_group(m, strict=True).as_presentation().dumps()
+        comp = run(m, input_configuration(m, W("y")), ["del", "acc"])
+        assert validate_trapezium(computation_to_trapezium(m, comp))
+        assert (machine_to_group(m, strict=True).as_presentation().dumps()
+                == strict)
+        assert len(machine_to_group(m).relators) == 5
 
 
 class TestDichotomy:

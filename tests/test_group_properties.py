@@ -3,9 +3,11 @@
 Each computation is freely reduced, has at most 8 steps and starts from a
 standard-base configuration.  Its trapezium must validate, replay the
 computation and dump to the same bytes on a second build, and the
-conjugator read off the history must be the label of both sides.
+conjugator read off the history must be the label of both sides.  The
+dump must be the text json.dumps writes for the same document.
 Examples are derandomized to keep the suite deterministic.
 """
+import json
 import random
 
 import pytest
@@ -15,7 +17,8 @@ from smforge.enhance import build_enhanced_standard, make_cyclic
 from smforge.fixtures import toy_deleter
 from smforge.group import (GroupError, computation_to_trapezium,
                            conjugator_from_accepting, trapezium_dumps,
-                           trapezium_to_computation, validate_trapezium)
+                           trapezium_to_computation, trapezium_to_dict,
+                           validate_trapezium)
 from smforge.machine import input_configuration, parse_admissible, run
 from smforge.search import successors
 from smforge.words import Word
@@ -32,8 +35,10 @@ def check_trapezium(m, comp):
     back = trapezium_to_computation(trap)
     assert back.history_word() == comp.history_word()
     assert back.configs == comp.configs
-    assert (trapezium_dumps(computation_to_trapezium(m, comp))
-            == trapezium_dumps(trap))
+    text = trapezium_dumps(trap)
+    assert trapezium_dumps(computation_to_trapezium(m, comp)) == text
+    assert text == json.dumps(trapezium_to_dict(trap), indent=2,
+                              sort_keys=True, ensure_ascii=False) + "\n"
     try:
         g = conjugator_from_accepting(m, comp)
     except GroupError as err:

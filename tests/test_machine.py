@@ -186,7 +186,8 @@ class TestApply:
                     if m.name != "toy_deleter":
                         text = text.replace("q0s", "Q0").replace("q1s", "Q1")
                     try:
-                        starts.add(parse_admissible(m.hw, text.format(w.tokens())))
+                        starts.add(parse_admissible(
+                            m.hw, text.format(w.tokens() if w else "")))
                     except MachineError:
                         pass
             assert len(starts) > 10

@@ -2,9 +2,11 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from smforge.cli import main
 from smforge.encode import PRESENTATION_SCHEMA, presentation_to_machine
+from smforge.enhance import build_enhanced_standard
 from smforge.fixtures import (
     commutator_presentation,
     paired_multiplier,
@@ -13,10 +15,13 @@ from smforge.fixtures import (
     two_sided_multiplier,
     z2_presentation,
 )
+from smforge.group import machine_to_group
 from smforge.machine import accept_configuration, input_configuration, run
+from smforge.primitive import build_lr, build_rl
 from smforge.serialize import (
     MACHINE_SCHEMA,
     SerializeError,
+    dumps_canonical,
     load_machine,
     machine_dumps,
     machine_from_dict,
@@ -226,3 +231,76 @@ def test_checker_agrees_with_jsonschema(data):
         node = doc
         for key in ([] if where == "top level" else where.split("/")):
             node = node[int(key) if isinstance(node, list) else key]
+
+
+# -- the canonical emitter against json.dumps -------------------------------
+
+def _reference(value) -> str:
+    """The text dumps_canonical must write: what json.dumps writes."""
+    return json.dumps(value, indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, control characters, U+2028 and non-ASCII letters.
+_TEXT = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\\x00\x1f\n\t\u2028ä→')),
+                max_size=6)
+_INTS = st.integers() | st.integers(-2 ** 80, 2 ** 80)
+_SCALARS = st.none() | st.booleans() | _INTS | _TEXT
+# Edge paths are pair arrays; a bool in a pair must still read true/false.
+_PAIRS = st.lists(st.tuples(_INTS | st.booleans(), _INTS | st.booleans())
+                  | st.tuples(_SCALARS, _SCALARS), min_size=1, max_size=4)
+_JSON = st.recursive(
+    _SCALARS | _PAIRS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_JSON)
+@example([(1, True), (2, 3)])
+@example([(0, 1), [2, 3], (4, 5, 6)])
+@example({"é": ((-1, 2 ** 70),), "": [], "a\u2028": {}, "b": ()})
+def test_emitter_agrees_with_json(value):
+    assert dumps_canonical(value) == _reference(value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_lr(["ä", "x"]),
+    lambda: build_rl(["ä", "x"]),
+    lambda: build_enhanced_standard(toy_deleter()),
+], ids=["lr", "rl", "enhanced"])
+def test_machine_documents_agree_with_json(build):
+    m = build()
+    assert machine_dumps(m) == _reference(machine_to_dict(m))
+    for strict in (False, True):
+        p = machine_to_group(m, strict=strict).as_presentation()
+        assert p.dumps() == _reference(p.to_dict())
+
+
+def test_presentations_agree_with_json():
+    for p in (z2_presentation(), commutator_presentation()):
+        assert p.dumps() == _reference(p.to_dict())
+
+
+@pytest.mark.parametrize("argv", [
+    ["tm", "{m}", "--input", "y y", "--bound", "4"],
+    ["tm", "{m}", "--input", "y", "--bound", "0"],
+    ["tm", "{m}", "--max-n", "2", "--bound", "4"],
+    ["run", "{m}", "--input", "y", "--history", "del acc", "--format", "json"],
+    ["run", "{m}", "--input", "y", "--history", "acc", "--format", "json"],
+    ["conjugator", "{m}", "--input", "y y", "--history", "del del acc",
+     "--format", "json"],
+    ["trapezium", "{m}", "--input", "y y",
+     "--history", "del del^-1 del del acc"],
+], ids=["tm", "tm_bounded", "tm_table", "run", "run_failing", "conjugator",
+        "trapezium"])
+def test_cli_documents_agree_with_json(capsys, tmp_path, argv):
+    path = tmp_path / "del.json"
+    save_machine(toy_deleter(), path)
+    main([a.format(m=path) for a in argv])
+    out = capsys.readouterr().out
+    assert out.startswith("{")
+    assert out == _reference(json.loads(out))

@@ -13,3 +13,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_documents_go_through_dumps_canonical():
+    # json.dump and json.dumps would bypass the canonical emitter.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(a.name in ("dump", "dumps") for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

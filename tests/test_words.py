@@ -53,6 +53,13 @@ class TestAtoms:
         with pytest.raises(WordError):
             atom("a^2")
 
+    def test_empty_word_token_is_no_name(self):
+        # Word.of(atom("ε")).tokens() would read back as the empty word.
+        with pytest.raises(WordError, match="empty-word token"):
+            atom("ε")
+        with pytest.raises(WordError):
+            W("x ε^-1")
+
 
 class TestTokens:
     def test_roundtrip(self):
