@@ -19,11 +19,10 @@ m = toy_deleter()
 # Every machine presents a group: tape and state letters plus one
 # theta-letter per rule and part, with a relation per rule part and one
 # per rule and tape letter.
-mp = machine_to_group(m)
-p = mp.as_presentation()
+p = machine_to_group(m)
 print(p.name, f"has {len(p.generators)} generators,"
       f" {len(p.relators)} relators")
-print("a (theta,q)-relator:", mp.theta_q[("del", 1)].tokens())
+print("a (theta,q)-relator:", p.relators[3].tokens())
 
 # A computation flattens into a trapezium: one row of cells per step,
 # bottom and top spelling the two end configurations.  Validation checks

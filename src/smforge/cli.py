@@ -162,8 +162,8 @@ def cmd_tm(args) -> int:
 # -- group subcommands -------------------------------------------------------
 
 def cmd_present(args) -> int:
-    mp = machine_to_group(load_machine(args.machine), strict=args.strict)
-    _emit(mp.as_presentation().dumps(), args)
+    _emit(machine_to_group(load_machine(args.machine),
+                           strict=args.strict).dumps(), args)
     return OK
 
 

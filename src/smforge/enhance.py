@@ -336,12 +336,10 @@ def step_history(history) -> list[str]:
     return out
 
 
-def accepting_computation_from_history(em: Machine, history) -> Word:
+def accepting_computation_from_history(em: Machine, history: Word) -> Word:
     """The length-(7k+6) accepting history of the composed machine built
     from an accepting history of the source machine."""
     _require(em, "composed", "accepting_computation_from_history")
-    if isinstance(history, str):
-        history = Word.from_tokens(history)
     base = set(em.meta["base_rules"])
     for a, _ in history.letters:
         if a.name not in base:

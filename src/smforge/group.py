@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Atom, EMPTY, InvariantError, SmforgeError, Word, atom,
+from .words import (Atom, InvariantError, SmforgeError, Word, atom,
                     free_reduce, symmetrized_closure)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
@@ -29,8 +29,9 @@ def theta_atom(rule_name: str, i: int) -> Atom:
     return atom(f"{rule_name}.{i}")
 
 
-class MPresentation:
-    """The presentation M(S) read off a machine.
+def machine_to_group(m: Machine, strict: bool = False) -> GroupPresentation:
+    """The presentation M(S) read off a machine, named ``M(<name>)``, with
+    ``.strict`` appended in strict mode.
 
     For a machine with n parts the gap left of part i carries the letter
     theta_i of each rule; the gap right of the last part wraps around to
@@ -40,38 +41,10 @@ class MPresentation:
         theta_{s+1} a = a theta_{s+1}               (a in the sector-s domain)
 
     where q_i -> l_i q_i' r_i is the rule's action on part i.  Strict
-    mode drops the part-0 relations.
+    mode drops the part-0 relations.  The relators come rules by name:
+    first the (theta,q) relators of each rule, part by part, then the
+    (theta,a) relators of each rule, sector by sector and letter by letter.
     """
-
-    __slots__ = ("machine_name", "strict", "n_parts", "generators",
-                 "relators", "theta_q", "theta_a")
-
-    def __init__(self, machine_name, strict, n_parts, generators, relators,
-                 theta_q, theta_a):
-        self.machine_name = machine_name
-        self.strict = bool(strict)
-        self.n_parts = n_parts
-        self.generators = tuple(generators)
-        self.relators = tuple(relators)
-        self.theta_q = dict(theta_q)
-        self.theta_a = dict(theta_a)
-
-    def theta(self, rule_name: str, i: int) -> Atom:
-        return theta_atom(rule_name, i % self.n_parts)
-
-    def as_presentation(self) -> GroupPresentation:
-        name = f"M({self.machine_name})"
-        if self.strict:
-            name += ".strict"
-        return GroupPresentation(self.generators, self.relators, name=name)
-
-    def __repr__(self):
-        return (f"MPresentation({self.machine_name}, "
-                f"{len(self.generators)} generators, "
-                f"{len(self.relators)} relators)")
-
-
-def machine_to_group(m: Machine, strict: bool = False) -> MPresentation:
     K = m.n_parts
     gens: list[Atom] = []
     for ab in m.sector_alphabets:
@@ -89,28 +62,23 @@ def machine_to_group(m: Machine, strict: bool = False) -> MPresentation:
             seen.add(th)
             gens.append(th)
 
-    theta_q = {}
-    theta_a = {}
     relators: list[Word] = []
     for r in rules:
         for i in range(1 if strict else 0, K):
             rp = r.parts[i]
-            w = (Word.of(rp.frm, theta_atom(r.name, (i + 1) % K))
-                 * rp.right.inverse()
-                 * Word.of((rp.to, -1))
-                 * rp.left.inverse()
-                 * Word.of((theta_atom(r.name, i), -1)))
-            w = free_reduce(w)
-            theta_q[(r.name, i)] = w
-            relators.append(w)
+            relators.append(free_reduce(
+                Word.of(rp.frm, theta_atom(r.name, (i + 1) % K))
+                * rp.right.inverse()
+                * Word.of((rp.to, -1))
+                * rp.left.inverse()
+                * Word.of((theta_atom(r.name, i), -1))))
     for r in rules:
         for s in range(m.n_sectors):
             th = theta_atom(r.name, (s + 1) % K)
             for a in sorted(r.domains[s], key=lambda a: a.name):
-                w = Word.of(th, a, (th, -1), (a, -1))
-                theta_a[(r.name, s, a.name)] = w
-                relators.append(w)
-    return MPresentation(m.name, strict, K, gens, relators, theta_q, theta_a)
+                relators.append(Word.of(th, a, (th, -1), (a, -1)))
+    name = f"M({m.name})" + (".strict" if strict else "")
+    return GroupPresentation(gens, relators, name=name)
 
 
 # -- modified length --------------------------------------------------------
@@ -290,38 +258,40 @@ def _check_standard_base(aw: AdmissibleWord):
         raise GroupError("trapezia need the standard base q_0 ... q_{n-1}")
 
 
-def _check_computation(comp: Computation):
+def _check_computation(m: Machine, comp: Computation):
+    """Refuse a failed computation, a configuration off the standard base,
+    and a step that does not take its configuration to the next one."""
     if not comp.ok:
         raise GroupError("computation failed; nothing to flatten")
     for aw in comp.configs:
         _check_standard_base(aw)
+    for t, (rule, sign) in enumerate(comp.steps):
+        if m.try_apply(comp.configs[t], rule, sign) != comp.configs[t + 1]:
+            raise GroupError(f"step {t} does not replay")
 
 
-def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
-    """Build one band for a positive application of ``rule`` to ``aw``.
-    Returns (row, cells, resulting admissible word)."""
-    _check_standard_base(aw)
-    out = m.apply_ex(aw, rule, 1)
-    if not out.ok:
-        raise GroupError(f"cannot apply {rule.name!r}: {out.reason}")
+def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
+                  hi: AdmissibleWord):
+    """Build one band for a positive application of ``rule`` taking ``lo``
+    to ``hi``, both on the standard base.  The writes of the outer parts
+    fall off the ends of the word.  Returns (row, cells)."""
     n = m.n_parts
     K = n
     rp = rule.parts
 
-    bottom, b_state, b_tape = _spell_admissible(bld, aw)
+    bottom, b_state, b_tape = _spell_admissible(bld, lo)
     t_state = [bld.new_edge(rp[i].to, "q") for i in range(n)]
 
     # Per part: the l- and r-spans of its cell top; per sector: squares for
     # the surviving tape letters and the resulting top-path entries.
     pre = [None] * n
     post = [None] * n
-    pre[0] = [(bld.new_edge(a, "a"), e) for a, e in out.stripped_prefix.letters]
-    post[n - 1] = [(bld.new_edge(a, "a"), e)
-                   for a, e in out.stripped_suffix.letters]
+    pre[0] = [(bld.new_edge(a, "a"), e) for a, e in rp[0].left.letters]
+    post[n - 1] = [(bld.new_edge(a, "a"), e) for a, e in rp[-1].right.letters]
     squares = [[] for _ in range(n - 1)]
     sector_top = [[] for _ in range(n - 1)]
     for s in range(n - 1):
-        entries, partner = _fold(rp[s].right, aw.tapes[s], rp[s + 1].left)
+        entries, partner = _fold(rp[s].right, lo.tapes[s], rp[s + 1].left)
         spans = [None] * len(entries)
         for t, (tag, j, (a, e)) in enumerate(entries):
             if tag == "w":
@@ -336,7 +306,7 @@ def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
                 spans[t] = (bld.new_edge(a, "a"), e)
         rn = len(rp[s].right)
         post[s] = spans[:rn]
-        pre[s + 1] = spans[rn + len(aw.tapes[s]):]
+        pre[s + 1] = spans[rn + len(lo.tapes[s]):]
         for t, (tag, j, (a, e)) in enumerate(entries):
             if partner[t] is not None:
                 continue
@@ -374,9 +344,9 @@ def _positive_row(bld: _Builder, m: Machine, aw: AdmissibleWord, rule):
               [(v_first, 1)] + pre[0],
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
     word = Word._of(tuple([(bld.edges[e].atom, o) for e, o in row.top]))
-    if word != out.result.to_word():
+    if word != hi.to_word():
         raise InvariantError("row top does not spell the resulting word")
-    return row, cells, out.result
+    return row, cells
 
 
 def _flip_path(path):
@@ -391,25 +361,23 @@ def _flip_row(row: Row) -> Row:
 def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     """Flatten a computation into a trapezium over M(S).
 
-    Every configuration must have the standard base; negative steps are
-    built as their positive counterparts and mounted upside down."""
-    _check_computation(comp)
+    Every configuration must have the standard base and every step must
+    replay; negative steps are built as their positive counterparts and
+    mounted upside down."""
+    _check_computation(m, comp)
     bld = _Builder()
     rows = []
     cells = []
     for t, (rule, sign) in enumerate(comp.steps):
+        lo, hi = comp.configs[t], comp.configs[t + 1]
         if sign > 0:
-            row, rcells, got = _positive_row(bld, m, comp.configs[t], rule)
-            want = comp.configs[t + 1]
+            row, rcells = _positive_row(bld, m, lo, rule, hi)
         else:
-            row, rcells, got = _positive_row(bld, m, comp.configs[t + 1], rule)
-            want = comp.configs[t]
+            row, rcells = _positive_row(bld, m, hi, rule, lo)
             row = _flip_row(row)
             # Mirrored cells are read the other way around.
             for c in rcells:
                 c.boundary = _flip_path(c.boundary)
-        if got != want:
-            raise GroupError(f"step {t} does not replay")
         for c in rcells:
             c.row = t
         rows.append(row)
@@ -479,8 +447,12 @@ def validate_trapezium(trap: Trapezium) -> bool:
     M(machine), every edge must be used exactly twice with opposite
     orientations (the outer contour counts as a face), the bottom and
     top must spell the stored end configurations, and each row's sides
-    must read the theta letter followed by the emitted word."""
+    must read the theta letter followed by the word the outer part
+    writes off the end.  That holds on the standard base only, so a
+    stored word off it is refused first."""
     m = trap.machine
+    for aw in trap.words:
+        _check_standard_base(aw)
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
 
@@ -506,15 +478,11 @@ def validate_trapezium(trap: Trapezium) -> bool:
 
     for j, row in enumerate(trap.rows):
         rule = m.rule(row.rule)
-        if row.sign > 0:
-            out = m.apply_ex(trap.words[j], rule, 1)
-        else:
-            out = m.apply_ex(trap.words[j + 1], rule, 1)
-        if not out.ok:
+        if m.try_apply(trap.words[j if row.sign > 0 else j + 1], rule) is None:
             raise GroupError(f"row {j} does not replay")
         th = Word.of((theta_atom(rule.name, 0), 1))
-        left = th * out.stripped_prefix
-        right = th * out.stripped_suffix.inverse()
+        left = th * rule.parts[0].left
+        right = th * rule.parts[-1].right.inverse()
         if row.sign < 0:
             left, right = left.inverse(), right.inverse()
         if trap.path_word(row.left) != left:
@@ -635,10 +603,7 @@ def conjugator_from_accepting(m: Machine, comp: Computation) -> Word:
     have an empty parts[0].left and parts[-1].right, or this raises.
     Needs the part-0 relations, so the default (non-strict)
     presentation."""
-    _check_computation(comp)
-    for t, (rule, sign) in enumerate(comp.steps):
-        if m.try_apply(comp.configs[t], rule, sign) != comp.configs[t + 1]:
-            raise GroupError(f"step {t} does not replay")
+    _check_computation(m, comp)
     if any(r.parts[0].left or r.parts[-1].right for r, _ in comp.steps):
         raise GroupError("a step emits tape letters at the boundary; "
                          "the sides are not pure conjugators")

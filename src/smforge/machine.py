@@ -378,23 +378,13 @@ def parse_admissible(hw: Hardware, w: Union[Word, str]) -> AdmissibleWord:
 
 
 class ApplyOutcome:
-    """Result of applying one rule, with trim diagnostics.
+    """Result of applying one rule: the resulting word, or why it fails."""
 
-    ``stripped_prefix``/``stripped_suffix`` are the emissions of the two
-    end letters that fell off the ends of the word (always whole words, as
-    the rule writes them; they never interact with reduction inside the
-    gaps).
-    """
+    __slots__ = ("ok", "result", "reason")
 
-    __slots__ = ("ok", "result", "stripped_prefix", "stripped_suffix",
-                 "reason")
-
-    def __init__(self, ok, result=None, stripped_prefix=EMPTY,
-                 stripped_suffix=EMPTY, reason=None):
+    def __init__(self, ok, result=None, reason=None):
         self.ok = ok
         self.result = result
-        self.stripped_prefix = stripped_prefix
-        self.stripped_suffix = stripped_suffix
         self.reason = reason
 
 
@@ -402,18 +392,16 @@ class _SignedRule:
     """rule^sign compiled: emit[q, e] = (pre, letter, post), in letter tuples,
     is what q^e becomes if its part must carry q; None marks a full domain.
     The emissions are stored reduced, so that writing them onto a reduced
-    tape cancels at the junctions only; written[q, e] keeps the raw (pre,
-    post) Words, which is what falls off the ends of a word."""
+    tape cancels at the junctions only."""
 
-    __slots__ = ("rule", "sign", "emit", "written", "domains")
+    __slots__ = ("rule", "sign", "emit", "domains")
 
     def __init__(self, hw: Hardware, rule: SRule, sign: int):
         r = rule if sign > 0 else invert_rule(rule)
-        self.rule, self.sign, self.emit, self.written = rule, sign, {}, {}
+        self.rule, self.sign, self.emit = rule, sign, {}
         for p in r.parts:
             for e, pre, post in ((1, p.left, p.right),
                                  (-1, p.right.inverse(), p.left.inverse())):
-                self.written[p.frm, e] = pre, post
                 self.emit[p.frm, e] = (free_reduce(pre).letters, (p.to, e),
                                        free_reduce(post).letters)
         self.domains = tuple(None if d == hw.sector_alphabets[s] else d
@@ -509,12 +497,8 @@ class Machine:
         return res, None
 
     def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:
-        entry = self._entry(rule, sign)
-        result, reason = self._step(entry, aw)
-        if result is None:
-            return ApplyOutcome(False, reason=reason)
-        return ApplyOutcome(True, result, entry.written[aw.states[0]][0],
-                            entry.written[aw.states[-1]][1])
+        result, reason = self._step(self._entry(rule, sign), aw)
+        return ApplyOutcome(result is not None, result, reason)
 
     def try_apply(self, aw, rule, sign=1) -> Optional[AdmissibleWord]:
         return self._step(self._entry(rule, sign), aw)[0]
@@ -595,10 +579,10 @@ def run(m: Machine, start: AdmissibleWord, history, strict: bool = True) -> Comp
 # -- configurations --------------------------------------------------------
 
 
-def _check_wrap(m: Machine, what: str) -> None:
+def _check_wrap(m: Machine) -> None:
     if m.cyclic and m.hw.sector_alphabets[m.n_parts - 1]:
-        raise MachineError(
-            f"{what} of a cyclic machine needs an empty wrap-sector alphabet")
+        raise MachineError("a configuration of a cyclic machine needs an "
+                           "empty wrap-sector alphabet")
 
 
 def input_configuration(m: Machine, inputs=EMPTY) -> AdmissibleWord:
@@ -607,7 +591,7 @@ def input_configuration(m: Machine, inputs=EMPTY) -> AdmissibleWord:
     ``inputs`` may be a single Word (one input sector), a sequence
     aligned with ``input_sectors``, or a mapping from sector index.
     """
-    _check_wrap(m, "a configuration")
+    _check_wrap(m)
     if isinstance(inputs, Word):
         if len(m.input_sectors) != 1:
             raise MachineError(
@@ -632,7 +616,7 @@ def input_configuration(m: Machine, inputs=EMPTY) -> AdmissibleWord:
 
 def accept_configuration(m: Machine) -> AdmissibleWord:
     """End letters, all tapes empty."""
-    _check_wrap(m, "a configuration")
+    _check_wrap(m)
     return AdmissibleWord(m.hw, [(p.end, 1) for p in m.parts],
                           [EMPTY] * (m.n_parts - 1))
 

@@ -353,6 +353,42 @@ class TestGroupCommands:
                                 "a relator\n")
 
 
+def _set(*path_and_value):
+    """A corruption of a machine document: set one entry by its path."""
+    *path, key, value = path_and_value
+
+    def corrupt(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("parts", 0, "letters", ["q0s", "q0f", "q0s"]), "repeats a letter"),
+    (_set("parts", 0, "start", "q1s"), "is not a letter of part"),
+    (_set("input_sectors", [0, 0]), "repeated input sector"),
+    (_set("input_sectors", [1]), "input sector 1 out of range"),
+    (lambda doc: doc.update(cyclic=True, sector_alphabets=[["y"], ["y"]]),
+     "appears in two sectors"),
+    (_set("rules", 0, "domains", ["full", "full"]), "expected 1 domains"),
+    (_set("rules", 0, "parts", 1, "lock", True), "no sector to lock"),
+], ids=["repeated_letter", "foreign_start", "repeated_input",
+        "input_out_of_range", "letter_in_two_sectors", "domain_count",
+        "lock_past_last_part"])
+def test_bad_machine_document_exits_2(capsys, tmp_path, corrupt, message):
+    doc = json.loads(machine_dumps(toy_deleter()))
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["present", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def _fresh_python(*argv, cwd=None, text=True, **env_overrides):
     """Run a fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ, **env_overrides)

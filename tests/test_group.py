@@ -5,8 +5,8 @@ import pytest
 
 from smforge import group
 from smforge.words import Word, atom, free_reduce
-from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
-                             StatePart, accept_configuration,
+from smforge.machine import (AdmissibleWord, Computation, Hardware, Machine,
+                             RulePart, StatePart, accept_configuration,
                              input_configuration, make_rule, parse_admissible,
                              run)
 from smforge.encode import (GroupPresentation, abelianized_trivial,
@@ -48,58 +48,63 @@ def cyclic_emitter() -> Machine:
     return Machine("cyclic_emitter", hw, [r])
 
 
+def theta_q(m: Machine, p: GroupPresentation) -> list[Word]:
+    """The (theta,q) relators of M(m): the relators with a state letter."""
+    return [w for w in p.relators if any(a in m.hw.part_of for a, _ in w)]
+
+
 class TestMPresentation:
     def test_lr_counts(self):
-        mp = machine_to_group(build_lr(["y"]))
-        assert len(mp.generators) == 17
-        assert len(mp.theta_q) == 9
-        assert len(mp.theta_a) == 5
-        assert len(mp.relators) == 14
+        lr = build_lr(["y"])
+        p = machine_to_group(lr)
+        assert len(p.generators) == 17
+        assert len(theta_q(lr, p)) == 9
+        assert len(p.relators) == 14  # and 5 (theta,a) relators
 
     def test_lr_strict_drops_part_zero(self):
-        mp = machine_to_group(build_lr(["y"]), strict=True)
-        assert len(mp.theta_q) == 6
-        assert all(i != 0 for (_, i) in mp.theta_q)
+        lr = build_lr(["y"])
+        rels = theta_q(lr, machine_to_group(lr, strict=True))
+        assert len(rels) == 6
+        # a (theta,q) relator starts with the state letter of its part
+        assert all(lr.hw.part_of[w.letters[0][0]] != 0 for w in rels)
 
     def test_deleter_counts(self):
-        mp = machine_to_group(toy_deleter())
+        m = toy_deleter()
+        p = machine_to_group(m)
         # one tape letter, four state letters, two rules times two gaps
-        assert len(mp.generators) == 1 + 4 + 4
-        assert len(mp.theta_q) == 4
-        assert len(mp.theta_a) == 1
+        assert len(p.generators) == 1 + 4 + 4
+        assert len(theta_q(m, p)) == 4
+        assert len(p.relators) == 4 + 1
 
     def test_theta_q_relator_shape(self):
-        mp = machine_to_group(toy_deleter())
-        assert mp.theta_q[("del", 1)] == W("q1s del.0 q1s^-1 y del.1^-1")
-        assert mp.theta_q[("del", 0)] == W("q0s del.1 q0s^-1 del.0^-1")
+        # rules by name (acc, del), parts in order
+        p = machine_to_group(toy_deleter())
+        assert p.relators[3] == W("q1s del.0 q1s^-1 y del.1^-1")
+        assert p.relators[2] == W("q0s del.1 q0s^-1 del.0^-1")
 
     def test_theta_a_commutator(self):
-        mp = machine_to_group(toy_deleter())
-        assert mp.theta_a[("del", 0, "y")] == W("del.1 y del.1^-1 y^-1")
+        p = machine_to_group(toy_deleter())
+        assert p.relators[4] == W("del.1 y del.1^-1 y^-1")
 
     def test_last_gap_wraps_to_zero(self):
-        mp = machine_to_group(toy_deleter())
+        p = machine_to_group(toy_deleter())
         # part 1 is the last part, so its right-hand theta has index 0
-        w = mp.theta_q[("acc", 1)]
+        w = p.relators[1]
         assert w.letters[1] == (theta_atom("acc", 0), 1)
 
-    def test_as_presentation_validates(self):
-        p = machine_to_group(toy_deleter()).as_presentation()
+    def test_presentation_named_after_machine(self):
+        p = machine_to_group(toy_deleter())
         assert isinstance(p, GroupPresentation)
         assert p.name == "M(toy_deleter)"
         assert len(p.relators) == 5
         assert machine_to_group(
-            toy_deleter(), strict=True).as_presentation().name.endswith(".strict")
+            toy_deleter(), strict=True).name == "M(toy_deleter).strict"
 
     def test_theta_collision_refused(self):
         hw = Hardware([StatePart("P", ["r.0", "r.1"])], [])
         m = Machine("clash", hw, [make_rule(hw, "r", [("r.0", "r.1")])])
         with pytest.raises(GroupError):
             machine_to_group(m)
-
-    def test_theta_accessor_wraps(self):
-        mp = machine_to_group(toy_deleter())
-        assert mp.theta("del", 2) == theta_atom("del", 0)
 
 
 class TestModifiedLength:
@@ -187,7 +192,7 @@ class TestTrapezium:
     def test_boundary_abelianized_trivial(self):
         m, comp = self.accepting()
         trap = computation_to_trapezium(m, comp)
-        p = machine_to_group(m).as_presentation()
+        p = machine_to_group(m)
         assert abelianized_trivial(p, trap.boundary_word())
 
     def test_round_trip(self):
@@ -223,7 +228,7 @@ class TestTrapezium:
         trap = computation_to_trapezium(lr, comp)
         assert trap.n_cells() == 10
         assert validate_trapezium(trap)
-        assert abelianized_trivial(machine_to_group(lr).as_presentation(),
+        assert abelianized_trivial(machine_to_group(lr),
                                    trap.boundary_word())
 
     def test_emitting_row_hangs_edges(self):
@@ -258,6 +263,17 @@ class TestTrapezium:
         assert not comp.ok
         with pytest.raises(GroupError):
             computation_to_trapezium(m, comp)
+
+    @pytest.mark.parametrize("flatten", [computation_to_trapezium,
+                                         conjugator_from_accepting],
+                             ids=["trapezium", "conjugator"])
+    def test_step_that_does_not_replay_refused(self, flatten):
+        # del takes q0s y q1s to q0s q1s, not back to q0s y q1s
+        m = toy_deleter()
+        c0 = input_configuration(m, W("y"))
+        comp = Computation(m, c0, [(m.rule("del"), 1)], [c0, c0])
+        with pytest.raises(GroupError, match="^step 0 does not replay$"):
+            flatten(m, comp)
 
 
 class TestTrapeziumExport:
@@ -372,6 +388,11 @@ def _swapped_last_words(t):
     return t.words[:-2] + (t.words[-1], t.words[-2])
 
 
+def _one_letter_last_word(t):
+    return t.words[:-1] + (AdmissibleWord(t.machine.hw, [(atom("q1f"), 1)],
+                                          []),)
+
+
 class TestValidation:
     """Every corruption of a valid trapezium is refused with a GroupError
     that names it.  The computation has a negative row (del^-1).  The
@@ -392,8 +413,10 @@ class TestValidation:
         (lambda t: {"rows": _unknown_edge_on_side(t)}, "unknown edge"),
         (lambda t: {"cells": _unknown_edge_in_cell(t)}, "unknown edge"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
+        (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
-            "unknown_side_edge", "unknown_cell_edge", "swapped_words"])
+            "unknown_side_edge", "unknown_cell_edge", "swapped_words",
+            "one_letter_base"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
         assert validate_trapezium(t)
@@ -466,10 +489,10 @@ class TestGroupBuiltOnce:
 
     def test_strict_presentation_unchanged(self):
         m = toy_deleter()
-        strict = machine_to_group(m, strict=True).as_presentation().dumps()
+        strict = machine_to_group(m, strict=True).dumps()
         comp = run(m, input_configuration(m, W("y")), ["del", "acc"])
         assert validate_trapezium(computation_to_trapezium(m, comp))
-        assert (machine_to_group(m, strict=True).as_presentation().dumps()
+        assert (machine_to_group(m, strict=True).dumps()
                 == strict)
         assert len(machine_to_group(m).relators) == 5
 
@@ -509,7 +532,7 @@ class TestConjugator:
         start = input_configuration(m, W("y y"))
         comp = run(m, start, ["del", "del", "acc"])
         g = conjugator_from_accepting(m, comp)
-        p = machine_to_group(m).as_presentation()
+        p = machine_to_group(m)
         claim = free_reduce(start.to_word().inverse() * g
                             * comp.end.to_word() * g.inverse())
         assert abelianized_trivial(p, claim)
@@ -519,7 +542,7 @@ class TestConjugator:
         comp = run(m, input_configuration(m, ()), ["go"])
         g = conjugator_from_accepting(m, comp)
         assert g == W("go.0")
-        p = machine_to_group(m).as_presentation()
+        p = machine_to_group(m)
         claim = free_reduce(comp.configs[0].to_word().inverse() * g
                             * comp.end.to_word() * g.inverse())
         res = area_oracle(p, claim, max_area=1)

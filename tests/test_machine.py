@@ -208,8 +208,6 @@ class TestApply:
         out = m.apply_ex(c, m.rule("del"))
         assert out.ok
         assert out.result.states == ((atom("q1s"), 1),)
-        assert out.stripped_prefix == W("y^-1")
-        assert out.stripped_suffix == EMPTY
 
     def test_conjugation_shape(self):
         # q w q^-1 with the same letter: the right word of that part acts

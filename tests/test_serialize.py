@@ -276,7 +276,7 @@ def test_machine_documents_agree_with_json(build):
     m = build()
     assert machine_dumps(m) == _reference(machine_to_dict(m))
     for strict in (False, True):
-        p = machine_to_group(m, strict=strict).as_presentation()
+        p = machine_to_group(m, strict=strict)
         assert p.dumps() == _reference(p.to_dict())
 
 
