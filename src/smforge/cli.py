@@ -214,16 +214,55 @@ def cmd_conjugator(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_output(p):
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write here instead of stdout")
+def _arg(*flags, **kw):
+    return flags, kw
 
 
-def _add_config_args(p):
-    p.add_argument("--input", action="append", type=_text, metavar="TOKENS",
-                   help="input word, once per input sector")
-    p.add_argument("--start", type=_text, metavar="TOKENS",
-                   help="full start configuration (overrides --input)")
+_MACHINE = _arg("machine", metavar="MACHINE.json")
+_CONFIG = [_arg("--input", action="append", type=_text, metavar="TOKENS",
+                help="input word, once per input sector"),
+           _arg("--start", type=_text, metavar="TOKENS",
+                help="full start configuration (overrides --input)")]
+_HISTORY = _arg("--history", required=True, type=_text, metavar="TOKENS")
+
+
+# (name, help, options); each name runs cmd_<name>, and every subcommand
+# takes -o/--output as well.
+_COMMANDS = [
+    ("primitive", "build an LR or RL machine", [
+        _arg("--kind", choices=["lr", "rl"], default="lr"),
+        _arg("--letters", required=True, type=_text, metavar="A,B,..."),
+        _arg("--name", type=_text)]),
+    ("encode", "machine of a group presentation",
+     [_arg("presentation", metavar="PRESENTATION.json")]),
+    ("historical", "add history-recording sectors to a base machine",
+     [_MACHINE]),
+    ("pad", "historical sectors plus locked padding, from a base machine",
+     [_MACHINE]),
+    ("enhance", "full pipeline from a base machine: historical, pad, compose",
+     [_MACHINE]),
+    ("cyclic", "close a machine into a cyclic one", [_MACHINE]),
+    ("run", "apply a history to a configuration",
+     [_MACHINE, *_CONFIG, _HISTORY,
+      _arg("--format", choices=["json", "text"], default="json")]),
+    ("tm", "acceptance search / time function", [
+        _MACHINE, *_CONFIG,
+        _arg("--bound", type=int, required=True),
+        _arg("--max-n", type=int, dest="max_n",
+             help="tabulate TM(n) for n up to this instead"),
+        _arg("--method", choices=["bfs", "meet"], default="bfs"),
+        _arg("--max-nodes", type=int, dest="max_nodes", metavar="N",
+             help="stop bound-limited after visiting N configurations")]),
+    ("present", "presentation of the group M(S)", [
+        _MACHINE,
+        _arg("--strict", action="store_true", help="drop the part-0 relations")]),
+    ("trapezium", "flatten a computation to a diagram",
+     [_MACHINE, *_CONFIG, _HISTORY,
+      _arg("--format", choices=["json", "dot"], default="json")]),
+    ("conjugator", "side word conjugating end to start",
+     [_MACHINE, *_CONFIG, _HISTORY,
+      _arg("--format", choices=["json", "text"], default="text")]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,75 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smforge",
         description="S-machines, their groups, and the diagrams between them.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("primitive", help="build an LR or RL machine")
-    p.add_argument("--kind", choices=["lr", "rl"], default="lr")
-    p.add_argument("--letters", required=True, type=_text, metavar="A,B,...")
-    p.add_argument("--name", type=_text)
-    _add_output(p)
-    p.set_defaults(func=cmd_primitive)
-
-    p = sub.add_parser("encode", help="machine of a group presentation")
-    p.add_argument("presentation", metavar="PRESENTATION.json")
-    _add_output(p)
-    p.set_defaults(func=cmd_encode)
-
-    for name, fn, hlp in [
-            ("historical", cmd_historical,
-             "add history-recording sectors to a base machine"),
-            ("pad", cmd_pad,
-             "historical sectors plus locked padding, from a base machine"),
-            ("enhance", cmd_enhance,
-             "full pipeline from a base machine: historical, pad, compose"),
-            ("cyclic", cmd_cyclic, "close a machine into a cyclic one")]:
+    for name, hlp, options in _COMMANDS:
         p = sub.add_parser(name, help=hlp)
-        p.add_argument("machine", metavar="MACHINE.json")
-        _add_output(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("run", help="apply a history to a configuration")
-    p.add_argument("machine", metavar="MACHINE.json")
-    _add_config_args(p)
-    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    _add_output(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("tm", help="acceptance search / time function")
-    p.add_argument("machine", metavar="MACHINE.json")
-    _add_config_args(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--max-n", type=int, dest="max_n",
-                   help="tabulate TM(n) for n up to this instead")
-    p.add_argument("--method", choices=["bfs", "meet"], default="bfs")
-    p.add_argument("--max-nodes", type=int, dest="max_nodes", metavar="N",
-                   help="stop bound-limited after visiting N configurations")
-    _add_output(p)
-    p.set_defaults(func=cmd_tm)
-
-    p = sub.add_parser("present", help="presentation of the group M(S)")
-    p.add_argument("machine", metavar="MACHINE.json")
-    p.add_argument("--strict", action="store_true",
-                   help="drop the part-0 relations")
-    _add_output(p)
-    p.set_defaults(func=cmd_present)
-
-    p = sub.add_parser("trapezium", help="flatten a computation to a diagram")
-    p.add_argument("machine", metavar="MACHINE.json")
-    _add_config_args(p)
-    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    _add_output(p)
-    p.set_defaults(func=cmd_trapezium)
-
-    p = sub.add_parser("conjugator", help="side word conjugating end to start")
-    p.add_argument("machine", metavar="MACHINE.json")
-    _add_config_args(p)
-    p.add_argument("--history", required=True, type=_text, metavar="TOKENS")
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    _add_output(p)
-    p.set_defaults(func=cmd_conjugator)
-
+        for flags, kw in options:
+            p.add_argument(*flags, **kw)
+        p.add_argument("-o", "--output", metavar="FILE",
+                       help="write here instead of stdout")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return ap
 
 

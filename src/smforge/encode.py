@@ -223,6 +223,14 @@ def presentation_to_machine(p: GroupPresentation,
             raise EncodeError(f"generator name {x.name!r} collides with the "
                               "state naming scheme")
     d = DoubledAlphabet(p.generators)
+    seen = set(d.base)
+    for x, xb in zip(d.base, d.letters[len(d.base):]):
+        for kind, y in (("bar", xb), ("prime", d.prime(x)),
+                        ("primed bar", d.prime(xb))):
+            if y in seen:
+                raise EncodeError(f"the {kind} {y.name!r} of generator "
+                                  f"{x.name!r} is another letter")
+            seen.add(y)
     stored = stored_relators(p)
     positive = tuple(d.positivize(r) for r in stored)
 

@@ -1,34 +1,37 @@
 """Historical sectors, padding, and the five-stage composed machine.
 
-add_historical_sectors splits every part q_i of a machine S into a pair
-Q_il, Q_ir with a new historical sector between them whose alphabet holds two
-disjoint copies (L and R) of the rule names.  Each rule of S additionally
-multiplies that sector by hl(rule)^-1 on the left end and hr(rule) on the
-right end, so a computation with history H turns the L-copy of H into the
-R-copy of H there, and an empty historical sector stays equal to
-copy_L(H)^-1 . copy_R(H) — which is why the split machine on its own
-accepts nothing unless H freely cancels.
+Both splits share one block layout.  Every part q_i of a machine S becomes
+a block of k tagged parts with k - 1 inner sectors between them, S's
+working sectors survive between consecutive blocks, and S's input sector t
+becomes sector k*t + k - 1.
 
-pad_locked further wraps every pair in pad parts P_i, R_i with two pad
-sectors that every rule of the split machine locks; the working writes
-move outward to P_i (left words) and R_i (right words).  Blocks of four
-parts P_i, Q_il, Q_ir, R_i follow each other, with the working sectors of
-S surviving between consecutive blocks.
+add_historical_sectors (k = 2: Q_il, Q_ir) puts one historical sector in
+each block whose alphabet holds two disjoint copies (L and R) of the rule
+names.  Each rule of S multiplies it by hl(rule)^-1 on the left end and
+hr(rule) on the right end, so a computation with history H turns the
+L-copy of H into the R-copy there, and an empty historical sector stays
+equal to copy_L(H)^-1 . copy_R(H) — which is why the split machine on its
+own accepts nothing unless H freely cancels.
+
+pad_locked (k = 4: P_i, Q_il, Q_ir, R_i) adds a pad sector on either side
+of the historical one, which every rule of S locks; the working writes
+move outward to P_i (left words) and R_i (right words).
 
 compose chains five stages over that hardware, keyed by tags @1..@5 on
 state letters and rule names:
 
   1. guess rules write an L-copy history into every historical sector;
-  2. a parallel LR machine on (Q_il, Q_ir, R_i) copies it out to the
+  2. the parallel LR copier on (Q_il, Q_ir, R_i) copies it out to the
      right pad sectors and back, checking emptiness in between;
   3. the padded machine runs verbatim, consuming the input;
-  4. a parallel RL machine on (P_i, Q_il, Q_ir) does the mirror copy of
+  4. the parallel RL copier on (P_i, Q_il, Q_ir) does the mirror copy of
      the R-copies through the left pad sectors;
   5. erasing rules delete the R-copies.
 
 With transitions sigma(12)..sigma(45), an accepting computation of S with
-history H of length k yields an accepting computation of the composed
-machine of length exactly 7k + 6.
+history H yields an accepting computation of the composed machine of
+length exactly 7|H| + 6, whose stages 2 and 4 are the standard
+LR and RL copy histories of H (primitive._copy_history).
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from smforge.machine import (
     SRule,
     StatePart,
 )
+from smforge.primitive import _copy_history
 from smforge.words import EMPTY, Word, atom
 
 
@@ -75,39 +79,63 @@ def _require(m: Machine, kind: str, what: str):
                            f"(kind={kind!r}), got {m.name!r}")
 
 
-def add_historical_sectors(s: Machine) -> Machine:
-    """The split machine S_h: parts doubled, one historical sector per
-    original part, working sectors kept."""
-    if s.cyclic:
-        raise MachineError("split a non-cyclic machine first")
-    n = s.n_parts
+def _blocked(s: Machine, tags: str, inner, name: str, meta: dict) -> Machine:
+    """S split into blocks: part p_i of S becomes the parts p_i.tag, one per
+    tag, and inner names the inner sectors of each block by the suffix of
+    their hist_atom kinds.  '' is the historical sector (L and R copies),
+    which every rule leaves open; 'p' and 'r' are the left and right pads
+    (Lp/Rp, Lr/Rr), which every rule locks.
+
+    A rule writes S's left word on the first part of a block and its right
+    word on the last; part l writes hl^-1 on its right and part r writes hr
+    on its left, both into the historical sector.
+    """
+    n, k = s.n_parts, len(tags)
     rule_names = [r.name for r in s.rules]
-    parts = [_tagged(p, side) for p in s.parts for side in ("l", "r")]
+    parts = [_tagged(p, tag) for p in s.parts for tag in tags]
     alphabets = []
     for i in range(n):
-        alphabets.append([hl(rn, i) for rn in rule_names]
-                         + [hr(rn, i) for rn in rule_names])
+        alphabets += [[hist_atom("L" + x, rn, i) for rn in rule_names]
+                      + [hist_atom("R" + x, rn, i) for rn in rule_names]
+                      for x in inner]
         if i < n - 1:
             alphabets.append(s.sector_alphabets[i])
-    hw = Hardware(parts, alphabets, [2 * t + 1 for t in s.input_sectors])
+    hw = Hardware(parts, alphabets, [k * t + k - 1 for t in s.input_sectors])
     rules = []
     for r in s.rules:
         rps = []
         doms = []
         for i in range(n):
             rp = r.parts[i]
-            rps.append(_tagged_rule(rp, "l", rp.left,
-                                    Word.of((hl(r.name, i), -1))))
-            rps.append(_tagged_rule(rp, "r", Word.of(hr(r.name, i)), rp.right))
-            doms.append(hw.sector_alphabets[2 * i])
+            for j, tag in enumerate(tags):
+                left = (rp.left if j == 0
+                        else Word.of(hr(r.name, i)) if tag == "r" else EMPTY)
+                right = (rp.right if j == k - 1
+                         else Word.of((hl(r.name, i), -1)) if tag == "l"
+                         else EMPTY)
+                rps.append(_tagged_rule(rp, tag, left, right))
+            doms += [hw.sector_alphabets[k * i + j] if not x else frozenset()
+                     for j, x in enumerate(inner)]
             if i < n - 1:
                 doms.append(r.domains[i])
         rules.append(SRule(r.name, rps, doms))
-    meta = {"kind": "historical", "source": s, "blocks": n,
-            "base_rules": tuple(rule_names),
-            "central_sectors": tuple(2 * i for i in range(n)),
-            "working_sectors": tuple(2 * i + 1 for i in range(n - 1))}
-    return Machine(f"{s.name}.h", hw, rules, meta)
+    blocks = range(0, k * n, k)
+    meta.update(blocks=n, base_rules=tuple(rule_names),
+                central_sectors=tuple(b + inner.index("") for b in blocks))
+    pads = tuple(b + j for b in blocks for j, x in enumerate(inner) if x)
+    if pads:
+        meta["pad_sectors"] = pads
+    meta["working_sectors"] = tuple(b + k - 1 for b in blocks[:-1])
+    return Machine(name, hw, rules, meta)
+
+
+def add_historical_sectors(s: Machine) -> Machine:
+    """The split machine S_h: parts doubled, one historical sector per
+    original part, working sectors kept."""
+    if s.cyclic:
+        raise MachineError("split a non-cyclic machine first")
+    return _blocked(s, "lr", ("",), f"{s.name}.h",
+                    {"kind": "historical", "source": s})
 
 
 def pad_locked(sh: Machine) -> Machine:
@@ -116,44 +144,8 @@ def pad_locked(sh: Machine) -> Machine:
     pad parts."""
     _require(sh, "historical", "pad_locked")
     s: Machine = sh.meta["source"]
-    n = sh.meta["blocks"]
-    rule_names = sh.meta["base_rules"]
-    parts = []
-    for i, p in enumerate(s.parts):
-        parts += [_tagged(p, "p"), sh.parts[2 * i], sh.parts[2 * i + 1],
-                  _tagged(p, "s")]
-    alphabets = []
-    for i in range(n):
-        alphabets.append([hist_atom("Lp", rn, i) for rn in rule_names]
-                         + [hist_atom("Rp", rn, i) for rn in rule_names])
-        alphabets.append(sh.sector_alphabets[2 * i])
-        alphabets.append([hist_atom("Lr", rn, i) for rn in rule_names]
-                         + [hist_atom("Rr", rn, i) for rn in rule_names])
-        if i < n - 1:
-            alphabets.append(s.sector_alphabets[i])
-    hw = Hardware(parts, alphabets, [4 * t + 3 for t in s.input_sectors])
-    rules = []
-    for r in s.rules:
-        rps = []
-        doms = []
-        for i in range(n):
-            rp = r.parts[i]
-            rps += [_tagged_rule(rp, "p", left=rp.left),
-                    _tagged_rule(rp, "l", right=Word.of((hl(r.name, i), -1))),
-                    _tagged_rule(rp, "r", left=Word.of(hr(r.name, i))),
-                    _tagged_rule(rp, "s", right=rp.right)]
-            doms.append(frozenset())
-            doms.append(hw.sector_alphabets[4 * i + 1])
-            doms.append(frozenset())
-            if i < n - 1:
-                doms.append(r.domains[i])
-        rules.append(SRule(r.name, rps, doms))
-    meta = {"kind": "padded", "source": s, "historical": sh, "blocks": n,
-            "base_rules": tuple(rule_names),
-            "central_sectors": tuple(4 * i + 1 for i in range(n)),
-            "pad_sectors": tuple(x for i in range(n) for x in (4 * i, 4 * i + 2)),
-            "working_sectors": tuple(4 * i + 3 for i in range(n - 1))}
-    return Machine(f"{s.name}.hp", hw, rules, meta)
+    return _blocked(s, "plrs", ("p", "", "r"), f"{s.name}.hp",
+                    {"kind": "padded", "source": s, "historical": sh})
 
 
 def compose(shp: Machine) -> Machine:
@@ -163,8 +155,6 @@ def compose(shp: Machine) -> Machine:
     n = shp.meta["blocks"]
     rule_names = shp.meta["base_rules"]
     N = shp.n_parts
-    n_sectors = shp.n_sectors
-    inputs = set(shp.input_sectors)
     centrals = shp.meta["central_sectors"]
 
     u = [atom(f"u{j}@1") for j in range(N)]
@@ -182,24 +172,15 @@ def compose(shp: Machine) -> Machine:
         parts.append(StatePart(p.name, letters, u[j], z[j]))
     hw = Hardware(parts, shp.sector_alphabets, shp.input_sectors)
 
-    left_al = [frozenset(hl(rn, i) for rn in rule_names) for i in range(n)]
-    right_al = [frozenset(hr(rn, i) for rn in rule_names) for i in range(n)]
-    lr_al = [frozenset(hist_atom("Lr", rn, i) for rn in rule_names)
-             for i in range(n)]
-    rp_al = [frozenset(hist_atom("Rp", rn, i) for rn in rule_names)
-             for i in range(n)]
+    def copies(kind, i):
+        return frozenset(hist_atom(kind, rn, i) for rn in rule_names)
 
-    def doms(assign):
-        out = []
-        for sec in range(n_sectors):
-            d = assign.get(sec, frozenset())
-            out.append(hw.sector_alphabets[sec] if d == "full" else d)
-        return out
-
-    def with_inputs(assign):
-        for sec in inputs:
-            assign.setdefault(sec, "full")
-        return assign
+    def doms(assign, inputs):
+        """Sector sec gets assign[sec], an input sector its whole alphabet
+        if inputs, every other sector is locked."""
+        return [assign.get(sec, alphabet if inputs and sec in hw.input_sectors
+                           else frozenset())
+                for sec, alphabet in enumerate(hw.sector_alphabets)]
 
     def plain(letters, writes=None):
         writes = writes or {}
@@ -209,28 +190,39 @@ def compose(shp: Machine) -> Machine:
     def switch(frm, to):
         return [RulePart(frm[j], to[j]) for j in range(N)]
 
+    def copier(tag, states, part, pad, central, connect, inputs):
+        """Stage tag: the parallel copier on part Q_ir (LR, through the
+        right pad) or Q_il (RL, through the left pad) of every block.  tau1
+        writes the central letter inverted and its pad copy upright on the
+        other side of the part, tau2 undoes that, and connect switches the
+        states once the central sector is empty."""
+        right = part == "r"
+        far = {c + (1 if right else -1): copies(pad, i)
+               for i, c in enumerate(centrals)}
+        dom = doms({**{c: copies(central, i) for i, c in enumerate(centrals)},
+                    **far}, inputs)
+        for rn in rule_names:
+            for t, sign in ((1, 1), (2, -1)):
+                writes = {}
+                for i, c in enumerate(centrals):
+                    ws = (Word.of((hist_atom(central, rn, i), -sign)),
+                          Word.of((hist_atom(pad, rn, i), sign)))
+                    writes[c + right] = ws if right else ws[::-1]
+                rules.append(SRule(f"tau{t}({rn})@{tag}",
+                                   plain(states[t - 1], writes), dom))
+        rules.append(SRule(f"{connect}@{tag}", switch(*states),
+                           doms(far, inputs)))
+
     rules = []
 
     # stage 1: append an L-copy letter to every historical sector.
-    dom1 = doms(with_inputs({centrals[i]: left_al[i] for i in range(n)}))
+    dom1 = doms({centrals[i]: copies("L", i) for i in range(n)}, True)
     for rn in rule_names:
         writes = {4 * i + 2: (Word.of(hl(rn, i)), EMPTY) for i in range(n)}
         rules.append(SRule(f"{rn}@1", plain(u, writes), dom1))
 
-    # stage 2: parallel LR on (Q_il, Q_ir, R_i); home is the central
-    # sector, far side is the right pad.
-    dom2 = doms(with_inputs(
-        {**{centrals[i]: left_al[i] for i in range(n)},
-         **{4 * i + 2: lr_al[i] for i in range(n)}}))
-    dom2_zeta = doms(with_inputs({4 * i + 2: lr_al[i] for i in range(n)}))
-    for rn in rule_names:
-        t1 = {4 * i + 2: (Word.of((hl(rn, i), -1)),
-                          Word.of(hist_atom("Lr", rn, i))) for i in range(n)}
-        t2 = {4 * i + 2: (Word.of(hl(rn, i)),
-                          Word.of((hist_atom("Lr", rn, i), -1))) for i in range(n)}
-        rules.append(SRule(f"tau1({rn})@2", plain(v1, t1), dom2))
-        rules.append(SRule(f"tau2({rn})@2", plain(v2, t2), dom2))
-    rules.append(SRule("zeta@2", switch(v1, v2), dom2_zeta))
+    # stage 2: parallel LR on (Q_il, Q_ir, R_i) through the right pads.
+    copier(2, (v1, v2), "r", "Lr", "L", "zeta", True)
 
     # stage 3: the padded machine verbatim.
     for r in shp.rules:
@@ -238,36 +230,24 @@ def compose(shp: Machine) -> Machine:
                for p in r.parts]
         rules.append(SRule(f"{r.name}@3", rps, r.domains))
 
-    # stage 4: parallel RL on (P_i, Q_il, Q_ir); home is the central
-    # sector, far side is the left pad.  Everything else, input included,
-    # is locked.
-    dom4 = doms({**{centrals[i]: right_al[i] for i in range(n)},
-                 **{4 * i: rp_al[i] for i in range(n)}})
-    dom4_xi = doms({4 * i: rp_al[i] for i in range(n)})
-    for rn in rule_names:
-        t1 = {4 * i + 1: (Word.of(hist_atom("Rp", rn, i)),
-                          Word.of((hr(rn, i), -1))) for i in range(n)}
-        t2 = {4 * i + 1: (Word.of((hist_atom("Rp", rn, i), -1)),
-                          Word.of(hr(rn, i))) for i in range(n)}
-        rules.append(SRule(f"tau1({rn})@4", plain(w1, t1), dom4))
-        rules.append(SRule(f"tau2({rn})@4", plain(w2, t2), dom4))
-    rules.append(SRule("xi@4", switch(w1, w2), dom4_xi))
+    # stage 4: parallel RL on (P_i, Q_il, Q_ir) through the left pads,
+    # with everything else, input included, locked.
+    copier(4, (w1, w2), "l", "Rp", "R", "xi", False)
 
     # stage 5: erase a leading R-copy letter from every historical sector.
-    dom5 = doms({centrals[i]: right_al[i] for i in range(n)})
+    dom5 = doms({centrals[i]: copies("R", i) for i in range(n)}, False)
     for rn in rule_names:
         writes = {4 * i + 1: (EMPTY, Word.of((hr(rn, i), -1))) for i in range(n)}
         rules.append(SRule(f"{rn}@5", plain(z, writes), dom5))
 
-    # transitions
+    # transitions: into and out of stage 2 with stage 1's domains, into
+    # and out of stage 4 with stage 5's.
     start3 = [tag3[p.start] for p in shp.parts]
     end3 = [tag3[p.end] for p in shp.parts]
-    dom_a = doms(with_inputs({centrals[i]: left_al[i] for i in range(n)}))
-    dom_b = doms({centrals[i]: right_al[i] for i in range(n)})
-    rules.append(SRule("sigma(12)", switch(u, v1), dom_a))
-    rules.append(SRule("sigma(23)", switch(v2, start3), dom_a))
-    rules.append(SRule("sigma(34)", switch(end3, w1), dom_b))
-    rules.append(SRule("sigma(45)", switch(w2, z), dom_b))
+    rules.append(SRule("sigma(12)", switch(u, v1), dom1))
+    rules.append(SRule("sigma(23)", switch(v2, start3), dom1))
+    rules.append(SRule("sigma(34)", switch(end3, w1), dom5))
+    rules.append(SRule("sigma(45)", switch(w2, z), dom5))
 
     meta = {"kind": "composed", "source": s, "padded": shp, "blocks": n,
             "base_rules": tuple(rule_names),
@@ -346,17 +326,9 @@ def accepting_computation_from_history(em: Machine, history: Word) -> Word:
             raise MachineError(f"{a.name!r} is not a rule of the source machine")
     h = history.letters
     steps = []
-    steps += [(atom(f"{a.name}@1"), e) for a, e in h]
-    steps.append((atom("sigma(12)"), 1))
-    steps += [(atom(f"tau1({a.name})@2"), e) for a, e in reversed(h)]
-    steps.append((atom("zeta@2"), 1))
-    steps += [(atom(f"tau2({a.name})@2"), e) for a, e in h]
-    steps.append((atom("sigma(23)"), 1))
-    steps += [(atom(f"{a.name}@3"), e) for a, e in h]
-    steps.append((atom("sigma(34)"), 1))
-    steps += [(atom(f"tau1({a.name})@4"), e) for a, e in h]
-    steps.append((atom("xi@4"), 1))
-    steps += [(atom(f"tau2({a.name})@4"), e) for a, e in reversed(h)]
-    steps.append((atom("sigma(45)"), 1))
-    steps += [(atom(f"{a.name}@5"), e) for a, e in h]
+    for k, w in enumerate([history, _copy_history(h[::-1], "zeta"), history,
+                           _copy_history(h, "xi"), history], 1):
+        if k > 1:
+            steps.append((atom(f"sigma({k - 1}{k})"), 1))
+        steps += [(atom(f"{a.name}@{k}"), e) for a, e in w.letters]
     return Word(steps)

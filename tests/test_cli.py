@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ import pytest
 
 from smforge import cli, group
 from smforge.cli import main
+from smforge.encode import GroupPresentation
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
 from smforge.serialize import load_machine, machine_dumps, save_machine
+from smforge.words import atoms
 
 from test_group import cyclic_emitter
 
@@ -88,6 +92,16 @@ class TestConstruction:
         doc = json.loads(out)
         assert doc["name"] == "encode.z2"
         assert len(doc["rules"]) == 11
+
+    def test_encode_generator_clash(self, capsys, tmp_path):
+        pres = tmp_path / "clash.json"
+        GroupPresentation(atoms(["x", "x~"]), []).save(pres)
+        code = main(["encode", str(pres)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: the bar 'x~' of generator 'x' is "
+                                "another letter\n")
 
     def test_pipeline_stages(self, capsys, tmp_path):
         lr = tmp_path / "lr.json"
@@ -439,6 +453,29 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert ((tmp_path / "c.json").read_bytes()
                 == (tmp_path / "m.json").read_bytes())
+
+    def test_parser_is_pinned(self):
+        # Every subcommand and argument as argparse holds it, in order.
+        # The --help layout varies across Python versions; this does not.
+        def record(a):
+            return [a.option_strings, a.dest, a.default, a.required,
+                    a.choices, a.nargs, a.metavar, a.help,
+                    getattr(a.type, "__name__", None), type(a).__name__]
+
+        ap = cli.build_parser()
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        doc = [[c.dest, c.help, [record(a) for a in sub.choices[c.dest]._actions]]
+               for c in sub._choices_actions]
+        text = json.dumps(doc)
+        assert [d[0] for d in doc] == [
+            "primitive", "encode", "historical", "pad", "enhance", "cyclic",
+            "run", "tm", "present", "trapezium", "conjugator"]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0b625c3072595281dbd383867e7ea6726dee0e592e509cbd758581b65d221683"
+        ), text
+        for name, parser in sub.choices.items():
+            assert parser.get_default("func") is getattr(cli, f"cmd_{name}")
 
     def test_internal_error_exits_4(self, capsys, monkeypatch, deleter_file):
         def boom(args):

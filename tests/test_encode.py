@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -173,6 +174,14 @@ class TestEncoderMachine:
         for bad in ("s", "f", "0", "1.2"):
             with pytest.raises(EncodeError, match="collides"):
                 presentation_to_machine(GroupPresentation([atom(bad)], []))
+
+    @pytest.mark.parametrize("other, message", [
+        ("x~", "the bar 'x~' of generator 'x' is another letter"),
+        ("x'", "the prime \"x'\" of generator 'x' is another letter")])
+    def test_generator_clashing_with_a_doubled_letter(self, other, message):
+        # x~ stands for x^-1 and x' is x's service-tape copy
+        with pytest.raises(EncodeError, match=re.escape(message)):
+            presentation_to_machine(GroupPresentation(atoms(["x", other]), []))
 
     def test_serializes(self):
         text = machine_dumps(self.m)

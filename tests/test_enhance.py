@@ -19,6 +19,8 @@ from smforge.machine import (
     input_configuration,
     run,
 )
+from smforge.primitive import (build_lr, build_rl, standard_lr_computation,
+                                standard_rl_computation)
 from smforge.search import reduced_computations
 from smforge.serialize import machine_dumps
 from smforge.words import EMPTY, Word, atom, free_reduce
@@ -32,6 +34,22 @@ def copy_word(history, which, block):
     """L- or R-copy of a history word in the historical alphabet."""
     f = hl if which == "L" else hr
     return Word([(f(a.name, block), e) for a, e in history.letters])
+
+
+def assert_stages_are_copiers(m, history, composed):
+    """The @2 and @4 slices of a composed history, untagged, are the
+    standard LR and RL histories of the source history over m's rules."""
+    names = [r.name for r in m.rules]
+
+    def stage(tag):
+        return Word([(atom(a.name.rsplit("@", 1)[0]), e)
+                     for a, e in composed.letters
+                     if a.name.endswith(f"@{tag}")]).tokens()
+
+    assert stage(2) == standard_lr_computation(build_lr(names),
+                                               history).tokens()
+    assert stage(4) == standard_rl_computation(build_rl(names),
+                                               history).tokens()
 
 
 class TestHistorical:
@@ -163,6 +181,7 @@ class TestComposed:
                            ("y y", "del del acc"), ("y^-1", "del^-1 acc")]:
             h = accepting_computation_from_history(em, W(hist))
             assert len(h) == 7 * len(W(hist)) + 6
+            assert_stages_are_copiers(m, W(hist), h)
             comp = run(em, input_configuration(em, W(text)), h)
             assert comp.end == accept_configuration(em)
 
@@ -203,6 +222,7 @@ class TestComposed:
         em = build_enhanced_standard(m)
         # mul prepends, so b a is erased from the front: b^-1, then a^-1.
         h = accepting_computation_from_history(em, W("mul(b)^-1 mul(a)^-1"))
+        assert_stages_are_copiers(m, W("mul(b)^-1 mul(a)^-1"), h)
         comp = run(em, input_configuration(em, W("b a")), h)
         assert comp.end == accept_configuration(em)
 
