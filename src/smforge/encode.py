@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, make_rule)
-from smforge.search import BOUNDED, FOUND
+from smforge.search import BOUNDED, FOUND, shortest
 from smforge.serialize import (SCHEMA_VERSION, dumps_canonical, read_json,
                                schema_violation)
 from smforge.words import (EMPTY, Atom, InvariantError, SmforgeError, Word,
@@ -391,7 +391,9 @@ def abelianized_trivial(p: GroupPresentation, w: Word) -> bool:
 class AreaResult:
     """Outcome of the insertion search: ``found`` carries the cell count
     and the insertion path; ``impossible`` is an abelianized refutation;
-    ``bound-limited`` is a shrug."""
+    ``bound-limited`` is a shrug.  explored counts insertion attempts,
+    rejected ones included, while ReachResult.explored counts visited
+    configurations."""
 
     __slots__ = ("status", "area", "steps", "words", "explored")
 
@@ -415,58 +417,37 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
                 moves: str = "symmetrized") -> AreaResult:
     """Least number of relator insertions taking w to the empty word.
 
-    Breadth-first from w: insert one relator (the symmetrized closure,
-    or just the stored ones) at any position, reduce, repeat.  The
-    insertions are reduced, and so is every word visited, so each product
-    is spliced at its two junctions.  All three
-    outcomes are sound; only ``found`` and ``impossible`` are
-    conclusive."""
+    Breadth-first from w on search.shortest: insert one relator (the
+    symmetrized closure, or just the stored ones) at any position and
+    reduce, splicing at the two junctions.  Words longer than w plus two
+    relators are skipped, so running out of words certifies nothing: only
+    ``found`` and ``impossible`` are conclusive, and all three are sound."""
+    if moves not in ("symmetrized", "stored"):
+        raise EncodeError(f"unknown move set {moves!r}")
     w = free_reduce(w)
-    if not w:
-        return AreaResult(FOUND, 0, (), (w,))
     if not abelianized_trivial(p, w):
         return AreaResult(IMPOSSIBLE)
-    if moves == "symmetrized":
-        ins = sorted(p.symmetrized(), key=lambda v: v.sort_key())
-    elif moves == "stored":
-        ins = list(stored_relators(p))
-    else:
-        raise EncodeError(f"unknown move set {moves!r}")
+    ins = (stored_relators(p) if moves == "stored"
+           else sorted(p.symmetrized(), key=lambda v: v.sort_key()))
     max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
-
-    # parent map: key -> (parent key, inserted word, position, word)
-    info = {w.key(): (None, None, None, w)}
-    frontier = [w]
     explored = 0
-    for depth in range(1, max_area + 1):
-        new = []
-        for u in frontier:
-            for s in ins:
-                # right-to-left: end-of-word insertions realize cheapest
-                for pos in range(len(u), -1, -1):
-                    v = Word._of(splice(u.letters[:pos], s.letters,
-                                        u.letters[pos:])[0])
-                    explored += 1
-                    if len(v) > max_len or v.key() in info:
-                        continue
-                    info[v.key()] = (u.key(), s, pos, v)
-                    if not v:
-                        steps, words = [], [v]
-                        k = v.key()
-                        while info[k][0] is not None:
-                            parent, s_, p_, w_ = info[k]
-                            steps.append((s_, p_))
-                            words.append(info[parent][3])
-                            k = parent
-                        steps.reverse()
-                        words.reverse()
-                        return AreaResult(FOUND, depth, steps, words,
-                                          explored)
-                    new.append(v)
-        frontier = new
-        if not frontier:
-            break
-    return AreaResult(BOUNDED, explored=explored)
+
+    def insertions(u):
+        nonlocal explored
+        for s in ins:
+            # right-to-left: end-of-word insertions realize cheapest
+            for pos in range(len(u), -1, -1):
+                v = Word._of(splice(u.letters[:pos], s.letters,
+                                    u.letters[pos:])[0])
+                explored += 1
+                if len(v) <= max_len:
+                    yield (s, pos), v, v
+
+    status, path, depth, _ = shortest(insertions, w, EMPTY.key(), max_area)
+    if status != FOUND:
+        return AreaResult(BOUNDED, explored=explored)
+    return AreaResult(FOUND, depth, (a for a, _ in path),
+                      (w,) + tuple(v for _, v in path), explored)
 
 
 # -- canonical computations ------------------------------------------------

@@ -2,24 +2,21 @@
 
 Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
-the opposite signs.  Every search here expands configurations through
-one generator, successors, and the breadth-first ones through its layer
-step, _layer.  Those two, on the machine's compiled rules, hold the
-determinism contract: rules are tried in (name, sign) order and frontiers
-kept in insertion order, so the witness history found for a given query
-never changes between runs.
+the opposite signs.  Configurations are expanded by one generator,
+successors.  Every breadth-first search, over configurations here and
+over words in encode.area_oracle, runs on one layer step, _layer, and one
+parent walk, _path; the one-sided ones on one driver, shortest.  Those
+and successors hold the determinism contract: rules are tried in (name,
+sign) order and frontiers kept in insertion order, so the witness history
+found for a given query never changes between runs.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator, Optional
 
-from smforge.machine import (
-    AdmissibleWord,
-    Machine,
-    SRule,
-    accept_configuration,
-    input_configuration,
-)
+from smforge.machine import (AdmissibleWord, Machine, MachineError, SRule,
+                             accept_configuration, input_configuration)
 from smforge.words import EMPTY, Word, atom, reduced_words
 
 FOUND = "found"
@@ -52,13 +49,17 @@ class ReachResult:
         return f"ReachResult({self.status}, explored={self.explored})"
 
 
-def _history_from_parents(parents, key) -> Word:
+def _path(parents, key) -> list:
+    """The (a, b) labels of the recorded edges from the root to key."""
     steps = []
     while parents[key] is not None:
-        pkey, rule, sign = parents[key]
-        steps.append((atom(rule.name), sign))
-        key = pkey
-    return Word(reversed(steps))
+        key, a, b = parents[key]
+        steps.append((a, b))
+    return steps[::-1]
+
+
+def _history(path) -> Word:
+    return Word([(atom(rule.name), sign) for rule, sign in path])
 
 
 def successors(m: Machine, config: AdmissibleWord, skip=None
@@ -74,55 +75,67 @@ def successors(m: Machine, config: AdmissibleWord, skip=None
             yield entry.rule, entry.sign, res
 
 
-def _layer(m: Machine, frontier, parents, stop=None
-           ) -> Iterator[tuple[tuple, AdmissibleWord]]:
-    """One breadth-first layer: (key, config) for every configuration
-    first reached from frontier, in discovery order, its parent recorded;
-    cut short once parents holds stop entries."""
+def _layer(expand, frontier, parents, stop=None) -> Iterator[tuple]:
+    """One breadth-first layer: (key, child) for every node first reached
+    from frontier, in discovery order; cut short once parents holds stop
+    entries.  expand(node) yields (a, b, child), recorded as parents[child
+    key] = (node key, a, b): (rule, sign) for a configuration, ((relator,
+    position), word) for an area word."""
     for c in frontier:
         ckey = c.key()
-        for rule, sign, res in successors(m, c):
+        for a, b, res in expand(c):
             k = res.key()
             if k not in parents:
-                parents[k] = (ckey, rule, sign)
+                parents[k] = (ckey, a, b)
                 yield k, res
                 if stop is not None and len(parents) >= stop:
                     return
+
+
+def shortest(expand, start, tkey, max_steps: int,
+             max_nodes: Optional[int] = None) -> tuple:
+    """Breadth-first search from start for the node keyed tkey, as
+    (status, path, depth, visited) with the _path labels of a shortest
+    route.  UNREACHABLE means the frontier ran dry within max_steps;
+    BOUNDED, that max_steps went by or max_nodes nodes were visited."""
+    if start.key() == tkey:
+        return FOUND, [], 0, 1
+    parents = {start.key(): None}
+    frontier = [start]
+    for depth in range(1, max_steps + 1):
+        nxt = []
+        for k, res in _layer(expand, frontier, parents, max_nodes):
+            if k == tkey:
+                return FOUND, _path(parents, k), depth, len(parents)
+            nxt.append(res)
+        if not nxt:
+            return UNREACHABLE, None, None, len(parents)
+        if max_nodes is not None and len(parents) >= max_nodes:
+            break
+        frontier = nxt
+    return BOUNDED, None, None, len(parents)
 
 
 def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
               max_steps: int, max_nodes: Optional[int] = None) -> ReachResult:
     """Breadth-first search from start; shortest history to target.  It
     gives up, BOUNDED, after visiting max_nodes configurations."""
-    if start == target:
-        return ReachResult(FOUND, EMPTY, 0, 1)
-    tkey = target.key()
-    parents = {start.key(): None}
-    frontier = [start]
-    for depth in range(1, max_steps + 1):
-        nxt = []
-        for k, res in _layer(m, frontier, parents, max_nodes):
-            if k == tkey:
-                return ReachResult(FOUND, _history_from_parents(parents, k),
-                                   depth, len(parents))
-            nxt.append(res)
-        if not nxt:
-            return ReachResult(UNREACHABLE, explored=len(parents))
-        if max_nodes is not None and len(parents) >= max_nodes:
-            break
-        frontier = nxt
-    return ReachResult(BOUNDED, explored=len(parents))
+    status, path, depth, explored = shortest(
+        partial(successors, m), start, target.key(), max_steps, max_nodes)
+    history = None if path is None else _history(path)
+    return ReachResult(status, history, depth, explored)
 
 
 def reachable_configs(m: Machine, start: AdmissibleWord,
                       max_steps: int) -> tuple[dict[AdmissibleWord, int], bool]:
     """All configurations within max_steps of start, with their distances.
     The flag reports whether the whole component was exhausted."""
+    expand = partial(successors, m)
     parents = {start.key(): None}
     dist = {start: 0}
     frontier = [start]
     for depth in range(1, max_steps + 1):
-        frontier = [res for _, res in _layer(m, frontier, parents)]
+        frontier = [res for _, res in _layer(expand, frontier, parents)]
         if not frontier:
             return dist, True
         dist.update(dict.fromkeys(frontier, depth))
@@ -139,6 +152,7 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     if start == target:
         return ReachResult(FOUND, EMPTY, 0, 1)
     # Index 0 searches forward from start, index 1 backward from target.
+    expand = partial(successors, m)
     parents = ({start.key(): None}, {target.key(): None})
     frontiers = [[start], [target]]
     depths = [0, 0]
@@ -150,7 +164,7 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
         if stop is not None and len(parents[side]) >= stop:
             break
         nxt = []
-        for k, res in _layer(m, frontiers[side], parents[side], stop):
+        for k, res in _layer(expand, frontiers[side], parents[side], stop):
             nxt.append(res)
             # A meet in this layer has length sum(depths) + 1: k cannot be
             # shallower on the other side, or its parent here would have
@@ -163,8 +177,8 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     if meet is not None:
         # the backward half leads target -> meet; invert it to continue
         # meet -> target.
-        history = (_history_from_parents(parents[0], meet)
-                   * _history_from_parents(parents[1], meet).inverse())
+        history = (_history(_path(parents[0], meet))
+                   * _history(_path(parents[1], meet)).inverse())
         return ReachResult(FOUND, history, sum(depths), explored)
     if not all(frontiers):
         return ReachResult(UNREACHABLE, explored=explored)
@@ -179,6 +193,8 @@ def tm_of_config(m: Machine, config: AdmissibleWord, bound: int,
                  ) -> ReachResult:
     """Length of a shortest computation from config to the accept
     configuration."""
+    if method not in ("bfs", "meet"):
+        raise MachineError(f"unknown search method {method!r}")
     search = meet_reach if method == "meet" else bfs_reach
     return search(m, config, accept_configuration(m), bound, max_nodes)
 

@@ -288,6 +288,20 @@ class TestAreaOracle:
         b = area_oracle(p, W("x x x x"), 3)
         assert a.steps == b.steps and a.words == b.words
 
+    def test_unknown_move_set_is_rejected_on_every_path(self):
+        # the empty word and an abelianized refutation return early
+        for text in ("ε", "x", "x x"):
+            with pytest.raises(EncodeError, match="unknown move set 'bogus'"):
+                area_oracle(z2_presentation(), W(text), 2, moves="bogus")
+
+    def test_exhausted_capped_search_stays_bounded(self):
+        # the length cap makes the search space finite, so running out of
+        # words certifies nothing
+        w = W("x y x^-1 y^-1")
+        for rels, explored in (([W("x x")], 912), ([], 0)):
+            res = area_oracle(GroupPresentation(atoms(["x", "y"]), rels), w, 60)
+            assert (res.status, res.explored) == (BOUNDED, explored)
+
 
 def _trivial_words(p, seed, count):
     """Seeded products of one or two conjugates g r^±1 g^-1 of relators,
@@ -325,6 +339,27 @@ def test_area_results_are_pinned():
         h.update(emulation_history(m, W(text), max_area=3).tokens().encode())
     assert h.hexdigest() == ("15fe203e71a188fdedc5b01bf180f371"
                              "31a75efd472d14315f6d62f082b7d1a1")
+
+
+def test_wide_area_digest_is_pinned():
+    """1,024 answers of the area oracle, over both move sets and max_area
+    1 and 2 (a mix of found and bound-limited), hash to the digest they
+    had when the oracle ran its own layer loop."""
+    h = hashlib.sha256()
+    statuses = set()
+    for seed, p in enumerate((z2_presentation(), commutator_presentation())):
+        for w in _trivial_words(p, 100 + seed, 128):
+            for moves in ("symmetrized", "stored"):
+                for max_area in (1, 2):
+                    res = area_oracle(p, w, max_area, moves=moves)
+                    statuses.add(res.status)
+                    h.update(repr((res.status, res.area,
+                                   [(s.tokens(), pos) for s, pos in res.steps],
+                                   [v.tokens() for v in res.words],
+                                   res.explored)).encode())
+    assert statuses == {FOUND, BOUNDED}
+    assert h.hexdigest() == ("0e1fba578e13ae21c257e3c66f5e86da"
+                             "6129e6ecfca4b6d100ff1be9b7823328")
 
 
 class TestEmulation:

@@ -12,6 +12,7 @@ from smforge.fixtures import (
 from smforge.machine import (
     Hardware,
     Machine,
+    MachineError,
     StatePart,
     accept_configuration,
     input_configuration,
@@ -243,6 +244,15 @@ class TestInputsAndTimeFunction:
         m = toy_deleter()
         tf = time_function(m, 3, 2)
         assert not tf.complete[3]
+
+    def test_unknown_method_is_rejected(self):
+        m = toy_deleter()
+        for method in ("dfs", "Meet"):
+            with pytest.raises(MachineError,
+                               match=f"unknown search method '{method}'"):
+                accepts(m, W("y y"), 3, method=method)
+        with pytest.raises(MachineError, match="unknown search method 'typo'"):
+            time_function(m, 1, 3, method="typo")
 
 
 class TestReducedComputations:
