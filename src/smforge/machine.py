@@ -21,8 +21,12 @@ exactly what makes a rule and its formal inverse undo each other on
 every admissible word).
 
 All application runs through one kernel, ``Machine._step``, on signed rules
-compiled once per machine and indexed by state letter.  A rule keeps the base,
-so the gap sectors too: its results skip validation, words from users do not.
+compiled once per machine and indexed by state letter.  Each signed rule
+compiles one row per tuple of state letters it meets, on first use: the new
+state letters, the writes of each gap and the gaps whose domain it must check,
+or why those letters do not match.  A gap with nothing written keeps its tape
+as it is.  A rule keeps the base, so the gap sectors too: its results skip
+validation, words from users do not.
 """
 from __future__ import annotations
 
@@ -289,12 +293,15 @@ class AdmissibleWord:
         """Part indices with signs, one per state letter."""
         return tuple((self.hw.part_of[a], e) for a, e in self.states)
 
-    def to_word(self) -> Word:
+    def _letters(self) -> list:
         letters = [self.states[0]]
         for w, q in zip(self.tapes, self.states[1:]):
-            letters.extend(w.letters)
+            letters += w.letters
             letters.append(q)
-        return Word._of(tuple(letters))
+        return letters
+
+    def to_word(self) -> Word:
+        return Word._of(tuple(self._letters()))
 
     def tokens(self) -> str:
         return self.to_word().tokens()
@@ -305,7 +312,7 @@ class AdmissibleWord:
     def key(self):
         k = self._key
         if k is None:
-            k = self.to_word().key()
+            k = tuple([a.id * e for a, e in self._letters()])
             object.__setattr__(self, "_key", k)
         return k
 
@@ -392,13 +399,14 @@ class _SignedRule:
     """rule^sign compiled: emit[q, e] = (pre, letter, post), in letter tuples,
     is what q^e becomes if its part must carry q; None marks a full domain.
     The emissions are stored reduced, so that writing them onto a reduced
-    tape cancels at the junctions only."""
+    tape cancels at the junctions only.  rows maps a tuple of state letters
+    to its row, compiled by row() on first use."""
 
-    __slots__ = ("rule", "sign", "emit", "domains")
+    __slots__ = ("rule", "sign", "emit", "domains", "rows")
 
     def __init__(self, hw: Hardware, rule: SRule, sign: int):
         r = rule if sign > 0 else invert_rule(rule)
-        self.rule, self.sign, self.emit = rule, sign, {}
+        self.rule, self.sign, self.emit, self.rows = rule, sign, {}, {}
         for p in r.parts:
             for e, pre, post in ((1, p.left, p.right),
                                  (-1, p.right.inverse(), p.left.inverse())):
@@ -406,6 +414,25 @@ class _SignedRule:
                                        free_reduce(post).letters)
         self.domains = tuple(None if d == hw.sector_alphabets[s] else d
                              for s, d in enumerate(r.domains))
+
+    def row(self, aw: AdmissibleWord):
+        """What the rule does to any word with aw's state letters: why they
+        do not match, or (new state letters, the (pre, post) writes of each
+        gap, None where both are empty, and (gap, domain) for each gap whose
+        domain is not the whole sector alphabet)."""
+        trip = []
+        for q in aw.states:
+            out = self.emit.get(q)
+            if out is None:
+                return (f"state letter {q[0].name!r} does not match "
+                        f"rule {self.rule.name!r}")
+            trip.append(out)
+        writes = tuple([(a[2], b[0]) if a[2] or b[0] else None
+                        for a, b in zip(trip, trip[1:])])
+        checks = tuple([(j, self.domains[s])
+                        for j, s in enumerate(aw.gap_sectors)
+                        if self.domains[s] is not None])
+        return tuple([t[1] for t in trip]), writes, checks
 
 
 class Machine:
@@ -471,29 +498,31 @@ class Machine:
                          for a in self.hw.part_of}
 
     def _entry(self, rule: SRule, sign: int) -> _SignedRule:
+        if sign not in (1, -1):
+            raise MachineError(f"rule {rule.name!r}: bad sign {sign!r}")
         return self._table[0].get((rule, sign)) or _SignedRule(self.hw, rule, sign)
 
     def _step(self, entry: _SignedRule, aw: AdmissibleWord):
         """The application kernel: (result, None), or (None, why it fails)."""
         if aw.hw is not self.hw:
             aw = AdmissibleWord(self.hw, aw.states, aw.tapes)
-        trip = []
-        for q in aw.states:
-            out = entry.emit.get(q)
-            if out is None:
-                return None, (f"state letter {q[0].name!r} does not match "
-                              f"rule {entry.rule.name!r}")
-            trip.append(out)
-        for j, s in enumerate(aw.gap_sectors):
-            dom = entry.domains[s]
-            for a, _ in (aw.tapes[j].letters if dom is not None else ()):
+        row = entry.rows.get(aw.states)
+        if row is None:
+            row = entry.rows[aw.states] = entry.row(aw)
+        if type(row) is str:
+            return None, row
+        states, writes, checks = row
+        tapes = aw.tapes
+        for j, dom in checks:
+            for a, _ in tapes[j].letters:
                 if a not in dom:
                     return None, (f"letter {a.name!r} in gap {j} outside "
                                   f"the domain of rule {entry.rule.name!r}")
-        tapes = tuple([Word._of(splice(trip[j][2], w.letters, trip[j + 1][0])[0])
-                       for j, w in enumerate(aw.tapes)])
+        tapes = tuple([w if wr is None
+                       else Word._of(splice(wr[0], w.letters, wr[1])[0])
+                       for w, wr in zip(tapes, writes)])
         res = object.__new__(AdmissibleWord)
-        res._fill(aw.hw, tuple([t[1] for t in trip]), tapes, aw.gap_sectors)
+        res._fill(aw.hw, states, tapes, aw.gap_sectors)
         return res, None
 
     def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:

@@ -213,9 +213,14 @@ def splice(left: tuple, mid: tuple, right: tuple) -> tuple[tuple, int, int]:
     """The reduced product of three reduced letter tuples, with the number
     of letters cancelled at the left junction (left against mid) and then
     at the right one (what is left of left.mid against right).  Only the
-    junctions are scanned, so every piece must already be reduced."""
+    junctions are scanned, so every piece must already be reduced; an empty
+    piece is skipped without a scan or a copy."""
     depths = []
     for nxt in (mid, right):
+        if not (left and nxt):
+            left = left or nxt
+            depths.append(0)
+            continue
         k, n = 0, min(len(left), len(nxt))
         while k < n:
             (a, s), (b, t) = left[-1 - k], nxt[k]

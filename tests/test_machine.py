@@ -387,3 +387,57 @@ class TestSignedRules:
         m = toy_deleter()
         assert [(r.name, s) for r, s in m.signed_rules()] == [
             ("acc", 1), ("acc", -1), ("del", 1), ("del", -1)]
+
+
+class TestSigns:
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_outside_plus_minus_one_is_refused(self, sign):
+        m = toy_deleter()
+        c = input_configuration(m, W("y"))
+        rule = m.rule("del")
+        for call in (lambda: m.apply_ex(c, rule, sign),
+                     lambda: m.try_apply(c, rule, sign),
+                     lambda: run(m, c, [("del", sign)]),
+                     lambda: run(m, c, [("del", sign)], strict=False)):
+            with pytest.raises(MachineError, match="bad sign"):
+                call()
+
+
+class TestCompiledRows:
+    """Each signed rule compiles one row per tuple of state letters, on the
+    first word with those letters; later words reuse it."""
+
+    @pytest.mark.parametrize("start, rule", [
+        ("q0f q1f", "del"),          # state letters do not match
+        ("q0s y q1s", "acc"),        # locked sector
+    ], ids=["state", "domain"])
+    def test_reason_is_the_same_on_a_hit(self, start, rule):
+        m = toy_deleter()
+        c = parse_admissible(m.hw, start)
+        rows = m._entry(m.rule(rule), 1).rows
+        assert c.states not in rows
+        first = m.apply_ex(c, m.rule(rule))
+        assert c.states in rows
+        again = m.apply_ex(parse_admissible(m.hw, start), m.rule(rule))
+        assert not first.ok and not again.ok
+        assert again.reason == first.reason
+
+    def test_rows_are_shared_by_words_with_the_same_letters(self):
+        m = two_sided_multiplier()
+        results = [m.apply(input_configuration(m, W(text)), m.rule("lmul(a)"))
+                   for text in ("a", "b a", "a^-1")]
+        assert [r.tokens() for r in results] == ["Q0 a a Q1", "Q0 a b a Q1",
+                                                 "Q0 Q1"]
+        assert results[0].states is results[1].states is results[2].states
+
+    def test_word_on_foreign_hardware_applies(self):
+        m, other = toy_deleter(), toy_deleter()
+        assert m.hw is not other.hw
+        c = input_configuration(other, W("y y"))
+        for rule, sign in m.signed_rules():
+            out = m.apply_ex(c, rule, sign)
+            want = m.apply_ex(parse_admissible(m.hw, c.to_word()), rule, sign)
+            assert (out.ok, out.reason) == (want.ok, want.reason)
+            if out.ok:
+                assert out.result.hw is m.hw
+                assert out.result == want.result

@@ -5,8 +5,10 @@ three rules with writes of length at most one inside the domains), so
 every search below finishes in milliseconds.  Examples are derandomized
 to keep the suite deterministic.  The rule-application kernel is also
 checked against a reference that applies each rule afresh, on these
-machines and on the fixtures.
+machines and on the fixtures, and the keys of admissible words of the
+fixtures against the keys of their flat words.
 """
+import functools
 import itertools
 
 import pytest
@@ -244,3 +246,46 @@ def test_node_budget_never_changes_an_answer(case, budget):
         assert cut.explored <= budget
         if cut.status != BOUNDED:
             assert (cut.status, cut.history) == (free.status, free.history)
+
+
+@functools.cache
+def _fixture_machines():
+    return [toy_deleter(), paired_multiplier(), two_sided_multiplier(),
+            _unreduced_writer(),
+            make_cyclic(build_enhanced_standard(toy_deleter())),
+            presentation_to_machine(z2_presentation())]
+
+
+@st.composite
+def fixture_words(draw):
+    """A fixture machine and an admissible word of it on any base the
+    shapes allow, state letters of both signs, tapes of up to 3 letters."""
+    m = draw(st.sampled_from(_fixture_machines()))
+    signed = [(a, e) for a in m.hw.part_of for e in (1, -1)]
+    states, tapes = [draw(st.sampled_from(signed))], []
+    for _ in range(draw(st.integers(0, 4))):
+        steps = []
+        for q in signed:
+            try:
+                pair = AdmissibleWord(m.hw, [states[-1], q], [EMPTY])
+            except MachineError:
+                continue
+            alphabet = m.hw.sector_alphabets[pair.gap_sectors[0]]
+            steps.append((q, sorted(alphabet, key=lambda a: a.name)))
+        if not steps:
+            break
+        q, alphabet = draw(st.sampled_from(steps))
+        letters = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+        tapes.append(Word(draw(st.lists(letters, max_size=3)) if alphabet
+                          else ()))
+        states.append(q)
+    return m, AdmissibleWord(m.hw, states, tapes)
+
+
+@PROPERTY
+@given(fixture_words())
+def test_key_is_the_key_of_the_flat_word(case):
+    m, aw = case
+    for c in [aw] + [res for _, _, res in successors(m, aw)]:
+        assert c.key() == c.to_word().key()
+        assert c.key() == parse_admissible(m.hw, c.to_word()).key()

@@ -138,17 +138,27 @@ def _reduced_triples(draw):
                  for u in (a * b, b.inverse() * c, c.inverse() * d))
 
 
+def _check_splice(left, mid, right):
+    product, dl, dr = splice(left, mid, right)
+    assert product == free_reduce(Word(left + mid + right)).letters
+    # Each depth is half the letters lost at its junction.
+    inner = free_reduce(Word(left + mid)).letters
+    assert 2 * dl == len(left) + len(mid) - len(inner)
+    assert 2 * dr == len(inner) + len(right) - len(product)
+
+
 class TestSplice:
     @PROPERTY
     @given(_reduced_triples())
     def test_agrees_with_free_reduce(self, triple):
-        left, mid, right = triple
-        product, dl, dr = splice(left, mid, right)
-        assert product == free_reduce(Word(left + mid + right)).letters
-        # Each depth is half the letters lost at its junction.
-        inner = free_reduce(Word(left + mid)).letters
-        assert 2 * dl == len(left) + len(mid) - len(inner)
-        assert 2 * dr == len(inner) + len(right) - len(product)
+        _check_splice(*triple)
+
+    @PROPERTY
+    @given(_reduced_triples(),
+           st.sampled_from([{0}, {2}, {0, 2}, {1}, {0, 1, 2}]))
+    def test_empty_pieces(self, triple, empty):
+        # an empty piece is skipped without a scan: left, right or both
+        _check_splice(*(() if i in empty else p for i, p in enumerate(triple)))
 
     def test_mid_cancels_and_left_meets_right(self):
         assert splice(W("x y").letters, W("y^-1").letters,
