@@ -120,7 +120,7 @@ def cmd_tm(args) -> int:
     if (args.max_n is None) == (args.input is None and args.start is None):
         raise MachineError("pass either an input to decide or --max-n for "
                            "the time function table")
-    if args.max_nodes is not None and args.max_nodes < 1:
+    if args.max_nodes < 1:
         raise MachineError("--max-nodes must be positive")
     if args.bound < 0 or (args.max_n or 0) < 0:
         raise MachineError("--bound and --max-n must not be negative")
@@ -252,7 +252,9 @@ _COMMANDS = [
              help="tabulate TM(n) for n up to this instead"),
         _arg("--method", choices=["bfs", "meet"], default="bfs"),
         _arg("--max-nodes", type=int, dest="max_nodes", metavar="N",
-             help="stop bound-limited after visiting N configurations")]),
+             default=200_000,
+             help="stop a search bound-limited after visiting N "
+                  "configurations (default 200000)")]),
     ("present", "presentation of the group M(S)", [
         _MACHINE,
         _arg("--strict", action="store_true", help="drop the part-0 relations")]),

@@ -20,13 +20,13 @@ write words are themselves required to lie in the domains, which is
 exactly what makes a rule and its formal inverse undo each other on
 every admissible word).
 
-All application runs through one kernel, ``Machine._step``, on signed rules
-compiled once per machine and indexed by state letter.  Each signed rule
-compiles one row per tuple of state letters it meets, on first use: the new
-state letters, the writes of each gap and the gaps whose domain it must check,
-or why those letters do not match.  A gap with nothing written keeps its tape
-as it is.  A rule keeps the base, so the gap sectors too: its results skip
-validation, words from users do not.
+All application runs one kernel body, ``_SignedRule.apply``, on signed rules
+compiled once per machine.  Each signed rule compiles one row per tuple of
+state letters it meets, on first use: the new state letters, the writes of
+each gap and the gaps whose domain it must check, or why those letters do not
+match.  The machine lists the moves of each tuple: the rows that match.  A gap
+with nothing written keeps its tape as it is.  A rule keeps the base, so the
+gap sectors too: its results skip validation, words from users do not.
 """
 from __future__ import annotations
 
@@ -279,11 +279,11 @@ class AdmissibleWord:
     def _fill(self, hw, states, tapes, gap_sectors):
         """Set the slots unchecked: after validation, or for a rule's result,
         which keeps the base, so the gap sectors, of the word it rewrote."""
-        object.__setattr__(self, "hw", hw)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "tapes", tapes)
-        object.__setattr__(self, "gap_sectors", gap_sectors)
-        object.__setattr__(self, "_key", None)
+        _set_hw(self, hw)
+        _set_states(self, states)
+        _set_tapes(self, tapes)
+        _set_gaps(self, gap_sectors)
+        _set_key(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("AdmissibleWord is immutable")
@@ -313,7 +313,7 @@ class AdmissibleWord:
         k = self._key
         if k is None:
             k = tuple([a.id * e for a, e in self._letters()])
-            object.__setattr__(self, "_key", k)
+            _set_key(self, k)
         return k
 
     def __eq__(self, other):
@@ -328,6 +328,12 @@ class AdmissibleWord:
 
     def is_circular(self) -> bool:
         return len(self.states) > 1 and self.states[0] == self.states[-1]
+
+
+# The slots' own setters write past the immutability guard.
+_set_hw, _set_states, _set_tapes, _set_gaps, _set_key = (
+    AdmissibleWord.__dict__[name].__set__ for name in AdmissibleWord.__slots__)
+_new, _of = object.__new__, Word._of
 
 
 def _gap_sector(hw: Hardware, left, right, j: int) -> int:
@@ -434,6 +440,23 @@ class _SignedRule:
                         if self.domains[s] is not None])
         return tuple([t[1] for t in trip]), writes, checks
 
+    def apply(self, row, aw: AdmissibleWord):
+        """The kernel body: row's result on aw, or why a domain refuses aw."""
+        states, writes, checks = row
+        tapes = aw.tapes
+        for j, dom in checks:
+            for a, _ in tapes[j].letters:
+                if a not in dom:
+                    return (f"letter {a.name!r} in gap {j} outside "
+                            f"the domain of rule {self.rule.name!r}")
+        res = _new(AdmissibleWord)
+        res._fill(aw.hw, states,
+                  tuple([w if wr is None
+                         else _of(splice(wr[0], w.letters, wr[1])[0])
+                         for w, wr in zip(tapes, writes)]),
+                  aw.gap_sectors)
+        return res
+
 
 class Machine:
     """Hardware plus a set of named rules (and a free-form meta dict)."""
@@ -492,38 +515,34 @@ class Machine:
 
     @cached_property
     def _table(self):
-        """(rule, sign) -> _SignedRule, and state letter -> candidates in order."""
-        entries = {rs: _SignedRule(self.hw, *rs) for rs in self._signed_rules}
-        return entries, {a: [e for e in entries.values() if (a, 1) in e.emit]
-                         for a in self.hw.part_of}
+        """(rule, sign) -> _SignedRule, and a tuple of state letters -> its
+        moves, filled by _moves on first use."""
+        return {rs: _SignedRule(self.hw, *rs) for rs in self._signed_rules}, {}
 
     def _entry(self, rule: SRule, sign: int) -> _SignedRule:
         if sign not in (1, -1):
             raise MachineError(f"rule {rule.name!r}: bad sign {sign!r}")
         return self._table[0].get((rule, sign)) or _SignedRule(self.hw, rule, sign)
 
+    def _moves(self, aw: AdmissibleWord) -> list:
+        """The (entry, row) pairs whose rows match aw's state letters, in
+        (name, sign) order, compiled once per tuple; aw is on self.hw."""
+        entries, moves = self._table
+        out = moves.get(aw.states)
+        if out is None:
+            out = moves[aw.states] = [(e, row) for e in entries.values()
+                                      if type(row := e.row(aw)) is not str]
+        return out
+
     def _step(self, entry: _SignedRule, aw: AdmissibleWord):
-        """The application kernel: (result, None), or (None, why it fails)."""
+        """One signed rule on aw: (result, None), or (None, why it fails)."""
         if aw.hw is not self.hw:
             aw = AdmissibleWord(self.hw, aw.states, aw.tapes)
         row = entry.rows.get(aw.states)
         if row is None:
             row = entry.rows[aw.states] = entry.row(aw)
-        if type(row) is str:
-            return None, row
-        states, writes, checks = row
-        tapes = aw.tapes
-        for j, dom in checks:
-            for a, _ in tapes[j].letters:
-                if a not in dom:
-                    return None, (f"letter {a.name!r} in gap {j} outside "
-                                  f"the domain of rule {entry.rule.name!r}")
-        tapes = tuple([w if wr is None
-                       else Word._of(splice(wr[0], w.letters, wr[1])[0])
-                       for w, wr in zip(tapes, writes)])
-        res = object.__new__(AdmissibleWord)
-        res._fill(aw.hw, states, tapes, aw.gap_sectors)
-        return res, None
+        res = row if type(row) is str else entry.apply(row, aw)
+        return (None, res) if type(res) is str else (res, None)
 
     def apply_ex(self, aw: AdmissibleWord, rule: SRule, sign: int = 1) -> ApplyOutcome:
         result, reason = self._step(self._entry(rule, sign), aw)

@@ -2,13 +2,14 @@
 
 Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
-the opposite signs.  Configurations are expanded by one generator,
-successors.  Every breadth-first search, over configurations here and
-over words in encode.area_oracle, runs on one layer step, _layer, and one
-parent walk, _path; the one-sided ones on one driver, shortest.  Those
-and successors hold the determinism contract: rules are tried in (name,
-sign) order and frontiers kept in insertion order, so the witness history
-found for a given query never changes between runs.
+the opposite signs.  One loop, successors, lists the children of a
+configuration in one pass over its compiled moves.  Every breadth-first
+search, over configurations here and over words in encode.area_oracle,
+runs on one layer step, _layer, and one parent walk, _path; the one-sided
+ones on one driver, shortest.  Those and successors hold the determinism
+contract: rules are tried in (name, sign) order and frontiers kept in
+insertion order, so the witness history found for a given query never
+changes between runs.
 """
 from __future__ import annotations
 
@@ -63,16 +64,21 @@ def _history(path) -> Word:
 
 
 def successors(m: Machine, config: AdmissibleWord, skip=None
-               ) -> Iterator[tuple[SRule, int, AdmissibleWord]]:
-    """(rule, sign, result) for every signed rule that applies to config,
-    in (name, sign) order.  The signed rule skip is passed over without
-    being tried."""
-    for entry in m._table[1].get(config.states[0][0], ()):
-        if skip is not None and entry.rule is skip[0] and entry.sign == skip[1]:
-            continue
-        res = m._step(entry, config)[0]
-        if res is not None:
-            yield entry.rule, entry.sign, res
+               ) -> list[tuple[SRule, int, AdmissibleWord]]:
+    """The list of (rule, sign, result) for every signed rule that applies
+    to config, in (name, sign) order: one kernel run per move of config's
+    state letters.  The signed rule skip is passed over without being
+    tried."""
+    if config.hw is not m.hw:
+        config = AdmissibleWord(m.hw, config.states, config.tapes)
+    skip = skip and m._table[0].get(skip)
+    out = []
+    for entry, row in m._moves(config):
+        if entry is not skip:
+            res = entry.apply(row, config)
+            if type(res) is not str:
+                out.append((entry.rule, entry.sign, res))
+    return out
 
 
 def _layer(expand, frontier, parents, stop=None) -> Iterator[tuple]:
@@ -269,7 +275,7 @@ def reduced_computations(m: Machine, start: AdmissibleWord, max_steps: int,
 
     yield (), start
     # One frame per open configuration: its history and its successors.
-    stack = [] if stop(start, 0) else [((), successors(m, start))]
+    stack = [] if stop(start, 0) else [((), iter(successors(m, start)))]
     while stack:
         steps, succ = stack[-1]
         step = next(succ, None)
@@ -280,4 +286,4 @@ def reduced_computations(m: Machine, start: AdmissibleWord, max_steps: int,
         steps += ((rule, sign),)
         yield steps, end
         if not stop(end, len(steps)):
-            stack.append((steps, successors(m, end, (rule, -sign))))
+            stack.append((steps, iter(successors(m, end, (rule, -sign)))))

@@ -93,13 +93,13 @@ class Word:
         for a, s in letters:
             if not isinstance(a, Atom) or s not in (1, -1):
                 raise WordError(f"bad letter {(a, s)!r}")
-        object.__setattr__(self, "letters", letters)
+        _set_letters(self, letters)
 
     @classmethod
     def _of(cls, letters: tuple) -> "Word":
         """A Word from a tuple of letters known to be valid, unchecked."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w = _new(cls)
+        _set_letters(w, letters)
         return w
 
     def __setattr__(self, *a):
@@ -155,12 +155,7 @@ class Word:
         return free_reduce(self)
 
     def is_reduced(self) -> bool:
-        for i in range(len(self.letters) - 1):
-            a, s = self.letters[i]
-            b, t = self.letters[i + 1]
-            if a is b and s == -t:
-                return False
-        return True
+        return len(free_reduce(self)) == len(self.letters)
 
     # -- views -------------------------------------------------------------
 
@@ -195,6 +190,9 @@ class Word:
         return (len(self.letters), tuple((a.name, -s) for a, s in self.letters))
 
 
+# The slot's own setter writes past the immutability guard.
+_set_letters = Word.letters.__set__
+_new = object.__new__
 EMPTY = Word()
 
 
@@ -215,21 +213,30 @@ def splice(left: tuple, mid: tuple, right: tuple) -> tuple[tuple, int, int]:
     at the right one (what is left of left.mid against right).  Only the
     junctions are scanned, so every piece must already be reduced; an empty
     piece is skipped without a scan or a copy."""
-    depths = []
-    for nxt in (mid, right):
-        if not (left and nxt):
-            left = left or nxt
-            depths.append(0)
-            continue
-        k, n = 0, min(len(left), len(nxt))
-        while k < n:
-            (a, s), (b, t) = left[-1 - k], nxt[k]
+    i = j = 0
+    if left and mid:
+        n = len(left)
+        k = n if n < len(mid) else len(mid)
+        while i < k:
+            (a, s), (b, t) = left[-1 - i], mid[i]
             if a is not b or s != -t:
                 break
-            k += 1
-        left = left[:len(left) - k] + nxt[k:]
-        depths.append(k)
-    return left, depths[0], depths[1]
+            i += 1
+        left = left[:n - i] + mid[i:]
+    elif mid:
+        left = mid
+    if left and right:
+        n = len(left)
+        k = n if n < len(right) else len(right)
+        while j < k:
+            (a, s), (b, t) = left[-1 - j], right[j]
+            if a is not b or s != -t:
+                break
+            j += 1
+        left = left[:n - j] + right[j:]
+    elif right:
+        left = right
+    return left, i, j
 
 
 def rotations(w: Word) -> list[Word]:
@@ -239,13 +246,8 @@ def rotations(w: Word) -> list[Word]:
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    if not w.is_reduced():
-        return False
-    if len(w) >= 2:
-        (a, s), (b, t) = w.letters[-1], w.letters[0]
-        if a is b and s == -t:
-            return False
-    return True
+    """w and all its rotations are reduced, exactly when w.w is."""
+    return (w * w).is_reduced()
 
 
 def cyclic_min(w: Word) -> Word:

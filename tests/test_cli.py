@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from smforge import cli, group
+from smforge import cli, group, search
 from smforge.cli import main
 from smforge.encode import GroupPresentation
 from smforge.fixtures import toy_deleter, trivial_acceptor, z2_presentation
+from smforge.primitive import build_lr
 from smforge.serialize import load_machine, machine_dumps, save_machine
 from smforge.words import atoms
 
@@ -236,6 +237,24 @@ class TestTm:
                            "--bound", "8", "--max-nodes", "2")
         assert code == 3
         assert not all(json.loads(out)["complete"].values())
+
+    def test_default_node_budget(self, capsys, monkeypatch, tmp_path):
+        # LR({a, b}) never accepts a#1, and the component of its input
+        # configuration grows without end, so only the default budget of
+        # 200,000 configurations stops the search.
+        path = str(tmp_path / "lr_ab.json")
+        save_machine(build_lr(["a", "b"]), path)
+        code, out = invoke(capsys, "tm", path, "--input", "a#1", "--bound", "12")
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["status"], doc["explored"]) == ("bound-limited", 200_000)
+        # The table passes the same budget to the search of every input.
+        budgets = []
+        table = search.time_function
+        monkeypatch.setattr(search, "time_function",
+                            lambda *a: budgets.append(a[4]) or table(*a))
+        code, out = invoke(capsys, "tm", path, "--max-n", "0", "--bound", "12")
+        assert code == 0 and budgets == [200_000]
 
     @pytest.mark.parametrize("budget", ["0", "-1", "many"])
     def test_bad_node_budget(self, capsys, deleter_file, budget):
@@ -472,7 +491,7 @@ class TestEntryPoint:
             "primitive", "encode", "historical", "pad", "enhance", "cyclic",
             "run", "tm", "present", "trapezium", "conjugator"]
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0b625c3072595281dbd383867e7ea6726dee0e592e509cbd758581b65d221683"
+            "7a1e72a4d2786c112f847fd42bca2acb86531ca4ca76025cbe78d284c28cf40d"
         ), text
         for name, parser in sub.choices.items():
             assert parser.get_default("func") is getattr(cli, f"cmd_{name}")

@@ -441,3 +441,26 @@ class TestCompiledRows:
             if out.ok:
                 assert out.result.hw is m.hw
                 assert out.result == want.result
+
+
+class TestImmutable:
+    """Admissible words, built, parsed or written by a rule, refuse every
+    write; so does a tape the kernel wrote."""
+
+    def test_admissible_words_refuse_writes(self):
+        m = toy_deleter()
+        built = input_configuration(m, W("y y"))
+        parsed = parse_admissible(m.hw, "q0s y^-1 q1s")
+        result = m.apply(built, m.rule("del"))
+        assert result.tokens() == "q0s y q1s"
+        for aw in (built, parsed, result):
+            before = (aw.tokens(), aw.key())
+            for name in ("hw", "states", "tapes", "gap_sectors", "_key"):
+                with pytest.raises(AttributeError):
+                    setattr(aw, name, getattr(aw, name))
+            assert (aw.tokens(), aw.key()) == before
+        tape = result.tapes[0]
+        assert tape is not built.tapes[0]
+        with pytest.raises(AttributeError):
+            tape.letters = ()
+        assert tape == W("y")

@@ -14,6 +14,7 @@ from smforge.machine import (
     Machine,
     MachineError,
     StatePart,
+    _SignedRule,
     accept_configuration,
     input_configuration,
     make_rule,
@@ -50,13 +51,17 @@ class TestSuccessors:
                 if m.try_apply(c, r, s) is not None]
         assert got == want == [("del", 1), ("del", -1)]
 
-    def test_skip_is_never_tried(self):
+    def test_skip_is_never_tried(self, monkeypatch):
         m = one_sector_left_multiplier()
         c = input_configuration(m, W("a"))
         tried = []
-        step = m._step
-        # Every attempt goes through the application kernel.
-        m._step = lambda e, aw: tried.append((e.rule.name, e.sign)) or step(e, aw)
+        kernel = _SignedRule.apply
+
+        # Every attempt runs the one kernel body.
+        def spy(entry, row, aw):
+            tried.append((entry.rule.name, entry.sign))
+            return kernel(entry, row, aw)
+        monkeypatch.setattr(_SignedRule, "apply", spy)
         got = [(r.name, s) for r, s, _ in successors(m, c, (m.rule("mul(a)"), -1))]
         assert ("mul(a)", -1) not in tried
         assert got == tried == [("mul(a)", 1), ("mul(b)", 1), ("mul(b)", -1)]

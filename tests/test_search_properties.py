@@ -6,7 +6,10 @@ every search below finishes in milliseconds.  Examples are derandomized
 to keep the suite deterministic.  The rule-application kernel is also
 checked against a reference that applies each rule afresh, on these
 machines and on the fixtures, and the keys of admissible words of the
-fixtures against the keys of their flat words.
+fixtures against the keys of their flat words.  On the fixtures, the
+skip argument of successors, words on foreign hardware and the
+enumeration of reduced computations are checked against plain
+references too.
 """
 import functools
 import itertools
@@ -289,3 +292,67 @@ def test_key_is_the_key_of_the_flat_word(case):
     for c in [aw] + [res for _, _, res in successors(m, aw)]:
         assert c.key() == c.to_word().key()
         assert c.key() == parse_admissible(m.hw, c.to_word()).key()
+
+
+# The fixtures and input words of test_kernel_on_fixtures, in the order
+# of _fixture_machines().
+FIXTURE_INPUTS = {"deleter": "y y y^-1 y^-1",
+                  "paired": "a_l b_r a_r^-1 b_l a_l",
+                  "two_sided": "a b a b^-1 a",
+                  "unreduced": "a b a^-1 b a",
+                  "cyclic_enhanced": "y y y",
+                  "z2_encoder": "x x x"}
+
+
+def _fixture_start(name):
+    m = _fixture_machines()[list(FIXTURE_INPUTS).index(name)]
+    words = ([Word.from_tokens(FIXTURE_INPUTS[name])]
+             + [EMPTY] * (len(m.input_sectors) - 1))
+    return m, input_configuration(m, words)
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_INPUTS))
+def test_skip_drops_exactly_that_signed_rule(name):
+    m, start = _fixture_start(name)
+    for c in _ball(m, start):
+        every = successors(m, c)
+        for skip in m.signed_rules():
+            assert successors(m, c, skip) == [t for t in every
+                                              if t[:2] != skip]
+
+
+def test_foreign_hardware_expands_alike():
+    m, other = toy_deleter(), toy_deleter()
+    for c in _ball(other, input_configuration(other, Word.from_tokens("y y"))):
+        own = parse_admissible(m.hw, c.to_word())
+        for skip in (None,) + m.signed_rules():
+            # Equal results lie on m's own hardware.
+            assert successors(m, c, skip) == successors(m, own, skip)
+
+
+def _reference_computations(m, start, max_steps):
+    """Every computation from start with a freely reduced history, as
+    (steps, end) pairs in depth-first order: a recursion that tries each
+    signed rule through apply_ex, in (name, sign) order."""
+    out = []
+
+    def visit(steps, c):
+        out.append((steps, c))
+        if len(steps) == max_steps:
+            return
+        for rule, sign in m.signed_rules():
+            if not steps or steps[-1] != (rule, -sign):
+                res = m.apply_ex(c, rule, sign)
+                if res.ok:
+                    visit(steps + ((rule, sign),), res.result)
+
+    visit((), start)
+    return out
+
+
+@pytest.mark.parametrize("name", ["deleter", "two_sided", "cyclic_enhanced"])
+def test_enumeration_agrees_with_reference(name):
+    m, start = _fixture_start(name)
+    for depth in range(5):
+        got = list(reduced_computations(m, start, depth))
+        assert got == _reference_computations(m, start, depth)
