@@ -216,8 +216,7 @@ def build_tilde_presentation(p: GroupPresentation) -> GroupPresentation:
 _RESERVED = re.compile(r"s|f|[0-9]+(\.[0-9]+)?")
 
 
-def presentation_to_machine(p: GroupPresentation,
-                            name: Optional[str] = None) -> Machine:
+def presentation_to_machine(p: GroupPresentation) -> Machine:
     for x in p.generators:
         if _RESERVED.fullmatch(x.name):
             raise EncodeError(f"generator name {x.name!r} collides with the "
@@ -278,7 +277,7 @@ def presentation_to_machine(p: GroupPresentation,
     meta = {"kind": "encoder", "presentation": p, "doubled": d,
             "stored": stored, "positive": positive,
             "index": {r.key(): ri for ri, r in enumerate(stored)}}
-    return Machine(name or f"encode.{p.name}", hw, rules, meta)
+    return Machine(f"encode.{p.name}", hw, rules, meta)
 
 
 def _encoder_meta(m: Machine) -> dict:
@@ -343,17 +342,17 @@ def rule_h_defect(m: Machine, rule) -> Word:
     return free_reduce(d.unbar(w))
 
 
-def certify_h_invariance(m: Machine, max_area: int = 2) -> dict:
+def certify_h_invariance(m: Machine) -> dict:
     """One area certificate per rule: each defect must die in the group.
-    Returns {rule name: AreaResult}; raises if any rule resists the
-    bound.  Together with an abelianized obstruction for a given input
+    Returns {rule name: AreaResult}; raises if any rule resists area
+    2.  Together with an abelianized obstruction for a given input
     this rules out acceptance at every bound, not just the searched
     ones."""
     meta = _encoder_meta(m)
     p = meta["presentation"]
     out = {}
     for r in m.rules:
-        res = area_oracle(p, rule_h_defect(m, r), max_area=max_area)
+        res = area_oracle(p, rule_h_defect(m, r), max_area=2)
         if res.status != FOUND:
             raise EncodeError(
                 f"defect of {r.name} not certified ({res.status})")

@@ -501,14 +501,13 @@ def validate_trapezium(trap: Trapezium) -> bool:
     return True
 
 
-def run_dichotomy(m: Machine, comp: Computation, L: int = None) -> list[dict]:
+def run_dichotomy(m: Machine, comp: Computation) -> list[dict]:
     """Split the history into maximal one-rule runs and check that each
     is short (at most |in| + |out| + 2L tape letters long) or advances
     the tape length by a constant in its interior.  Raises if a run is
-    neither."""
-    if L is None:
-        L = max((sum(len(p.left) + len(p.right) for p in r.parts)
-                 for r in m.rules), default=1) or 1
+    neither.  L is the most letters one rule writes, at least 1."""
+    L = max((sum(len(p.left) + len(p.right) for p in r.parts)
+             for r in m.rules), default=1) or 1
     records = []
     i = 0
     while i < len(comp.steps):

@@ -27,6 +27,9 @@ each gap and the gaps whose domain it must check, or why those letters do not
 match.  The machine lists the moves of each tuple: the rows that match.  A gap
 with nothing written keeps its tape as it is.  A rule keeps the base, so the
 gap sectors too: its results skip validation, words from users do not.
+Machine._step applies one signed rule of the machine's own; successors, the
+expansion every search runs, applies all of them.  No other module reads the
+compiled table.
 """
 from __future__ import annotations
 
@@ -106,14 +109,7 @@ class Hardware:
                 if a in self.part_of:
                     raise MachineError(f"{a.name!r} is both a state and a tape letter")
                 self.sector_of[a] = s
-
-    @property
-    def n_parts(self) -> int:
-        return len(self.parts)
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.sector_alphabets)
+        self.n_parts, self.n_sectors = n, want
 
     def left_sector(self, i: int) -> Optional[int]:
         """Index of the sector to the left of part i, if any."""
@@ -342,13 +338,13 @@ def _gap_sector(hw: Hardware, left, right, j: int) -> int:
     n = hw.n_parts
     if e > 0 and f > 0:
         s = hw.right_sector(k)
-        if s is None or l != (k + 1) % n or (k + 1 == n and not hw.cyclic):
+        if s is None or l != (k + 1) % n:
             raise MachineError(
                 f"positions {j},{j + 1}: {a.name} {b.name} do not bound a sector")
         return s
     if e < 0 and f < 0:
         s = hw.left_sector(k)
-        if s is None or l != (k - 1) % n or (k == 0 and not hw.cyclic):
+        if s is None or l != (k - 1) % n:
             raise MachineError(
                 f"positions {j},{j + 1}: {a.name}^-1 {b.name}^-1 do not bound a sector")
         return s
@@ -475,31 +471,10 @@ class Machine:
             (r, sign) for r in sorted(self.rules, key=lambda r: r.name)
             for sign in (1, -1))
         self.meta = dict(meta or {})
-
-    # Hardware shortcuts.
-    @property
-    def parts(self):
-        return self.hw.parts
-
-    @property
-    def sector_alphabets(self):
-        return self.hw.sector_alphabets
-
-    @property
-    def n_parts(self):
-        return self.hw.n_parts
-
-    @property
-    def n_sectors(self):
-        return self.hw.n_sectors
-
-    @property
-    def cyclic(self):
-        return self.hw.cyclic
-
-    @property
-    def input_sectors(self):
-        return self.hw.input_sectors
+        # The hardware's geometry, at hand.
+        self.parts, self.sector_alphabets = hw.parts, hw.sector_alphabets
+        self.n_parts, self.n_sectors = hw.n_parts, hw.n_sectors
+        self.cyclic, self.input_sectors = hw.cyclic, hw.input_sectors
 
     def rule(self, name: str) -> SRule:
         try:
@@ -522,7 +497,11 @@ class Machine:
     def _entry(self, rule: SRule, sign: int) -> _SignedRule:
         if sign not in (1, -1):
             raise MachineError(f"rule {rule.name!r}: bad sign {sign!r}")
-        return self._table[0].get((rule, sign)) or _SignedRule(self.hw, rule, sign)
+        entry = self._table[0].get((rule, sign))
+        if entry is None:
+            raise MachineError(
+                f"rule {rule.name!r} is not a rule of machine {self.name!r}")
+        return entry
 
     def _moves(self, aw: AdmissibleWord) -> list:
         """The (entry, row) pairs whose rows match aw's state letters, in
@@ -556,6 +535,24 @@ class Machine:
         if not out.ok:
             raise MachineError(f"cannot apply {rule.name!r}: {out.reason}")
         return out.result
+
+
+def successors(m: Machine, config: AdmissibleWord, skip=None
+               ) -> list[tuple[SRule, int, AdmissibleWord]]:
+    """The list of (rule, sign, result) for every signed rule that applies
+    to config, in (name, sign) order: one kernel run per move of config's
+    state letters.  The signed rule skip is passed over without being
+    tried."""
+    if config.hw is not m.hw:
+        config = AdmissibleWord(m.hw, config.states, config.tapes)
+    skip = skip and m._table[0].get(skip)
+    out = []
+    for entry, row in m._moves(config):
+        if entry is not skip:
+            res = entry.apply(row, config)
+            if type(res) is not str:
+                out.append((entry.rule, entry.sign, res))
+    return out
 
 
 def _as_steps(m: Machine, history) -> list[tuple[SRule, int]]:

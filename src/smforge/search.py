@@ -2,22 +2,23 @@
 
 Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
-the opposite signs.  One loop, successors, lists the children of a
-configuration in one pass over its compiled moves.  Every breadth-first
-search, over configurations here and over words in encode.area_oracle,
-runs on one layer step, _layer, and one parent walk, _path; the one-sided
-ones on one driver, shortest.  Those and successors hold the determinism
-contract: rules are tried in (name, sign) order and frontiers kept in
-insertion order, so the witness history found for a given query never
-changes between runs.
+the opposite signs.  The children of a configuration come from
+machine.successors, imported here, in one pass over its compiled moves.
+Every breadth-first search, over configurations here and over words in
+encode.area_oracle, runs on one layer step, _layer, and one parent walk,
+_path; the one-sided ones on one driver, shortest.  Those and successors
+hold the determinism contract: rules are tried in (name, sign) order and
+frontiers kept in insertion order, so the witness history found for a
+given query never changes between runs.
 """
 from __future__ import annotations
 
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from smforge.machine import (AdmissibleWord, Machine, MachineError, SRule,
-                             accept_configuration, input_configuration)
+from smforge.machine import (AdmissibleWord, Machine, MachineError,
+                             accept_configuration, input_configuration,
+                             successors)
 from smforge.words import EMPTY, Word, atom, reduced_words
 
 FOUND = "found"
@@ -61,24 +62,6 @@ def _path(parents, key) -> list:
 
 def _history(path) -> Word:
     return Word([(atom(rule.name), sign) for rule, sign in path])
-
-
-def successors(m: Machine, config: AdmissibleWord, skip=None
-               ) -> list[tuple[SRule, int, AdmissibleWord]]:
-    """The list of (rule, sign, result) for every signed rule that applies
-    to config, in (name, sign) order: one kernel run per move of config's
-    state letters.  The signed rule skip is passed over without being
-    tried."""
-    if config.hw is not m.hw:
-        config = AdmissibleWord(m.hw, config.states, config.tapes)
-    skip = skip and m._table[0].get(skip)
-    out = []
-    for entry, row in m._moves(config):
-        if entry is not skip:
-            res = entry.apply(row, config)
-            if type(res) is not str:
-                out.append((entry.rule, entry.sign, res))
-    return out
 
 
 def _layer(expand, frontier, parents, stop=None) -> Iterator[tuple]:
@@ -135,7 +118,9 @@ def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
 def reachable_configs(m: Machine, start: AdmissibleWord,
                       max_steps: int) -> tuple[dict[AdmissibleWord, int], bool]:
     """All configurations within max_steps of start, with their distances.
-    The flag reports whether the whole component was exhausted."""
+    The flag reports whether the whole component was exhausted.  Every
+    configuration in the dict lies on m's hardware, start too."""
+    start = AdmissibleWord(m.hw, start.states, start.tapes)
     expand = partial(successors, m)
     parents = {start.key(): None}
     dist = {start: 0}
@@ -155,7 +140,7 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     minimal one (deterministic, but not necessarily the one bfs_reach
     would return).  It gives up, BOUNDED, after visiting max_nodes
     configurations on both sides together."""
-    if start == target:
+    if start.key() == target.key():
         return ReachResult(FOUND, EMPTY, 0, 1)
     # Index 0 searches forward from start, index 1 backward from target.
     expand = partial(successors, m)

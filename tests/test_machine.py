@@ -403,6 +403,24 @@ class TestSigns:
                 call()
 
 
+class TestForeignRules:
+    def test_rule_of_another_machine_is_refused(self):
+        # An equal machine built twice has rules of its own: another's rule
+        # is not compiled on the side, whichever entry point it comes in by.
+        m, other = toy_deleter(), toy_deleter()
+        c = input_configuration(m, W("y"))
+        rule = other.rule("del")
+        assert m.try_apply(c, m.rule("del")) is not None
+        for call in (lambda: m.apply_ex(c, rule),
+                     lambda: m.try_apply(c, rule, -1),
+                     lambda: m.apply(c, rule),
+                     lambda: run(m, c, [(rule, 1)]),
+                     lambda: run(m, c, [(rule, 1)], strict=False)):
+            with pytest.raises(MachineError,
+                               match="rule 'del' is not a rule of machine"):
+                call()
+
+
 class TestCompiledRows:
     """Each signed rule compiles one row per tuple of state letters, on the
     first word with those letters; later words reuse it."""

@@ -10,6 +10,7 @@ from smforge.fixtures import (
     trivial_acceptor,
 )
 from smforge.machine import (
+    AdmissibleWord,
     Hardware,
     Machine,
     MachineError,
@@ -125,6 +126,12 @@ class TestReachableConfigs:
         dist, complete = reachable_configs(m, input_configuration(m, EMPTY), 5)
         assert complete and len(dist) == 1
 
+    def test_start_on_foreign_hardware_is_stored_on_the_machines(self):
+        m, other = toy_deleter(), toy_deleter()
+        dist, _ = reachable_configs(m, accept_configuration(other), 2)
+        assert dist[accept_configuration(m)] == 0
+        assert all(c.hw is m.hw for c in dist)
+
 
 class TestNodeBudget:
     @pytest.mark.parametrize("search", [bfs_reach, meet_reach])
@@ -200,6 +207,18 @@ class TestMeet:
         m = toy_deleter()
         c = input_configuration(m, EMPTY)
         assert meet_reach(m, c, c, 5).length == 0
+
+    @pytest.mark.parametrize("build", [toy_deleter, one_sector_left_multiplier])
+    def test_zero_length_across_hardware(self, build):
+        # start and target are the same configuration, built on two
+        # copies of the machine: keys decide, as in shortest.
+        m, other = build(), build()
+        for c in (input_configuration(m), accept_configuration(m)):
+            twin = AdmissibleWord(other.hw, c.states, c.tapes)
+            for search in (meet_reach, bfs_reach):
+                res = search(m, c, twin, 5)
+                assert res.found and res.length == 0
+                assert res.history == EMPTY
 
     def test_unreachable(self):
         m = trivial_acceptor()

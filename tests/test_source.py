@@ -29,3 +29,24 @@ def test_documents_go_through_dumps_canonical():
                     and any(a.name in ("dump", "dumps") for a in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_only_machine_reads_the_compiled_table():
+    # Rules are applied in one module: the others call successors or the
+    # public Machine methods, never the compiled table behind them.
+    private = {"_table", "_moves", "_entry", "_step", "_SignedRule"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "machine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [a.name.rpartition(".")[2] for a in node.names]
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names if name in private]
+    assert not found, found
