@@ -431,7 +431,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
     explored = 0
 
-    def insertions(u):
+    def insertions(u, _entry):
         nonlocal explored
         for s in ins:
             # right-to-left: end-of-word insertions realize cheapest

@@ -26,7 +26,10 @@ state letters it meets, on first use: the new state letters, the writes of
 each gap and the gaps whose domain it must check, or why those letters do not
 match.  The machine lists the moves of each tuple: the rows that match.  A gap
 with nothing written keeps its tape as it is.  A rule keeps the base, so the
-gap sectors too: its results skip validation, words from users do not.
+gap sectors too: its results skip validation, words from users do not.  A
+configuration's key is its letters: the state letters and each tape's letter
+tuple, concatenated once and cached.  Atoms are ints, so keys, state tuples
+and domains hash and compare in C.
 Machine._step applies one signed rule of the machine's own; successors, the
 expansion every search runs, applies all of them.  No other module reads the
 compiled table.
@@ -256,9 +259,11 @@ class AdmissibleWord:
                 f"{len(states)} state letters need {len(states) - 1} tapes, "
                 f"got {len(tapes)}")
         for a, e in states:
+            if not isinstance(a, Atom):  # an id equals its atom, but is none
+                raise MachineError(f"bad state letter {a!r}")
             if a not in hw.part_of:
                 raise MachineError(f"{a.name!r} is not a state letter")
-            if e not in (1, -1):
+            if isinstance(e, Atom) or e not in (1, -1):
                 raise MachineError(f"bad sign {e!r}")
         sectors = []
         for j in range(len(tapes)):
@@ -289,15 +294,8 @@ class AdmissibleWord:
         """Part indices with signs, one per state letter."""
         return tuple((self.hw.part_of[a], e) for a, e in self.states)
 
-    def _letters(self) -> list:
-        letters = [self.states[0]]
-        for w, q in zip(self.tapes, self.states[1:]):
-            letters += w.letters
-            letters.append(q)
-        return letters
-
     def to_word(self) -> Word:
-        return Word._of(tuple(self._letters()))
+        return Word._of(self.key())
 
     def tokens(self) -> str:
         return self.to_word().tokens()
@@ -305,10 +303,15 @@ class AdmissibleWord:
     def tape_length(self) -> int:
         return sum(len(w) for w in self.tapes)
 
-    def key(self):
+    def key(self) -> tuple:
+        """The letters q_0 w_0 q_1 ... q_m as one tuple, which is
+        to_word().key(): built from whole letter tuples, then cached."""
         k = self._key
         if k is None:
-            k = tuple([a.id * e for a, e in self._letters()])
+            states = self.states
+            k = states[:1]
+            for w, q in zip(self.tapes, states[1:]):
+                k += w.letters + (q,)
             _set_key(self, k)
         return k
 
@@ -495,7 +498,7 @@ class Machine:
         return {rs: _SignedRule(self.hw, *rs) for rs in self._signed_rules}, {}
 
     def _entry(self, rule: SRule, sign: int) -> _SignedRule:
-        if sign not in (1, -1):
+        if isinstance(sign, Atom) or sign not in (1, -1):
             raise MachineError(f"rule {rule.name!r}: bad sign {sign!r}")
         entry = self._table[0].get((rule, sign))
         if entry is None:

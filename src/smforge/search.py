@@ -4,6 +4,9 @@ Edges are applications of rules and their formal inverses, so the graph
 is undirected in effect; a backward search from the target just applies
 the opposite signs.  The children of a configuration come from
 machine.successors, imported here, in one pass over its compiled moves.
+A breadth-first search does not try the step back along the edge that
+reached a configuration: its child is the parent, which is already
+recorded, so answers and explored counts are those of the full expansion.
 Every breadth-first search, over configurations here and over words in
 encode.area_oracle, runs on one layer step, _layer, and one parent walk,
 _path; the one-sided ones on one driver, shortest.  Those and successors
@@ -13,7 +16,6 @@ given query never changes between runs.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterator, Optional
 
 from smforge.machine import (AdmissibleWord, Machine, MachineError,
@@ -64,15 +66,24 @@ def _history(path) -> Word:
     return Word([(atom(rule.name), sign) for rule, sign in path])
 
 
+def _expand(m: Machine):
+    """successors as _layer expands a configuration: the step back along
+    its parents entry (rule, sign), to the parent itself, is skipped."""
+    def expand(c, entry):
+        return successors(m, c, entry and (entry[1], -entry[2]))
+    return expand
+
+
 def _layer(expand, frontier, parents, stop=None) -> Iterator[tuple]:
     """One breadth-first layer: (key, child) for every node first reached
     from frontier, in discovery order; cut short once parents holds stop
-    entries.  expand(node) yields (a, b, child), recorded as parents[child
-    key] = (node key, a, b): (rule, sign) for a configuration, ((relator,
-    position), word) for an area word."""
+    entries.  expand(node, entry), given the node's own parents entry,
+    yields (a, b, child), recorded as parents[child key] = (node key, a,
+    b): (rule, sign) for a configuration, ((relator, position), word) for
+    an area word."""
     for c in frontier:
         ckey = c.key()
-        for a, b, res in expand(c):
+        for a, b, res in expand(c, parents[ckey]):
             k = res.key()
             if k not in parents:
                 parents[k] = (ckey, a, b)
@@ -110,7 +121,7 @@ def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     """Breadth-first search from start; shortest history to target.  It
     gives up, BOUNDED, after visiting max_nodes configurations."""
     status, path, depth, explored = shortest(
-        partial(successors, m), start, target.key(), max_steps, max_nodes)
+        _expand(m), start, target.key(), max_steps, max_nodes)
     history = None if path is None else _history(path)
     return ReachResult(status, history, depth, explored)
 
@@ -121,7 +132,7 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
     The flag reports whether the whole component was exhausted.  Every
     configuration in the dict lies on m's hardware, start too."""
     start = AdmissibleWord(m.hw, start.states, start.tapes)
-    expand = partial(successors, m)
+    expand = _expand(m)
     parents = {start.key(): None}
     dist = {start: 0}
     frontier = [start]
@@ -143,7 +154,7 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     if start.key() == target.key():
         return ReachResult(FOUND, EMPTY, 0, 1)
     # Index 0 searches forward from start, index 1 backward from target.
-    expand = partial(successors, m)
+    expand = _expand(m)
     parents = ({start.key(): None}, {target.key(): None})
     frontiers = [[start], [target]]
     depths = [0, 0]

@@ -198,7 +198,7 @@ def _text(o, nl: str) -> str:
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, int):
+    if type(o) is int:  # not an Atom, whose id depends on interning order
         return int.__repr__(o)
     raise TypeError(
         f"Object of type {type(o).__name__} is not JSON serializable")

@@ -3,8 +3,10 @@
 Atoms are the indivisible symbols everything else is built from: tape
 letters, state letters, rule letters in presentations.  They are interned
 globally by name, so two alphabets that mention the same name share the
-same atom.  A Word is an immutable sequence of signed atoms; nothing here
-reduces automatically.  Free reduction is an explicit step: ``free_reduce``
+same atom.  An atom is an int equal to its id, so that sets, dicts and
+tuples of atoms hash and compare in C.  A Word is an immutable sequence of
+signed atoms, and its letters are its hashable key; nothing here reduces
+automatically.  Free reduction is an explicit step: ``free_reduce``
 for arbitrary words, and ``splice`` for a product of three pieces that are
 each already reduced, where only the two junctions can cancel.
 """
@@ -25,23 +27,22 @@ class InvariantError(SmforgeError):
     """A self-check failed: a bug in this package, not bad input."""
 
 
-class Atom:
-    """An interned symbol.  Compare and hash by identity."""
+class Atom(int):
+    """An interned symbol: an int equal to its id, which is also its hash.
+    Interning makes two atoms with the same id the same atom, and copies
+    and unpickled atoms are interned by name too."""
 
-    __slots__ = ("id", "name")
-
-    def __init__(self, id: int, name: str):
+    def __new__(cls, id: int, name: str):
+        self = int.__new__(cls, id)
         self.id = id
         self.name = name
+        return self
 
     def __repr__(self):
         return f"Atom({self.name})"
 
-    def __hash__(self):
-        return self.id
-
-    def __eq__(self, other):
-        return self is other
+    def __reduce__(self):
+        return atom, (self.name,)
 
     # Deterministic ordering helper (by name, then id for safety).
     def _key(self):
@@ -91,7 +92,9 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
         for a, s in letters:
-            if not isinstance(a, Atom) or s not in (1, -1):
+            # An atom equals its id: the atom whose id is 1 is no sign.
+            if (not isinstance(a, Atom) or isinstance(s, Atom)
+                    or s not in (1, -1)):
                 raise WordError(f"bad letter {(a, s)!r}")
         _set_letters(self, letters)
 
@@ -182,9 +185,9 @@ class Word:
     def __repr__(self):
         return f"Word({self.tokens()})"
 
-    def key(self) -> tuple[int, ...]:
-        """Fast hashable key: signed atom ids."""
-        return tuple([a.id * s for a, s in self.letters])
+    def key(self) -> tuple[Letter, ...]:
+        """Hashable key: the letters themselves, which hash in C."""
+        return self.letters
 
     def sort_key(self):
         return (len(self.letters), tuple((a.name, -s) for a, s in self.letters))

@@ -25,7 +25,7 @@ from smforge.machine import (
     restrict,
     run,
 )
-from smforge.words import EMPTY, Word, atom, atoms
+from smforge.words import _REGISTRY, EMPTY, Word, atom, atoms
 
 
 def W(text):
@@ -401,6 +401,30 @@ class TestSigns:
                      lambda: run(m, c, [("del", sign)], strict=False)):
             with pytest.raises(MachineError, match="bad sign"):
                 call()
+
+    # An atom equals its id, so the atom whose id is 1 equals 1; it is
+    # refused as a sign like any other value but 1 and -1.
+
+    def test_an_atom_is_no_rule_sign(self):
+        one = next(a for a in _REGISTRY.values() if a.id == 1)
+        m = toy_deleter()
+        c = input_configuration(m, W("y"))
+        with pytest.raises(MachineError, match="bad sign"):
+            m.apply_ex(c, m.rule("del"), one)
+
+    def test_an_atom_is_no_state_letter_sign(self):
+        one = next(a for a in _REGISTRY.values() if a.id == 1)
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="bad sign"):
+            AdmissibleWord(m.hw, [(atom("q0s"), one), (atom("q1s"), 1)],
+                           [EMPTY])
+
+    def test_an_id_is_no_state_letter(self):
+        # Nor is an id an atom, though it equals one.
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="bad state letter"):
+            AdmissibleWord(m.hw, [(atom("q0s").id, 1), (atom("q1s"), 1)],
+                           [EMPTY])
 
 
 class TestForeignRules:

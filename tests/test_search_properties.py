@@ -141,6 +141,17 @@ def test_rule_then_inverse_is_identity(case):
             assert m.try_apply(res, rule, -sign) == c
 
 
+@PROPERTY
+@given(machines())
+def test_every_step_is_undone_among_the_childs_successors(case):
+    # A breadth-first search skips the step back along the edge that
+    # reached a node: the child of that step is the node's parent.
+    m, start = case
+    for c in _ball(m, start):
+        for rule, sign, child in successors(m, c):
+            assert (rule, -sign, c) in successors(m, child)
+
+
 def _reference_apply(m, aw, rule, sign):
     """Rule application done afresh on every call, as before the compiled
     table: invert the rule, check it, emit, and validate the result.

@@ -29,7 +29,7 @@ from smforge.serialize import (
     save_machine,
     schema_violation,
 )
-from smforge.words import Word
+from smforge.words import Word, atom
 from test_search_properties import machines
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True)
@@ -265,6 +265,13 @@ _JSON = st.recursive(
 @example({"é": ((-1, 2 ** 70),), "": [], "a\u2028": {}, "b": ()})
 def test_emitter_agrees_with_json(value):
     assert dumps_canonical(value) == _reference(value)
+
+
+def test_atoms_are_not_written_as_ints():
+    # An atom equals its id, which depends on the order of interning.
+    for value in (atom("x"), [(atom("x"), 1)], {"a": (1, atom("y"))}):
+        with pytest.raises(TypeError, match="Atom is not JSON serializable"):
+            dumps_canonical(value)
 
 
 @pytest.mark.parametrize("build", [

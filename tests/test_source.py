@@ -6,8 +6,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "smforge"
 
 
 def test_no_assert_statements():
-    # Invariants are explicit raises: asserts vanish under python -O.
-    paths = sorted(SRC.glob("*.py"))
+    # Invariants are explicit raises: asserts vanish under python -O.  Any
+    # module anywhere under the package counts, subpackages too.
+    paths = sorted(SRC.rglob("*.py"))
     assert paths
     found = [f"{path.name}:{node.lineno}" for path in paths
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

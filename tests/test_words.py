@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smforge.words import (
+    _REGISTRY,
     EMPTY,
     AlphabetMorphism,
     Word,
@@ -21,6 +24,8 @@ from smforge.words import (
 )
 
 x, y = atoms(["x", "y"])
+# The atoms that random sets are drawn from.
+POOL = atoms([f"pool{i}" for i in range(40)]) + (x, y)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -44,6 +49,28 @@ class TestAtoms:
     def test_ids_positive_and_distinct(self):
         assert x.id != y.id
         assert x.id >= 1 and y.id >= 1
+
+    def test_hash_is_id(self):
+        for a in (x, y, atom("zz")):
+            assert hash(a) == a.id == a
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)))
+    def test_sets_iterate_as_their_ids_do(self, subset):
+        # Every set of atoms iterates in the order of the same set of ids.
+        assert ([a.id for a in frozenset(subset)]
+                == list(frozenset(a.id for a in subset)))
+
+    def test_an_atom_is_no_sign(self):
+        # An atom equals its id, so the atom whose id is 1 equals 1.
+        one = next(a for a in _REGISTRY.values() if a.id == 1)
+        assert one == 1
+        with pytest.raises(WordError, match="bad letter"):
+            Word([(x, one)])
+
+    def test_copies_are_the_interned_atom(self):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps((x, -1)))[0] is x
 
     def test_bad_names(self):
         with pytest.raises(WordError):
