@@ -41,6 +41,12 @@ def _emit(text: str, args) -> None:
         sys.stdout.buffer.write(text.encode("utf-8"))
 
 
+def _answer(args, m, **fields) -> None:
+    """A JSON answer about machine m: the shared header, then fields."""
+    _emit(dumps_canonical({"schema_version": SCHEMA_VERSION,
+                           "machine": m.name, **fields}), args)
+
+
 def _text(arg: str) -> str:
     """A word or name argument decoded as UTF-8 whatever the locale.  File
     names stay as the locale decoded them, which is how they reopen."""
@@ -96,17 +102,9 @@ def cmd_run(args) -> int:
     start = _start_config(m, args)
     comp = run(m, start, Word.from_tokens(args.history), strict=False)
     if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "machine": m.name,
-            "start": start.tokens(),
-            "history": args.history,
-            "ok": comp.ok,
-            "configs": [c.tokens() for c in comp.configs],
-            "failed_at": comp.failed_at,
-            "reason": comp.reason,
-        }
-        _emit(dumps_canonical(doc), args)
+        _answer(args, m, start=start.tokens(), history=args.history,
+                ok=comp.ok, configs=[c.tokens() for c in comp.configs],
+                failed_at=comp.failed_at, reason=comp.reason)
     else:
         lines = [c.tokens() for c in comp.configs]
         if not comp.ok:
@@ -127,33 +125,18 @@ def cmd_tm(args) -> int:
     if args.max_n is not None:
         tf = search.time_function(m, args.max_n, args.bound, args.method,
                                   args.max_nodes)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "machine": m.name,
-            "bound": args.bound,
-            "max_n": args.max_n,
-            "method": args.method,
-            "values": {str(n): tf.values[n] for n in sorted(tf.values)},
-            "complete": {str(n): tf.complete[n] for n in sorted(tf.complete)},
-            "rejected": [[w.tokens() for w in inputs] for inputs in tf.rejected],
-        }
-        _emit(dumps_canonical(doc), args)
+        _answer(args, m, bound=args.bound, max_n=args.max_n, method=args.method,
+                values={str(n): v for n, v in tf.values.items()},
+                complete={str(n): c for n, c in tf.complete.items()},
+                rejected=[[w.tokens() for w in ws] for ws in tf.rejected])
         return OK if all(tf.complete.values()) else BOUND
     start = _start_config(m, args)
     res = search.tm_of_config(m, start, args.bound, args.method,
                               args.max_nodes)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "machine": m.name,
-        "start": start.tokens(),
-        "bound": args.bound,
-        "method": args.method,
-        "status": res.status,
-        "length": res.length,
-        "history": res.history.tokens() if res.history is not None else None,
-        "explored": res.explored,
-    }
-    _emit(dumps_canonical(doc), args)
+    _answer(args, m, start=start.tokens(), bound=args.bound,
+            method=args.method, status=res.status, length=res.length,
+            history=None if res.history is None else res.history.tokens(),
+            explored=res.explored)
     if res.found:
         return OK
     return NEGATIVE if res.status == search.UNREACHABLE else BOUND
@@ -198,15 +181,8 @@ def cmd_conjugator(args) -> int:
         print(f"no conjugator: {e}", file=sys.stderr)
         return NEGATIVE
     if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "machine": m.name,
-            "start": comp.configs[0].tokens(),
-            "end": comp.end.tokens(),
-            "gamma": g.tokens(),
-            "length": len(g),
-        }
-        _emit(dumps_canonical(doc), args)
+        _answer(args, m, start=comp.configs[0].tokens(),
+                end=comp.end.tokens(), gamma=g.tokens(), length=len(g))
     else:
         _emit(g.tokens() + "\n", args)
     return OK

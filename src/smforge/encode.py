@@ -28,8 +28,8 @@ from typing import Iterable, Optional, Sequence
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
                              StatePart, make_rule)
 from smforge.search import BOUNDED, FOUND, shortest
-from smforge.serialize import (SCHEMA_VERSION, dumps_canonical, read_json,
-                               schema_violation)
+from smforge.serialize import (PRESENTATION_SCHEMA, SCHEMA_VERSION,
+                               dumps_canonical, read_json, schema_violation)
 from smforge.words import (EMPTY, Atom, InvariantError, SmforgeError, Word,
                            atom, cyclic_min, free_reduce,
                            is_cyclically_reduced, splice, symmetrized_closure)
@@ -43,26 +43,13 @@ class EncodeError(SmforgeError):
 
 # -- presentations ---------------------------------------------------------
 
-PRESENTATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "generators", "relators"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "name": {"type": "string"},
-        "generators": {"type": "array", "items": {"type": "string"}},
-        "relators": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
-
 class GroupPresentation:
     """Generator atoms plus cyclically reduced relator words over them."""
 
     __slots__ = ("name", "generators", "relators")
 
     def __init__(self, generators, relators, name: str = "G"):
-        gens = tuple(a if isinstance(a, Atom) else atom(a) for a in generators)
+        gens = tuple(map(atom, generators))
         if len(set(gens)) != len(gens):
             raise EncodeError("repeated generator")
         gset = set(gens)

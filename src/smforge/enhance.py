@@ -249,12 +249,8 @@ def compose(shp: Machine) -> Machine:
     rules.append(SRule("sigma(34)", switch(end3, w1), dom5))
     rules.append(SRule("sigma(45)", switch(w2, z), dom5))
 
-    meta = {"kind": "composed", "source": s, "padded": shp, "blocks": n,
-            "base_rules": tuple(rule_names),
-            "central_sectors": centrals,
-            "pad_sectors": shp.meta["pad_sectors"],
-            "working_sectors": shp.meta["working_sectors"]}
-    return Machine(f"{s.name}.E", hw, rules, meta)
+    return Machine(f"{s.name}.E", hw, rules,
+                   {**shp.meta, "kind": "composed", "padded": shp})
 
 
 def build_enhanced_standard(s: Machine) -> Machine:

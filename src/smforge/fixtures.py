@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from smforge.encode import GroupPresentation
 from smforge.machine import Hardware, Machine, RulePart, StatePart, make_rule
-from smforge.words import Word, atom, atoms, copy_alphabet
+from smforge.words import EMPTY, Word, atom, atoms, copy_alphabet
 
 
 def toy_deleter() -> Machine:
@@ -35,18 +35,24 @@ def trivial_acceptor() -> Machine:
     return Machine("trivial_acceptor", hw, [])
 
 
+def _one_sector(name: str, alphabet, writes) -> Machine:
+    """Parts M0 = {Q0} and M1 = {Q1} around one input sector over
+    alphabet; writes lists (rule name, word right of Q0, word left of Q1)."""
+    hw = Hardware([StatePart("M0", ["Q0"]), StatePart("M1", ["Q1"])],
+                  [alphabet], input_sectors=[0])
+    return Machine(name, hw, [
+        make_rule(hw, rn, [RulePart("Q0", "Q0", right=right),
+                           RulePart("Q1", "Q1", left=left)])
+        for rn, right, left in writes])
+
+
 def one_sector_left_multiplier(letters=("a", "b"), idle=False) -> Machine:
     """One sector; rule mul(x) turns the tape w into x.w.  With ``idle``,
     an extra rule that does nothing at all."""
     ab = atoms(letters)
-    hw = Hardware([StatePart("M0", ["Q0"]), StatePart("M1", ["Q1"])],
-                  [ab], input_sectors=[0])
-    rules = [make_rule(hw, f"mul({x.name})",
-                       [RulePart("Q0", "Q0", right=Word.of(x)), ("Q1", "Q1")])
-             for x in ab]
-    if idle:
-        rules.append(make_rule(hw, "idle", [("Q0", "Q0"), ("Q1", "Q1")]))
-    return Machine("left_multiplier", hw, rules)
+    writes = [(f"mul({x.name})", Word.of(x), EMPTY) for x in ab]
+    return _one_sector("left_multiplier", ab,
+                       writes + ([("idle", EMPTY, EMPTY)] if idle else []))
 
 
 def paired_multiplier(letters=("a", "b")) -> Machine:
@@ -55,14 +61,10 @@ def paired_multiplier(letters=("a", "b")) -> Machine:
     base = atoms(letters)
     cl = copy_alphabet(base, "{}_l")
     cr = copy_alphabet(base, "{}_r")
-    hw = Hardware([StatePart("M0", ["Q0"]), StatePart("M1", ["Q1"])],
-                  [[cl[a] for a in base] + [cr[a] for a in base]],
-                  input_sectors=[0])
-    rules = [make_rule(hw, f"mul({a.name})",
-                       [RulePart("Q0", "Q0", right=Word.of(cl[a])),
-                        RulePart("Q1", "Q1", left=Word.of(cr[a]))])
-             for a in base]
-    return Machine("paired_multiplier", hw, rules)
+    return _one_sector("paired_multiplier",
+                       [cl[a] for a in base] + [cr[a] for a in base],
+                       [(f"mul({a.name})", Word.of(cl[a]), Word.of(cr[a]))
+                        for a in base])
 
 
 def z2_presentation() -> GroupPresentation:
@@ -82,14 +84,6 @@ def commutator_presentation() -> GroupPresentation:
 def two_sided_multiplier(letters=("a", "b")) -> Machine:
     """One sector; lmul(x): w -> x.w and rmul(x): w -> w.x."""
     ab = atoms(letters)
-    hw = Hardware([StatePart("M0", ["Q0"]), StatePart("M1", ["Q1"])],
-                  [ab], input_sectors=[0])
-    rules = []
-    for x in ab:
-        rules.append(make_rule(hw, f"lmul({x.name})",
-                               [RulePart("Q0", "Q0", right=Word.of(x)),
-                                ("Q1", "Q1")]))
-        rules.append(make_rule(hw, f"rmul({x.name})",
-                               [("Q0", "Q0"),
-                                RulePart("Q1", "Q1", left=Word.of(x))]))
-    return Machine("two_sided_multiplier", hw, rules)
+    return _one_sector("two_sided_multiplier", ab, [
+        rule for x in ab for rule in ((f"lmul({x.name})", Word.of(x), EMPTY),
+                                      (f"rmul({x.name})", EMPTY, Word.of(x)))])

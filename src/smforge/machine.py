@@ -37,7 +37,7 @@ compiled table.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, free_reduce,
                            splice)
@@ -47,25 +47,21 @@ class MachineError(SmforgeError):
     pass
 
 
-def _atom(a) -> Atom:
-    return a if isinstance(a, Atom) else atom(a)
-
-
 class StatePart:
     """One state component: its letters and the designated start/end letters."""
 
     __slots__ = ("name", "letters", "start", "end")
 
     def __init__(self, name: str, letters, start=None, end=None):
-        letters = tuple(_atom(a) for a in letters)
+        letters = tuple(map(atom, letters))
         if not letters:
             raise MachineError(f"part {name!r} has no letters")
         if len(set(letters)) != len(letters):
             raise MachineError(f"part {name!r} repeats a letter")
         self.name = name
         self.letters = letters
-        self.start = _atom(start) if start is not None else letters[0]
-        self.end = _atom(end) if end is not None else letters[-1]
+        self.start = atom(start) if start is not None else letters[0]
+        self.end = atom(end) if end is not None else letters[-1]
         for a in (self.start, self.end):
             if a not in letters:
                 raise MachineError(f"{a.name!r} is not a letter of part {name!r}")
@@ -85,7 +81,7 @@ class Hardware:
         if n == 0:
             raise MachineError("a machine needs at least one part")
         want = n if self.cyclic else n - 1
-        alphabets = tuple(frozenset(_atom(a) for a in ab) for ab in sector_alphabets)
+        alphabets = tuple(frozenset(map(atom, ab)) for ab in sector_alphabets)
         if len(alphabets) != want:
             raise MachineError(
                 f"expected {want} sector alphabets for {n} parts "
@@ -132,8 +128,8 @@ class RulePart:
     __slots__ = ("frm", "to", "left", "right")
 
     def __init__(self, frm, to, left: Word = EMPTY, right: Word = EMPTY):
-        self.frm = _atom(frm)
-        self.to = _atom(to)
+        self.frm = atom(frm)
+        self.to = atom(to)
         self.left = left
         self.right = right
 
@@ -186,7 +182,7 @@ def make_rule(hw: Hardware, name: str, parts, domains=None) -> SRule:
             if d == FULL:
                 doms.append(hw.sector_alphabets[s])
             else:
-                doms.append(frozenset(_atom(a) for a in d))
+                doms.append(frozenset(map(atom, d)))
     rule = SRule(name, rps, doms)
     validate_rule(hw, rule)
     return rule
@@ -288,6 +284,9 @@ class AdmissibleWord:
 
     def __setattr__(self, *a):
         raise AttributeError("AdmissibleWord is immutable")
+
+    def __reduce__(self):  # copies and pickles rebuild past the guard
+        return AdmissibleWord, (self.hw, self.states, self.tapes)
 
     @property
     def base(self):

@@ -21,7 +21,7 @@ from smforge.words import EMPTY, Word, atom, copy_alphabet
 
 
 def _base(letters):
-    base = tuple(a if not isinstance(a, str) else atom(a) for a in letters)
+    base = tuple(map(atom, letters))
     if not base:
         raise MachineError("the alphabet must be nonempty")
     if len(set(base)) != len(base):

@@ -96,13 +96,15 @@ def shortest(expand, start, tkey, max_steps: int,
              max_nodes: Optional[int] = None) -> tuple:
     """Breadth-first search from start for the node keyed tkey, as
     (status, path, depth, visited) with the _path labels of a shortest
-    route.  UNREACHABLE means the frontier ran dry within max_steps;
-    BOUNDED, that max_steps went by or max_nodes nodes were visited."""
+    route.  UNREACHABLE: the frontier ran dry within max_steps; BOUNDED:
+    max_steps went by, or max_nodes nodes were visited before an expansion."""
     if start.key() == tkey:
         return FOUND, [], 0, 1
     parents = {start.key(): None}
     frontier = [start]
     for depth in range(1, max_steps + 1):
+        if max_nodes is not None and len(parents) >= max_nodes:
+            break
         nxt = []
         for k, res in _layer(expand, frontier, parents, max_nodes):
             if k == tkey:
@@ -110,8 +112,6 @@ def shortest(expand, start, tkey, max_steps: int,
             nxt.append(res)
         if not nxt:
             return UNREACHABLE, None, None, len(parents)
-        if max_nodes is not None and len(parents) >= max_nodes:
-            break
         frontier = nxt
     return BOUNDED, None, None, len(parents)
 
@@ -150,7 +150,8 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     length whenever it is at most max_steps; the witness history is some
     minimal one (deterministic, but not necessarily the one bfs_reach
     would return).  It gives up, BOUNDED, after visiting max_nodes
-    configurations on both sides together."""
+    configurations on both sides together; it always holds both ends, so
+    it visits at least 2."""
     if start.key() == target.key():
         return ReachResult(FOUND, EMPTY, 0, 1)
     # Index 0 searches forward from start, index 1 backward from target.
@@ -210,7 +211,7 @@ def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
 def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]:
     """Tuples of reduced input words, one per input sector, of total
     length <= n (== n if exact), in deterministic order."""
-    alphabets = [sorted(m.sector_alphabets[s], key=lambda a: a._key())
+    alphabets = [sorted(m.sector_alphabets[s], key=lambda a: a.name)
                  for s in m.input_sectors]
 
     def rec(i, budget):
@@ -245,8 +246,7 @@ def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
     all_complete = True
     for n in range(n_max + 1):
         for inputs in enumerate_inputs(m, n, exact=True):
-            res = tm_of_config(m, input_configuration(m, inputs), bound,
-                               method, max_nodes)
+            res = accepts(m, inputs, bound, method, max_nodes)
             if res.found:
                 best = max(best, res.length)
             elif res.status == UNREACHABLE:

@@ -7,6 +7,10 @@ The machine format is canonical, so equal machines produce byte-identical
 files.  Empty write words are omitted, a domain equal to the whole sector
 alphabet is written as "full", and a part carries ``"lock": true`` exactly
 when the sector to its right has empty domain.
+
+Both schemas, machine and presentation, are built here by ``_object`` and
+``_array``.  ``schema_violation`` never reads ``additionalProperties``: it
+treats every object as closed, and ``_object`` writes that rule out.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from smforge.machine import (
     Machine,
     MachineError,
     RulePart,
-    SRule,
     StatePart,
     make_rule,
 )
@@ -32,74 +35,40 @@ class SerializeError(SmforgeError):
     pass
 
 
-_WORD = {"type": "string"}
+def _object(required, **properties) -> dict:
+    """An object schema, closed as schema_violation reads every object."""
+    return {"type": "object", "required": list(required),
+            "additionalProperties": False, "properties": properties}
 
-MACHINE_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "name", "parts", "sector_alphabets", "rules"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "name": {"type": "string"},
-        "parts": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "letters"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "letters": {"type": "array", "items": {"type": "string"},
-                                "minItems": 1},
-                    "start": {"type": "string"},
-                    "end": {"type": "string"},
-                },
-            },
-        },
-        "sector_alphabets": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "string"}},
-        },
-        "input_sectors": {"type": "array", "items": {"type": "integer"}},
-        "cyclic": {"type": "boolean"},
-        "rules": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "parts"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "parts": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["from", "to"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "from": {"type": "string"},
-                                "to": {"type": "string"},
-                                "left": _WORD,
-                                "right": _WORD,
-                                "lock": {"type": "boolean"},
-                            },
-                        },
-                    },
-                    "domains": {
-                        "type": "array",
-                        "items": {
-                            "anyOf": [
-                                {"const": "full"},
-                                {"type": "array", "items": {"type": "string"}},
-                            ]
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+
+def _array(items, **constraints) -> dict:
+    return {"type": "array", "items": items, **constraints}
+
+
+_STRING = {"type": "string"}
+_STRINGS = _array(_STRING)
+_VERSION = {"const": SCHEMA_VERSION}
+
+MACHINE_SCHEMA = _object(
+    ["schema_version", "name", "parts", "sector_alphabets", "rules"],
+    schema_version=_VERSION, name=_STRING,
+    parts=_array(_object(["name", "letters"], name=_STRING,
+                         letters=_array(_STRING, minItems=1),
+                         start=_STRING, end=_STRING), minItems=1),
+    sector_alphabets=_array(_STRINGS),
+    input_sectors=_array({"type": "integer"}),
+    cyclic={"type": "boolean"},
+    rules=_array(_object(
+        ["name", "parts"], name=_STRING,
+        parts=_array(_object(["from", "to"], **{"from": _STRING}, to=_STRING,
+                             left=_STRING, right=_STRING,
+                             lock={"type": "boolean"})),
+        domains=_array({"anyOf": [{"const": "full"}, _STRINGS]}))))
+
+PRESENTATION_SCHEMA = _object(
+    ["schema_version", "generators", "relators"],
+    schema_version=_VERSION, name=_STRING, generators=_STRINGS,
+    relators=_STRINGS)
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int,
@@ -110,8 +79,8 @@ def schema_violation(value, schema, path="") -> str | None:
     """The first place where ``value`` breaks ``schema``, as "<path>: <why>",
     or None.  Reads the subset of JSON Schema the document schemas use:
     ``type`` (by exact Python type: unlike in JSON Schema, 1.0 is no int),
-    ``required``, closed ``properties``, ``items``, ``minItems``, ``const``
-    and ``anyOf``."""
+    ``required``, ``properties`` (every object is closed), ``items``,
+    ``minItems``, ``const`` and ``anyOf``."""
     where = path or "top level"
     if "anyOf" in schema:
         if all(schema_violation(value, s, path) for s in schema["anyOf"]):

@@ -44,21 +44,19 @@ class Atom(int):
     def __reduce__(self):
         return atom, (self.name,)
 
-    # Deterministic ordering helper (by name, then id for safety).
-    def _key(self):
-        return (self.name, self.id)
-
 
 _REGISTRY: dict[str, Atom] = {}
 
 
-def atom(name: str) -> Atom:
-    """Return the unique atom with this display name, creating it if new.
-    Only a name that is not interned yet is validated; the empty-word
-    token is no name, or a one-letter word would read back empty."""
+def atom(name: str | Atom) -> Atom:
+    """The unique atom with this display name, created if new; an atom is
+    its own atom.  Only a new name is validated: the empty-word token is
+    no name, or a one-letter word would read back empty."""
     a = _REGISTRY.get(name)
     if a is not None:
         return a
+    if isinstance(name, Atom):
+        return name
     if not name:
         raise WordError("atom name must be nonempty")
     if name == EMPTY_TOKEN:
@@ -108,21 +106,16 @@ class Word:
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):  # copies and pickles rebuild past the guard
+        return Word, (self.letters,)
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def of(*items) -> "Word":
         """Build a word from atoms, names, or (atom, sign) pairs."""
-        letters = []
-        for it in items:
-            if isinstance(it, tuple):
-                a, s = it
-                letters.append((a if isinstance(a, Atom) else atom(a), s))
-            elif isinstance(it, Atom):
-                letters.append((it, 1))
-            else:
-                letters.append((atom(it), 1))
-        return Word(letters)
+        letters = [it if isinstance(it, tuple) else (it, 1) for it in items]
+        return Word([(atom(a), s) for a, s in letters])
 
     @staticmethod
     def from_tokens(text: str) -> "Word":
@@ -300,7 +293,7 @@ def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
 def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len, in deterministic order."""
     sigs = []
-    for a in sorted(alphabet, key=lambda x: x._key()):
+    for a in sorted(alphabet, key=lambda a: a.name):
         sigs.extend([(a, 1), (a, -1)])
     frontier = [()]
     yield Word()

@@ -237,6 +237,10 @@ class TestTm:
                            "--bound", "8", "--max-nodes", "2")
         assert code == 3
         assert not all(json.loads(out)["complete"].values())
+        code, out = invoke(capsys, *argv, "--max-nodes", "1")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["status"] == "bound-limited" and doc["explored"] == 1
 
     def test_default_node_budget(self, capsys, monkeypatch, tmp_path):
         # LR({a, b}) never accepts a#1, and the component of its input

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -24,6 +26,7 @@ from smforge.machine import (
     parse_admissible,
     restrict,
     run,
+    successors,
 )
 from smforge.words import _REGISTRY, EMPTY, Word, atom, atoms
 
@@ -506,3 +509,23 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             tape.letters = ()
         assert tape == W("y")
+
+    def test_configurations_copy_and_pickle(self):
+        # A copy is rebuilt through the constructor, on the same hardware;
+        # a deep copy or a pickle carries a copy of the hardware, so it has
+        # the same tokens, and the machine revalidates it on its own.
+        m = toy_deleter()
+        c = input_configuration(m, W("y y"))
+        shallow = copy.copy(c)
+        assert shallow == c and shallow.hw is c.hw
+
+        def answers(config):
+            return ([(r.name, s, res.tokens())
+                     for r, s, res in successors(m, config)],
+                    [(out.ok, out.result and out.result.tokens(), out.reason)
+                     for out in (m.apply_ex(config, r, s)
+                                 for r, s in m.signed_rules())])
+
+        for dup in (shallow, copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert dup.tokens() == c.tokens() and dup.key() == c.key()
+            assert answers(dup) == answers(c)

@@ -149,6 +149,17 @@ class TestNodeBudget:
         assert (same.status, same.history, same.explored) == (
             free.status, free.history, free.explored)
 
+    def test_budget_of_one(self):
+        # bfs checks its budget before each expansion, so it visits start
+        # only; meet holds both ends from the outset.
+        m = toy_deleter()
+        start, acc = input_configuration(m, W("y")), accept_configuration(m)
+        for search, explored in ((bfs_reach, 1), (meet_reach, 2)):
+            res = search(m, start, acc, 10, max_nodes=1)
+            assert (res.status, res.explored) == (BOUNDED, explored)
+        res = accepts(m, W("y"), 10, max_nodes=1)
+        assert (res.status, res.explored) == (BOUNDED, 1)
+
     def test_budget_never_certifies(self):
         # p0 - p1 - p2 is the whole component; p3 lies outside it.
         hw = Hardware([StatePart("P", ["p0", "p1", "p2", "p3"]),

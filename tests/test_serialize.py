@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,14 @@ def test_dumps_load_dumps_is_byte_identical(case):
 
 
 # -- the schema checker against jsonschema ----------------------------------
+
+def test_schemas_are_pinned():
+    # Frozen before the schemas were built from shared helpers: the same
+    # dicts, so the same canonical text.
+    text = dumps_canonical(MACHINE_SCHEMA) + dumps_canonical(PRESENTATION_SCHEMA)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f2072e4461224dc96ba64584352934bbda163aeea815113429bc1d93569a289f")
+
 
 _DOCUMENTS = (
     [(MACHINE_SCHEMA, machine_to_dict(m))

@@ -72,6 +72,16 @@ class TestAtoms:
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         assert pickle.loads(pickle.dumps((x, -1)))[0] is x
 
+    def test_an_atom_is_its_own_atom(self):
+        assert atom(atom("x")) is atom("x")
+
+    def test_words_copy_and_pickle(self):
+        w = W("x y^-1 x")
+        for dup in (copy.copy(w), copy.deepcopy(w),
+                    pickle.loads(pickle.dumps(w))):
+            assert dup == w and dup.tokens() == w.tokens()
+            assert all(a is b for (a, _), (b, _) in zip(dup, w))
+
     def test_bad_names(self):
         with pytest.raises(WordError):
             atom("")
