@@ -10,13 +10,16 @@ sides record the history.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
                     free_reduce, symmetrized_closure)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
+
+if TYPE_CHECKING:  # imported where used: fractions slows every CLI start
+    from fractions import Fraction
 
 
 class GroupError(SmforgeError):
@@ -107,6 +110,7 @@ def modified_length_from_types(types: str, n_parts: int) -> Fraction:
     """Cheapest cost of a type sequence: q and theta letters cost 1, tape
     letters cost delta = 1/(2n+2), and an adjacent theta/tape pair may be
     bought together for 1."""
+    from fractions import Fraction
     delta = Fraction(1, 2 * n_parts + 2)
     single = {Q_TYPE: Fraction(1), THETA_TYPE: Fraction(1), A_TYPE: delta}
     dp = [Fraction(0)]
@@ -635,5 +639,6 @@ def heisenberg_product(p: GroupPresentation,
 
 def dehn_cell_bound_check(cells: int, boundary_length: int) -> bool:
     """cells <= L^3/8 + L^2/2 for a contour of length L."""
+    from fractions import Fraction
     L = Fraction(boundary_length)
     return Fraction(cells) <= L ** 3 / 8 + L ** 2 / 2

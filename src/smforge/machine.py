@@ -288,6 +288,11 @@ class AdmissibleWord:
     def __reduce__(self):  # copies and pickles rebuild past the guard
         return AdmissibleWord, (self.hw, self.states, self.tapes)
 
+    def __deepcopy__(self, memo):
+        """The word itself, as for a tuple, so the hardware is shared; a
+        pickle still carries its own copy of the hardware."""
+        return self
+
     @property
     def base(self):
         """Part indices with signs, one per state letter."""

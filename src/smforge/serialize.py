@@ -3,6 +3,11 @@
 Every document is written by ``dumps_canonical``, which emits the text
 itself: the bytes of ``json.dumps(indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a final newline, with tuples written as arrays.
+Two kinds of array make up nearly all the bytes of a trapezium, and each
+is written in C-level passes, with the same bytes: an array of dicts that
+share one tuple of string keys a column at a time, and an array of
+``(int, int)`` pairs by one format string.  Any other value, a dict
+subclass or a bool among them, is written item by item.
 The machine format is canonical, so equal machines produce byte-identical
 files.  Empty write words are omitted, a domain equal to the whole sector
 alphabet is written as "full", and a part carries ``"lock": true`` exactly
@@ -15,7 +20,8 @@ treats every object as closed, and ``_object`` writes that rule out.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from smforge.machine import (
@@ -131,46 +137,95 @@ def dumps_canonical(obj) -> str:
     return _text(obj, "\n") + "\n"
 
 
-def _int_pairs(seq) -> bool:
-    """Whether ``seq`` holds only 2-tuples of ints (bools excluded)."""
-    return (type(seq[0]) is tuple and set(map(type, seq)) == {tuple}
-            and set(map(len, seq)) == {2}
-            and set(map(type, chain.from_iterable(seq))) == {int})
-
-
 def _text(o, nl: str) -> str:
     """The text of ``o`` whose first line starts after ``nl``, the line
     break and indent of the enclosing level."""
+    t = type(o)
+    if t is str:
+        return _ENCODE_STRING(o)
+    if t is list or t is tuple:
+        return _array_text(o, nl)
+    if t is dict:
+        return _object_text(o, nl)
+    if t is int:  # not an Atom, whose id depends on interning order
+        return int.__repr__(o)
     if isinstance(o, str):
         return _ENCODE_STRING(o)
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        return ("{" + inner + ("," + inner).join(
-            [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)])
-            + nl + "}")
+        return _object_text(o, nl)
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        if _int_pairs(o):
-            # Edge paths: one format string writes a whole pair array.
-            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            items = map(pair.__mod__, o)
-        else:
-            items = [_text(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return _array_text(o, nl)
     if o is None:
         return "null"
     if o is True:
         return "true"
     if o is False:
         return "false"
-    if type(o) is int:  # not an Atom, whose id depends on interning order
-        return int.__repr__(o)
     raise TypeError(
         f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _object_text(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    return ("{" + inner + ("," + inner).join(
+        [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)])
+        + nl + "}")
+
+
+def _array_text(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    return ("[" + inner
+            + (_int_pairs(o, inner, sep) or _records(o, inner, sep)
+               or sep.join([_text(x, inner) for x in o]))
+            + nl + "]")
+
+
+def _int_pairs(o, inner: str, sep: str) -> str | None:
+    """The items of an array of 2-tuples of ints, such as an edge path,
+    or None: one format string writes them all."""
+    if (type(o[0]) is not tuple or set(map(type, o)) != {tuple}
+            or set(map(len, o)) != {2}):
+        return None
+    flat = tuple(chain.from_iterable(o))
+    if set(map(type, flat)) != {int}:  # bools and atoms are no ints here
+        return None
+    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+    return sep.join([pair] * len(o)) % flat
+
+
+def _records(o, inner: str, sep: str) -> str | None:
+    """The items of an array of dicts that share one tuple of string keys,
+    such as a trapezium's edges, or None.  Each column of values is
+    written in one pass when it holds only strings or only ints, and value
+    by value otherwise; one template then joins each record.  The columns
+    are read record by record, so a refused value raises in document
+    order."""
+    if type(o[0]) is not dict or set(map(type, o)) != {dict}:
+        return None
+    shapes = set(map(tuple, o))
+    if len(shapes) != 1:
+        return None
+    keys = shapes.pop()
+    if set(map(type, keys)) != {str}:  # or the dicts are empty
+        return None
+    keys = sorted(keys)
+    at = inner + "  "
+    columns = []
+    for k in keys:
+        col = list(map(itemgetter(k), o))
+        kinds = set(map(type, col))
+        columns.append(map(_ENCODE_STRING, col) if kinds == {str}
+                       else map(int.__repr__, col) if kinds == {int}
+                       else map(_text, col, repeat(at)))
+    record = ("{" + at + ("," + at).join(
+        _ENCODE_STRING(k).replace("%", "%%") + ": %s" for k in keys)
+        + inner + "}")
+    return sep.join(map(record.__mod__, zip(*columns)))
 
 
 def machine_to_dict(m: Machine) -> dict:

@@ -109,6 +109,9 @@ class Word:
     def __reduce__(self):  # copies and pickles rebuild past the guard
         return Word, (self.letters,)
 
+    def __deepcopy__(self, memo):  # immutable, so shared, as tuples are
+        return self
+
     # -- construction ------------------------------------------------------
 
     @staticmethod

@@ -511,13 +511,17 @@ class TestImmutable:
         assert tape == W("y")
 
     def test_configurations_copy_and_pickle(self):
-        # A copy is rebuilt through the constructor, on the same hardware;
-        # a deep copy or a pickle carries a copy of the hardware, so it has
-        # the same tokens, and the machine revalidates it on its own.
+        # A copy is rebuilt through the constructor, on the same hardware,
+        # and a deep copy is the configuration itself, as for a tuple; a
+        # pickle carries a copy of the hardware, so it has the same tokens,
+        # and the machine revalidates it on its own.
         m = toy_deleter()
         c = input_configuration(m, W("y y"))
         shallow = copy.copy(c)
         assert shallow == c and shallow.hw is c.hw
+        assert copy.deepcopy(c) is c
+        assert copy.deepcopy(c.tapes[0]) is c.tapes[0]
+        assert copy.deepcopy([c])[0] is c
 
         def answers(config):
             return ([(r.name, s, res.tokens())

@@ -271,9 +271,70 @@ _JSON = st.recursive(
 @given(_JSON)
 @example([(1, True), (2, 3)])
 @example([(0, 1), [2, 3], (4, 5, 6)])
+@example([(0, 1, 2), (3,)])
 @example({"é": ((-1, 2 ** 70),), "": [], "a\u2028": {}, "b": ()})
 def test_emitter_agrees_with_json(value):
     assert dumps_canonical(value) == _reference(value)
+
+
+# Arrays of records that share one key tuple, as a trapezium's edges,
+# cells and rows do; keys carry the format character % as well.
+_KEY = st.text(st.one_of(st.characters(),
+                         st.sampled_from('%"\\\x00\x1f\n\u2028ä→')),
+               max_size=4)
+_INT_PAIRS = (st.lists(st.tuples(_INTS, _INTS), max_size=4)
+              | st.lists(st.tuples(_INTS, _INTS), max_size=4).map(tuple)
+              | st.lists(st.lists(_INTS, min_size=2, max_size=2), max_size=4))
+_COLUMNS = (_TEXT, _INTS, st.booleans(), st.none(), _SCALARS, _INT_PAIRS,
+            _JSON)
+
+
+class _Dict(dict):
+    pass
+
+
+@st.composite
+def _record_arrays(draw):
+    """1-6 dicts with one key tuple, each key's values drawn from one
+    column kind; maybe with one record's keys changed, reordered, or
+    made a dict subclass."""
+    keys = draw(st.lists(_KEY, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(_COLUMNS)) for _ in keys]
+    records = [{k: draw(c) for k, c in zip(keys, columns)}
+               for _ in range(draw(st.integers(1, 6)))]
+    i = draw(st.integers(0, len(records) - 1))
+    change = draw(st.sampled_from(("none", "drop", "add", "reorder",
+                                   "subclass")))
+    if change == "drop":
+        del records[i][keys[0]]
+    elif change == "add":
+        records[i]["%s" + keys[0]] = draw(_SCALARS)
+    elif change == "reorder":
+        records[i] = dict(reversed(records[i].items()))
+    elif change == "subclass":
+        records[i] = _Dict(records[i])
+    return draw(st.sampled_from((records, tuple(records),
+                                 {"records": records})))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_record_arrays())
+@example([{"%s": 1, "%%": "%d"}, {"%s": -2 ** 70, "%%": "ä"}])
+@example([{"a": True, "b": (1, 2)}, {"a": 0, "b": [(3, 4)]}])
+def test_record_arrays_agree_with_json(value):
+    assert dumps_canonical(value) == _reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    [{"a": 1.5, "b": "x"}, {"a": 2, "b": atom("x")}],
+    [{"a": 1, "b": 1.5}, {"a": atom("x"), "b": 2}],
+    [{"a": [1, 1.5]}, {"a": [atom("x")]}],
+], ids=["same_column", "later_column", "nested"])
+def test_the_first_refused_value_is_named(value):
+    # Record 0 holds a float and record 1 an atom: written in document
+    # order, the float is met first.
+    with pytest.raises(TypeError, match="float is not JSON serializable"):
+        dumps_canonical(value)
 
 
 def test_atoms_are_not_written_as_ints():
