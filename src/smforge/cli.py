@@ -243,8 +243,15 @@ _COMMANDS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: one line, exit 2, like any other."""
+
+    def error(self, message):
+        raise SmforgeError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="smforge",
         description="S-machines, their groups, and the diagrams between them.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -259,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as e:
         if isinstance(e, _ERRORS) and not isinstance(e, InvariantError):

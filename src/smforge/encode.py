@@ -31,7 +31,7 @@ from smforge.search import BOUNDED, FOUND, shortest
 from smforge.serialize import (PRESENTATION_SCHEMA, SCHEMA_VERSION,
                                dumps_canonical, read_json, schema_violation)
 from smforge.words import (EMPTY, Atom, InvariantError, SmforgeError, Word,
-                           atom, cyclic_min, free_reduce,
+                           WordError, atom, cyclic_min, free_reduce,
                            is_cyclically_reduced, splice, symmetrized_closure)
 
 IMPOSSIBLE = "impossible"
@@ -71,9 +71,6 @@ class GroupPresentation:
         self.generators = gens
         self.relators = tuple(rels)
 
-    def symmetrized(self) -> frozenset[Word]:
-        return symmetrized_closure(self.relators)
-
     def word_vector(self, w: Word) -> tuple[int, ...]:
         """Exponent sums of w, one entry per generator."""
         index = {a: i for i, a in enumerate(self.generators)}
@@ -97,8 +94,11 @@ class GroupPresentation:
         bad = schema_violation(doc, PRESENTATION_SCHEMA)
         if bad:
             raise EncodeError(f"bad presentation document at {bad}")
-        return GroupPresentation(doc["generators"], doc["relators"],
-                                 name=doc.get("name", "G"))
+        try:
+            return GroupPresentation(doc["generators"], doc["relators"],
+                                     name=doc.get("name", "G"))
+        except WordError as e:
+            raise EncodeError(str(e)) from None
 
     def dumps(self) -> str:
         return dumps_canonical(self.to_dict())
@@ -147,7 +147,7 @@ class DoubledAlphabet:
         """Letter for letter: x stays, x^-1 becomes x~."""
         out = []
         for a, s in w:
-            if a not in self._prime or a not in self._bar:
+            if a not in self._bar:
                 raise EncodeError(f"{a.name!r} is not a doubled letter")
             out.append((a, 1) if s > 0 else (self._bar[a], 1))
         return Word(out)
@@ -316,8 +316,6 @@ def rule_h_defect(m: Machine, rule) -> Word:
     rules, whose defect is the relator itself."""
     meta = _encoder_meta(m)
     d = meta["doubled"]
-    if isinstance(rule, str):
-        rule = m.rule(rule)
     for i in (0, 1):
         if rule.parts[i].right:
             raise EncodeError(f"{rule.name}: unexpected right write")
@@ -414,7 +412,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     if not abelianized_trivial(p, w):
         return AreaResult(IMPOSSIBLE)
     ins = (stored_relators(p) if moves == "stored"
-           else sorted(p.symmetrized(), key=lambda v: v.sort_key()))
+           else sorted(symmetrized_closure(p.relators), key=Word.sort_key))
     max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
     explored = 0
 

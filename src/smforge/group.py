@@ -280,7 +280,6 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
     to ``hi``, both on the standard base.  The writes of the outer parts
     fall off the ends of the word.  Returns (row, cells)."""
     n = m.n_parts
-    K = n
     rp = rule.parts
 
     bottom, b_state, b_tape = _spell_admissible(bld, lo)
@@ -322,13 +321,13 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
                 sector_top[s].append(spans[t])
 
     # Columns left to right; every vertical over sector s carries index
-    # (s+1) mod K, and the outermost two carry index 0.
+    # (s+1) mod n, and the outermost two carry index 0.
     cells = []
     left_v = bld.new_edge(theta_atom(rule.name, 0), "theta")
     v_first = left_v
     top = []
     for i in range(n):
-        rv = bld.new_edge(theta_atom(rule.name, (i + 1) % K), "theta")
+        rv = bld.new_edge(theta_atom(rule.name, (i + 1) % n), "theta")
         span = list(pre[i]) + [(t_state[i], 1)] + list(post[i])
         boundary = ([(b_state[i], 1), (rv, 1)]
                     + [(e, -o) for e, o in reversed(span)]
@@ -338,7 +337,7 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
         top.append((t_state[i], 1))
         if i < n - 1:
             for be, e, te in squares[i]:
-                rv = bld.new_edge(theta_atom(rule.name, (i + 1) % K), "theta")
+                rv = bld.new_edge(theta_atom(rule.name, (i + 1) % n), "theta")
                 cells.append(Cell("ta", [(be, e), (rv, 1), (te, -e),
                                          (left_v, -1)], rule.name, i))
                 left_v = rv
@@ -639,6 +638,5 @@ def heisenberg_product(p: GroupPresentation,
 
 def dehn_cell_bound_check(cells: int, boundary_length: int) -> bool:
     """cells <= L^3/8 + L^2/2 for a contour of length L."""
-    from fractions import Fraction
-    L = Fraction(boundary_length)
-    return Fraction(cells) <= L ** 3 / 8 + L ** 2 / 2
+    L = boundary_length
+    return 8 * cells <= L ** 3 + 4 * L ** 2

@@ -37,7 +37,7 @@ compiled table.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from smforge.words import (EMPTY, Atom, SmforgeError, Word, atom, free_reduce,
                            splice)
@@ -329,9 +329,6 @@ class AdmissibleWord:
     def __repr__(self):
         return f"AdmissibleWord({self.tokens()})"
 
-    def is_circular(self) -> bool:
-        return len(self.states) > 1 and self.states[0] == self.states[-1]
-
 
 # The slots' own setters write past the immutability guard.
 _set_hw, _set_states, _set_tapes, _set_gaps, _set_key = (
@@ -375,9 +372,6 @@ def parse_admissible(hw: Hardware, w: Union[Word, str]) -> AdmissibleWord:
             if states:
                 tapes.append(Word(cur))
                 cur = []
-            elif cur:
-                raise MachineError(
-                    f"position 0: admissible word must start with a state letter")
             states.append((a, e))
         elif a in hw.sector_of:
             if not states:
@@ -640,8 +634,8 @@ def _check_wrap(m: Machine) -> None:
 def input_configuration(m: Machine, inputs=EMPTY) -> AdmissibleWord:
     """Start letters, given words in the input sectors, empty elsewhere.
 
-    ``inputs`` may be a single Word (one input sector), a sequence
-    aligned with ``input_sectors``, or a mapping from sector index.
+    ``inputs`` may be a single Word (one input sector) or a sequence
+    aligned with ``input_sectors``.
     """
     _check_wrap(m)
     if isinstance(inputs, Word):
@@ -650,19 +644,13 @@ def input_configuration(m: Machine, inputs=EMPTY) -> AdmissibleWord:
                 f"machine has {len(m.input_sectors)} input sectors; "
                 f"pass one word per sector")
         given = {m.input_sectors[0]: inputs}
-    elif isinstance(inputs, Mapping):
-        given = dict(inputs)
     else:
         inputs = tuple(inputs)
         if len(inputs) != len(m.input_sectors):
             raise MachineError(f"expected {len(m.input_sectors)} input words")
         given = dict(zip(m.input_sectors, inputs))
-    for s in given:
-        if s not in m.input_sectors:
-            raise MachineError(f"sector {s} is not an input sector")
-    n = m.n_parts
     states = [(p.start, 1) for p in m.parts]
-    tapes = [given.get(s, EMPTY) for s in range(n - 1)]
+    tapes = [given.get(s, EMPTY) for s in range(m.n_parts - 1)]
     return AdmissibleWord(m.hw, states, tapes)
 
 
@@ -678,7 +666,7 @@ def cyclic_permute(aw: AdmissibleWord, offset: int) -> AdmissibleWord:
     to start ``offset`` state letters later.  Tape letter counts are
     preserved; only the duplicated end letter moves.
     """
-    if not aw.is_circular():
+    if len(aw.states) < 2 or aw.states[0] != aw.states[-1]:
         raise MachineError("base not circular")
     m = len(aw.states) - 1
     j = offset % m

@@ -216,7 +216,7 @@ def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]
 
     def rec(i, budget):
         if i == len(alphabets):
-            if not exact or budget == 0:
+            if budget == 0 or budget > 0 and not exact:
                 yield ()
             return
         for w in reduced_words(alphabets[i], budget):

@@ -32,7 +32,7 @@ from smforge.machine import (
     StatePart,
     make_rule,
 )
-from smforge.words import SmforgeError, Word
+from smforge.words import SmforgeError, Word, WordError
 
 SCHEMA_VERSION = 1
 
@@ -270,41 +270,39 @@ def machine_from_dict(doc: dict) -> Machine:
     bad = schema_violation(doc, MACHINE_SCHEMA)
     if bad:
         raise SerializeError(f"invalid machine document at {bad}")
-    parts = [StatePart(p["name"], p["letters"], p.get("start"), p.get("end"))
-             for p in doc["parts"]]
-    hw = Hardware(parts, doc["sector_alphabets"],
-                  doc.get("input_sectors", ()), doc.get("cyclic", False))
-    rules = []
-    for rd in doc["rules"]:
-        rps = []
-        locked = set()
-        for i, pd in enumerate(rd["parts"]):
-            rps.append(RulePart(pd["from"], pd["to"],
-                                Word.from_tokens(pd.get("left", "")),
-                                Word.from_tokens(pd.get("right", ""))))
-            if pd.get("lock"):
-                s = hw.right_sector(i)
-                if s is None:
-                    raise SerializeError(
-                        f"rule {rd['name']!r}: part {i} has no sector to lock")
-                locked.add(s)
-        domains = rd.get("domains")
-        if domains is None:
-            domains = [[] if s in locked else "full" for s in range(hw.n_sectors)]
-        try:
+    try:  # a document that fits the schema can still build no machine
+        parts = [StatePart(p["name"], p["letters"], p.get("start"),
+                           p.get("end")) for p in doc["parts"]]
+        hw = Hardware(parts, doc["sector_alphabets"],
+                      doc.get("input_sectors", ()), doc.get("cyclic", False))
+        rules = []
+        for rd in doc["rules"]:
+            rps = []
+            locked = set()
+            for i, pd in enumerate(rd["parts"]):
+                rps.append(RulePart(pd["from"], pd["to"],
+                                    Word.from_tokens(pd.get("left", "")),
+                                    Word.from_tokens(pd.get("right", ""))))
+                if pd.get("lock"):
+                    s = hw.right_sector(i)
+                    if s is None:
+                        raise SerializeError(f"rule {rd['name']!r}: part {i} "
+                                             f"has no sector to lock")
+                    locked.add(s)
+            domains = rd.get("domains")
+            if domains is None:
+                domains = [[] if s in locked else "full"
+                           for s in range(hw.n_sectors)]
             rule = make_rule(hw, rd["name"], rps, domains)
-        except MachineError as e:
-            raise SerializeError(str(e))
-        for s in locked:
-            if not rule.locked(s):
-                raise SerializeError(
-                    f"rule {rd['name']!r}: part marked lock but sector {s} "
-                    f"has a nonempty domain")
-        rules.append(rule)
-    try:
+            for s in locked:
+                if not rule.locked(s):
+                    raise SerializeError(
+                        f"rule {rd['name']!r}: part marked lock but sector "
+                        f"{s} has a nonempty domain")
+            rules.append(rule)
         return Machine(doc["name"], hw, rules)
-    except MachineError as e:
-        raise SerializeError(str(e))
+    except (MachineError, WordError) as e:
+        raise SerializeError(str(e)) from None
 
 
 def machine_dumps(m: Machine) -> str:

@@ -80,7 +80,7 @@ class Word:
     """Immutable word in the free group on the atom registry.
 
     Letters are (atom, sign) pairs with sign in {+1, -1}.  Multiplication
-    concatenates without reducing; use .reduced() or free_reduce().  The
+    concatenates without reducing; use free_reduce().  The
     constructor checks its letters; words derived from valid words
     (products, inverses, slices, rotations) are built unchecked.
     """
@@ -149,9 +149,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word._of(tuple([(a, -s) for a, s in reversed(self.letters)]))
-
-    def reduced(self) -> "Word":
-        return free_reduce(self)
 
     def is_reduced(self) -> bool:
         return len(free_reduce(self)) == len(self.letters)
@@ -295,6 +292,8 @@ def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
 
 def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len, in deterministic order."""
+    if max_len < 0:
+        return
     sigs = []
     for a in sorted(alphabet, key=lambda a: a.name):
         sigs.extend([(a, 1), (a, -1)])

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smforge import cli, group, search
 from smforge.cli import main
@@ -426,6 +430,96 @@ def test_bad_machine_document_exits_2(capsys, tmp_path, corrupt, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+def _contract_holds(argv):
+    """main returns 0-3 without raising, and a 2 prints one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+def _strings(doc):
+    if isinstance(doc, str):
+        return [doc]
+    items = doc.values() if isinstance(doc, dict) else doc
+    return [s for v in items if isinstance(v, (str, dict, list))
+            for s in _strings(v)]
+
+
+_BASES = [json.loads(machine_dumps(m)) for m in (toy_deleter(), build_lr(["a"]))]
+_JUNK = [None, True, 0, -1, 2, 1.5, "", "ε", "y^-2", "x y", [], {}, ["y"]]
+_TOKENS = sorted({s for doc in _BASES for s in _strings(doc)}) + ["y^-2", "ε"]
+# Each runs on a mutated document, given as the argument after the name.
+_DOC_COMMANDS = [
+    ["present"], ["present", "--strict"], ["cyclic"], ["historical"], ["pad"],
+    ["tm", "--max-n", "1", "--bound", "4", "--max-nodes", "2000"],
+    ["tm", "--input", "y", "--bound", "4", "--method", "meet"],
+    ["run", "--input", "y", "--history", "del acc"],
+    ["trapezium", "--input", "y", "--history", "del acc"],
+    ["conjugator", "--input", "y", "--history", "del acc"],
+]
+# MACHINE stands for a saved toy_deleter.
+_HEADS = [[]] + [[name, "MACHINE"] for name, _, _ in cli._COMMANDS]
+_ARGV_TOKENS = [name for name, _, _ in cli._COMMANDS] + [
+    "--input", "--start", "--history", "--bound", "--max-n", "--max-nodes",
+    "--method", "--format", "--kind", "--letters", "--name", "--strict",
+    "bogus", "0", "3", "-1", "many", "y", "del acc", "q0s y q1s", "bfs",
+    "meet", "json", "text", "dot", "lr", "MACHINE", "missing.json"]
+
+
+def _mutate(data, doc):
+    """Change one entry of doc: drop it, retype it, swap a token or
+    truncate a list."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if (isinstance(child, (dict, list)) and child
+                and data.draw(st.booleans())):
+            node = child
+            continue
+        op = data.draw(st.sampled_from(["drop", "retype", "token", "cut"]))
+        if op == "drop":
+            del node[key]
+        elif op == "retype":
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
+        elif op == "token":
+            node[key] = data.draw(st.sampled_from(_TOKENS))
+        elif isinstance(child, list):
+            node[key] = child[:data.draw(st.integers(0, len(child)))]
+        return
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_machine(toy_deleter(), path / "del.json")
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_input_contract_under_fuzzing(fuzz_dir, data):
+    """Mutated documents and argument lists drawn from the parser's own
+    tokens: never a traceback, never a code past 3, one line for a 2."""
+    out = ["-o", str(fuzz_dir / "out")]
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    path = fuzz_dir / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    name, *options = data.draw(st.sampled_from(_DOC_COMMANDS))
+    _contract_holds([name, str(path), *options, *out])
+    argv = data.draw(st.sampled_from(_HEADS)) + data.draw(
+        st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+    machine = str(fuzz_dir / "del.json")
+    _contract_holds([machine if a == "MACHINE" else a for a in argv] + out)
+
+
 def _fresh_python(*argv, cwd=None, text=True, **env_overrides):
     """Run a fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ, **env_overrides)
@@ -524,6 +618,17 @@ class TestEntryPoint:
         assert captured.out == ""
         assert captured.err == ("internal error: InvariantError: row top does "
                                 "not spell the resulting word\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tm"], [], ["bogus"],
+        ["tm", "m.json", "--bound", "3", "--max-nodes", "many"],
+    ], ids=["missing_arguments", "no_command", "unknown_command", "bad_int"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_module_invocation(self):
         proc = _fresh_python("-m", "smforge.cli", "--help")

@@ -81,6 +81,19 @@ class TestPresentation:
         with pytest.raises(EncodeError, match="schema_version"):
             GroupPresentation.from_dict(doc)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("relators", ["x^2"], "bad token 'x^2'"),
+        ("generators", ["x y"],
+         "atom name 'x y' may not contain whitespace or '^'"),
+    ], ids=["relator_token", "generator_name"])
+    def test_word_errors_become_encode_errors(self, key, value, message):
+        doc = z2_presentation().to_dict()
+        doc[key] = value
+        with pytest.raises(EncodeError) as info:
+            GroupPresentation.from_dict(doc)
+        assert type(info.value) is EncodeError
+        assert str(info.value) == message
+
     def test_file_round_trip(self, tmp_path):
         p = z2_presentation()
         path = tmp_path / "z2.json"
@@ -238,6 +251,13 @@ class TestAbelianized:
     def test_no_relators(self):
         p = GroupPresentation(atoms(["x"]), [])
         assert abelianized_trivial(p, EMPTY)
+        assert not abelianized_trivial(p, W("x"))
+
+    def test_no_generators(self):
+        # The trivial presentation: a word is trivial when it reduces away.
+        p = GroupPresentation([], [])
+        assert abelianized_trivial(p, EMPTY)
+        assert abelianized_trivial(p, W("x y y^-1 x^-1"))
         assert not abelianized_trivial(p, W("x"))
 
     def test_order_five(self):
@@ -456,7 +476,7 @@ class TestHInvariant:
     def test_defects(self):
         stored = self.m.meta["stored"]
         for r in self.m.rules:
-            d = rule_h_defect(self.m, r.name)
+            d = rule_h_defect(self.m, r)
             if r.name == "rho(0,1)":
                 assert d == stored[0]
             elif r.name == "rho(1,1)":

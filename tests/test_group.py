@@ -201,6 +201,14 @@ class TestTrapezium:
         assert back.history_word() == comp.history_word()
         assert back.end == comp.end
 
+    def test_tampered_stored_word_does_not_replay(self):
+        m, comp = self.accepting()
+        t = computation_to_trapezium(m, comp)
+        words = (t.words[0], t.words[2]) + t.words[2:]
+        bad = Trapezium(m, t.rows, t.cells, t.edges, words)
+        with pytest.raises(GroupError, match="^stored word 1 does not replay$"):
+            trapezium_to_computation(bad)
+
     def test_negative_steps(self):
         m = toy_deleter()
         start = input_configuration(m, W("y y"))
@@ -588,5 +596,6 @@ class TestHeisenberg:
     def test_dehn_cell_bound(self):
         assert dehn_cell_bound_check(1, 5)
         assert dehn_cell_bound_check(28, 8)  # 8^3/8 + 8^2/2 = 96
+        assert dehn_cell_bound_check(96, 8)
         assert not dehn_cell_bound_check(97, 8)
         assert not dehn_cell_bound_check(100, 5)

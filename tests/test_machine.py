@@ -94,6 +94,14 @@ class TestRuleValidation:
         with pytest.raises(MachineError):
             Machine("m", m.hw, [m.rule("del"), m.rule("del")])
 
+    def test_domain_outside_sector_alphabet(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError, match=r"^rule 'bad': domain of "
+                           r"sector 0 contains \['z'\] outside the sector "
+                           r"alphabet$"):
+            make_rule(m.hw, "bad", [("q0s", "q0s"), ("q1s", "q1s")],
+                      domains=[["y", "z"]])
+
 
 class TestParseAdmissible:
     def test_configuration_roundtrip(self):
@@ -134,6 +142,23 @@ class TestParseAdmissible:
         with pytest.raises(MachineError, match="do not bound"):
             parse_admissible(m.hw, "q1s y q0s")
 
+    @pytest.mark.parametrize("states, tapes, message", [
+        ([], [], "admissible word needs at least one state letter"),
+        (["q0s", "q1s"], [], "2 state letters need 1 tapes, got 0"),
+        (["q0s", "y", "q1s"], ["", ""], "'y' is not a state letter"),
+    ], ids=["no_state_letters", "tape_count", "tape_letter_as_state"])
+    def test_admissible_word_refusals(self, states, tapes, message):
+        m = toy_deleter()
+        with pytest.raises(MachineError) as info:
+            AdmissibleWord(m.hw, [(atom(a), 1) for a in states],
+                           [W(t) for t in tapes])
+        assert str(info.value) == message
+
+    def test_empty_word_has_no_state_letters(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="^no state letters$"):
+            parse_admissible(m.hw, EMPTY)
+
     def test_letter_in_wrong_gap(self):
         m = two_sided_multiplier()
         with pytest.raises(MachineError, match="does not belong"):
@@ -157,6 +182,12 @@ class TestApply:
         out = m.apply_ex(c, m.rule("acc"))
         assert not out.ok
         assert "domain" in out.reason
+
+    def test_apply_raises_the_reason(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="^cannot apply 'del': state "
+                           "letter 'q0f' does not match rule 'del'$"):
+            m.apply(accept_configuration(m), m.rule("del"))
 
     def test_state_mismatch_blocks(self):
         m = toy_deleter()
@@ -268,15 +299,29 @@ class TestRun:
 
 
 class TestConfigurations:
-    def test_input_validates_sector(self):
-        m = toy_deleter()
-        with pytest.raises(MachineError, match="not an input sector"):
-            input_configuration(m, {0: EMPTY, 1: EMPTY})
-
     def test_accept_configuration(self):
         m = trivial_acceptor()
         assert accept_configuration(m).tokens() == "p0 p1"
         assert input_configuration(m, EMPTY) == accept_configuration(m)
+
+    def test_input_count_is_checked(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="^expected 1 input words$"):
+            input_configuration(m, (EMPTY, EMPTY))
+        none = Machine("none", Hardware([StatePart("N0", ["n0"])], []), [])
+        with pytest.raises(MachineError, match="^machine has 0 input sectors; "
+                           "pass one word per sector$"):
+            input_configuration(none, EMPTY)
+
+    def test_cyclic_wrap_sector_must_be_empty(self):
+        hw = Hardware([StatePart("CW0", ["cwA"]), StatePart("CW1", ["cwB"])],
+                      [["cwy"], ["cwz"]], cyclic=True)
+        m = Machine("wrap", hw, [])
+        for build in (input_configuration, accept_configuration):
+            with pytest.raises(MachineError, match="^a configuration of a "
+                               "cyclic machine needs an empty wrap-sector "
+                               "alphabet$"):
+                build(m)
 
 
 class TestCyclicPermute:
@@ -303,6 +348,8 @@ class TestCyclicPermute:
         w = parse_admissible(m.hw, "q0s y q1s")
         with pytest.raises(MachineError, match="base not circular"):
             cyclic_permute(w, 1)
+        with pytest.raises(MachineError, match="base not circular"):
+            cyclic_permute(parse_admissible(m.hw, "q0s"), 1)
 
 
 class TestRestrict:

@@ -261,6 +261,13 @@ class TestInputsAndTimeFunction:
         from smforge.machine import Hardware, Machine
         m2 = Machine("no_inputs", Hardware(hw.parts, hw.sector_alphabets, ()), m.rules)
         assert list(enumerate_inputs(m2, 3)) == [()]
+        assert list(enumerate_inputs(m2, -1)) == []
+
+    def test_no_input_is_shorter_than_nothing(self):
+        m = toy_deleter()
+        assert list(enumerate_inputs(m, -1)) == []
+        assert list(enumerate_inputs(m, -1, exact=True)) == []
+        assert list(enumerate_inputs(m, 0)) == [(EMPTY,)]
 
     def test_deleter_time_function(self):
         m = toy_deleter()

@@ -31,6 +31,7 @@ from smforge.serialize import (
     schema_violation,
 )
 from smforge.words import Word, atom
+from test_cli import _set
 from test_search_properties import machines
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True)
@@ -110,6 +111,27 @@ class TestValidation:
         doc["rules"][0]["parts"][0]["from"] = "nonexistent"
         with pytest.raises(SerializeError, match="nonexistent"):
             machine_from_dict(doc)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_set("parts", 0, "letters", ["q0s", "q0f", "q0s"]),
+         "part 'T0' repeats a letter"),
+        (_set("sector_alphabets", [["y"], ["z"]]),
+         "expected 1 sector alphabets for 2 parts (non-cyclic), got 2"),
+        (_set("input_sectors", [1]), "input sector 1 out of range"),
+        (_set("rules", 0, "parts", 1, "left", "y^-2"), "bad token 'y^-2'"),
+        (_set("sector_alphabets", 0, ["y z"]),
+         "atom name 'y z' may not contain whitespace or '^'"),
+        (_set("rules", 1, "name", "del"), "two rules named 'del'"),
+    ], ids=["repeated_letter", "sector_count", "input_out_of_range",
+            "bad_token", "spaced_letter", "duplicate_rule"])
+    def test_construction_errors_become_serialize_errors(self, corrupt,
+                                                         message):
+        doc = self.good()
+        corrupt(doc)
+        with pytest.raises(SerializeError) as info:
+            machine_from_dict(doc)
+        assert type(info.value) is SerializeError
+        assert str(info.value) == message
 
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -117,7 +117,7 @@ class TestAlgebra:
     def test_mul_does_not_reduce(self):
         w = W("x") * W("x^-1")
         assert len(w) == 2
-        assert w.reduced() == EMPTY
+        assert free_reduce(w) == EMPTY
 
     def test_inverse_involution(self):
         for w in all_words([x, y], 3):
@@ -278,3 +278,7 @@ class TestEnumeration:
         a = [w.tokens() for w in reduced_words([x, y], 2)]
         b = [w.tokens() for w in reduced_words([y, x], 2)]
         assert a == b
+
+    def test_no_word_is_shorter_than_nothing(self):
+        assert list(reduced_words([x, y], -1)) == []
+        assert list(reduced_words([x, y], 0)) == [EMPTY]
