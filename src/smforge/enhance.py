@@ -151,78 +151,55 @@ def pad_locked(sh: Machine) -> Machine:
 def compose(shp: Machine) -> Machine:
     """The five-stage machine over the padded hardware."""
     _require(shp, "padded", "compose")
-    s: Machine = shp.meta["source"]
-    n = shp.meta["blocks"]
     rule_names = shp.meta["base_rules"]
-    N = shp.n_parts
     centrals = shp.meta["central_sectors"]
 
-    u = [atom(f"u{j}@1") for j in range(N)]
-    v1 = [atom(f"v{j}.1@2") for j in range(N)]
-    v2 = [atom(f"v{j}.2@2") for j in range(N)]
+    def column(fmt):
+        return [atom(fmt.format(j)) for j in range(shp.n_parts)]
+
+    u, v1, v2 = column("u{}@1"), column("v{}.1@2"), column("v{}.2@2")
+    w1, w2, z = column("w{}.1@4"), column("w{}.2@4"), column("z{}@5")
     tag3 = {q: atom(f"{q.name}@3") for p in shp.parts for q in p.letters}
-    w1 = [atom(f"w{j}.1@4") for j in range(N)]
-    w2 = [atom(f"w{j}.2@4") for j in range(N)]
-    z = [atom(f"z{j}@5") for j in range(N)]
-
-    parts = []
-    for j, p in enumerate(shp.parts):
-        letters = ([u[j], v1[j], v2[j]] + [tag3[q] for q in p.letters]
-                   + [w1[j], w2[j], z[j]])
-        parts.append(StatePart(p.name, letters, u[j], z[j]))
+    parts = [StatePart(p.name, [u[j], v1[j], v2[j], *map(tag3.get, p.letters),
+                                w1[j], w2[j], z[j]], u[j], z[j])
+             for j, p in enumerate(shp.parts)]
     hw = Hardware(parts, shp.sector_alphabets, shp.input_sectors)
+    rules = []
 
-    def copies(kind, i):
-        return frozenset(hist_atom(kind, rn, i) for rn in rule_names)
-
-    def doms(assign, inputs):
-        """Sector sec gets assign[sec], an input sector its whole alphabet
-        if inputs, every other sector is locked."""
+    def doms(kinds, inputs):
+        """Sector c + offset of each block, c its central sector, gets the
+        kinds[offset] copies; an input sector all of it if inputs."""
+        assign = {c + off: frozenset(hist_atom(kind, rn, i) for rn in rule_names)
+                  for i, c in enumerate(centrals) for off, kind in kinds.items()}
         return [assign.get(sec, alphabet if inputs and sec in hw.input_sectors
                            else frozenset())
                 for sec, alphabet in enumerate(hw.sector_alphabets)]
 
-    def plain(letters, writes=None):
-        writes = writes or {}
-        return [RulePart(letters[j], letters[j],
-                         *(writes.get(j, (EMPTY, EMPTY)))) for j in range(N)]
+    def switch(name, frm, to, dom):
+        rules.append(SRule(name, [RulePart(*q) for q in zip(frm, to)], dom))
 
-    def switch(frm, to):
-        return [RulePart(frm[j], to[j]) for j in range(N)]
-
-    def copier(tag, states, part, pad, central, connect, inputs):
-        """Stage tag: the parallel copier on part Q_ir (LR, through the
-        right pad) or Q_il (RL, through the left pad) of every block.  tau1
-        writes the central letter inverted and its pad copy upright on the
-        other side of the part, tau2 undoes that, and connect switches the
-        states once the central sector is empty."""
-        right = part == "r"
-        far = {c + (1 if right else -1): copies(pad, i)
-               for i, c in enumerate(centrals)}
-        dom = doms({**{c: copies(central, i) for i, c in enumerate(centrals)},
-                    **far}, inputs)
+    def stage(part, dom, *shapes):
+        """One rule per base rule rn and shape (name, states, left, right):
+        every part loops on its state, and part c + part of each block, c
+        its central sector, writes the (kind, sign) copy of rn or nothing."""
         for rn in rule_names:
-            for t, sign in ((1, 1), (2, -1)):
-                writes = {}
-                for i, c in enumerate(centrals):
-                    ws = (Word.of((hist_atom(central, rn, i), -sign)),
-                          Word.of((hist_atom(pad, rn, i), sign)))
-                    writes[c + right] = ws if right else ws[::-1]
-                rules.append(SRule(f"tau{t}({rn})@{tag}",
-                                   plain(states[t - 1], writes), dom))
-        rules.append(SRule(f"{connect}@{tag}", switch(*states),
-                           doms(far, inputs)))
-
-    rules = []
+            for name, states, *ends in shapes:
+                writes = {c + part: [EMPTY if e is None else Word.of(
+                    (hist_atom(e[0], rn, i), e[1])) for e in ends]
+                    for i, c in enumerate(centrals)}
+                rules.append(SRule(name.format(rn), [RulePart(
+                    q, q, *writes.get(j, ())) for j, q in enumerate(states)], dom))
 
     # stage 1: append an L-copy letter to every historical sector.
-    dom1 = doms({centrals[i]: copies("L", i) for i in range(n)}, True)
-    for rn in rule_names:
-        writes = {4 * i + 2: (Word.of(hl(rn, i)), EMPTY) for i in range(n)}
-        rules.append(SRule(f"{rn}@1", plain(u, writes), dom1))
+    dom1 = doms({0: "L"}, True)
+    stage(1, dom1, ("{}@1", u, ("L", 1), None))
 
-    # stage 2: parallel LR on (Q_il, Q_ir, R_i) through the right pads.
-    copier(2, (v1, v2), "r", "Lr", "L", "zeta", True)
+    # stage 2: parallel LR on (Q_il, Q_ir, R_i) through the right pads;
+    # zeta switches the states once the central sector is empty.
+    stage(1, doms({0: "L", 1: "Lr"}, True),
+          ("tau1({})@2", v1, ("L", -1), ("Lr", 1)),
+          ("tau2({})@2", v2, ("L", 1), ("Lr", -1)))
+    switch("zeta@2", v1, v2, doms({1: "Lr"}, True))
 
     # stage 3: the padded machine verbatim.
     for r in shp.rules:
@@ -232,24 +209,21 @@ def compose(shp: Machine) -> Machine:
 
     # stage 4: parallel RL on (P_i, Q_il, Q_ir) through the left pads,
     # with everything else, input included, locked.
-    copier(4, (w1, w2), "l", "Rp", "R", "xi", False)
+    stage(0, doms({0: "R", -1: "Rp"}, False),
+          ("tau1({})@4", w1, ("Rp", 1), ("R", -1)),
+          ("tau2({})@4", w2, ("Rp", -1), ("R", 1)))
+    switch("xi@4", w1, w2, doms({-1: "Rp"}, False))
 
     # stage 5: erase a leading R-copy letter from every historical sector.
-    dom5 = doms({centrals[i]: copies("R", i) for i in range(n)}, False)
-    for rn in rule_names:
-        writes = {4 * i + 1: (EMPTY, Word.of((hr(rn, i), -1))) for i in range(n)}
-        rules.append(SRule(f"{rn}@5", plain(z, writes), dom5))
+    dom5 = doms({0: "R"}, False)
+    stage(0, dom5, ("{}@5", z, None, ("R", -1)))
 
-    # transitions: into and out of stage 2 with stage 1's domains, into
-    # and out of stage 4 with stage 5's.
-    start3 = [tag3[p.start] for p in shp.parts]
-    end3 = [tag3[p.end] for p in shp.parts]
-    rules.append(SRule("sigma(12)", switch(u, v1), dom1))
-    rules.append(SRule("sigma(23)", switch(v2, start3), dom1))
-    rules.append(SRule("sigma(34)", switch(end3, w1), dom5))
-    rules.append(SRule("sigma(45)", switch(w2, z), dom5))
-
-    return Machine(f"{s.name}.E", hw, rules,
+    # transitions: stage 1's domains around stage 2, stage 5's around 4.
+    switch("sigma(12)", u, v1, dom1)
+    switch("sigma(23)", v2, [tag3[p.start] for p in shp.parts], dom1)
+    switch("sigma(34)", [tag3[p.end] for p in shp.parts], w1, dom5)
+    switch("sigma(45)", w2, z, dom5)
+    return Machine(f"{shp.meta['source'].name}.E", hw, rules,
                    {**shp.meta, "kind": "composed", "padded": shp})
 
 

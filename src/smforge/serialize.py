@@ -123,7 +123,7 @@ def read_json(path):
     """The JSON document in the UTF-8 file at ``path``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise SerializeError(f"not valid JSON: {e}") from None
 
 

@@ -290,10 +290,15 @@ class TestTm:
         assert code == 3
         assert json.loads(out)["status"] == "bound-limited"
 
-    @pytest.mark.parametrize("command", ["present", "encode"])
-    def test_deeply_nested_input(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("command, text", [
+        pytest.param(command, text, id=command + suffix)
+        for suffix, text in [
+            ("", "[" * 100_000 + "]" * 100_000),
+            ("-long_int", '{"schema_version": ' + "1" * 5_000 + "}")]
+        for command in ("present", "encode")])
+    def test_deeply_nested_input(self, capsys, tmp_path, command, text):
         path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
+        path.write_text(text)
         code = main([command, str(path)])
         err = capsys.readouterr().err
         assert code == 2

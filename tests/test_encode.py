@@ -24,7 +24,9 @@ from smforge.encode import (
     stored_relators,
 )
 from smforge.fixtures import commutator_presentation, z2_presentation
-from smforge.machine import accept_configuration, input_configuration, run
+from smforge.machine import (accept_configuration, input_configuration,
+                             parse_admissible, run)
+from smforge.primitive import build_lr
 from smforge.search import BOUNDED, FOUND, accepts
 from smforge.serialize import SerializeError, machine_dumps, machine_from_dict
 from smforge.words import EMPTY, Word, atom, atoms, free_reduce, reduced_words
@@ -145,6 +147,12 @@ class TestDoubledAlphabet:
         with pytest.raises(EncodeError):
             self.d.unprime(W("x"))
 
+    def test_bar_and_unbar_refuse_foreign_letters(self):
+        with pytest.raises(EncodeError, match="^'z' is not a doubled letter$"):
+            self.d.bar(atom("z"))
+        with pytest.raises(EncodeError, match="^'z' is not a doubled letter$"):
+            self.d.unbar(W("z"))
+
 
 class TestStoredRelators:
     def test_z2_keeps_the_inverse(self):
@@ -233,6 +241,11 @@ class TestPositivizing:
             assert c.end.tapes[0] == d.positivize(w)
             assert not c.end.tapes[1]
             assert c.end.states == input_configuration(m).states
+
+    def test_non_input_letter_refused(self):
+        m = presentation_to_machine(z2_presentation())
+        with pytest.raises(EncodeError, match="^'z' is not an input letter$"):
+            positivizing_computation(m, W("z"))
 
 
 class TestAbelianized:
@@ -428,6 +441,14 @@ class TestEmulation:
         assert c.end == accept_configuration(self.m)
         assert len(h) == 5
 
+    def test_explicit_steps_refused(self):
+        with pytest.raises(EncodeError,
+                           match="^'x x x x' is not a stored relator$"):
+            emulation_history(self.m, W("x x"), steps=[(W("x x x x"), 0)])
+        with pytest.raises(EncodeError, match="^derivation does not end at "
+                           "the empty word$"):
+            emulation_history(self.m, W("x x"), steps=[])
+
     def test_rho_blocks_match_the_oracle(self):
         p = commutator_presentation()
         m = presentation_to_machine(p)
@@ -483,6 +504,24 @@ class TestHInvariant:
                 assert d == stored[1]
             else:
                 assert d == EMPTY
+
+    @pytest.mark.parametrize("config, message", [
+        ("q0.s q0.s^-1", "standard three-part configuration expected"),
+        ("q0.s q1.f q2.s", r"state columns out of step: \['s', 'f', 's'\]"),
+    ], ids=["off_base", "out_of_step"])
+    def test_h_ext_refusals(self, config, message):
+        with pytest.raises(EncodeError, match=f"^{message}$"):
+            h_ext(self.m, parse_admissible(self.m.hw, config))
+
+    def test_non_encoder_refused(self):
+        m = build_lr(["a"])
+        with pytest.raises(EncodeError, match="^'LR' is not an encoder machine$"):
+            h_ext(m, input_configuration(m))
+
+    def test_unexpected_right_write(self):
+        with pytest.raises(EncodeError,
+                           match=r"^tau1\(a\): unexpected right write$"):
+            rule_h_defect(self.m, build_lr(["a"]).rule("tau1(a)"))
 
     def test_constant_along_computations(self):
         m = presentation_to_machine(commutator_presentation())

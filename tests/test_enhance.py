@@ -211,6 +211,12 @@ class TestComposed:
         assert max(lengths) == 1
         assert lengths[9] == 1 and lengths[10] == 0
 
+    def test_plain_machine_and_untagged_names(self):
+        m = toy_deleter()
+        aw = input_configuration(m, W("y y"))
+        assert working_length(m, aw) == aw.tape_length() == 2
+        assert step_history(W("del acc del")) == ["del", "acc", "del"]
+
     def test_unknown_history_letter(self):
         em = build_enhanced_standard(toy_deleter())
         with pytest.raises(MachineError, match="not a rule"):

@@ -454,6 +454,15 @@ class TestValidation:
         with pytest.raises(GroupError, match=message):
             validate_trapezium(t)
 
+    def test_zero_row_word_swapped(self):
+        m = toy_deleter()
+        t = computation_to_trapezium(
+            m, run(m, input_configuration(m, W("y")), []))
+        bad = Trapezium(m, (), (), t.edges, (input_configuration(m, W("y y")),),
+                        degenerate=t.bottom)
+        with pytest.raises(GroupError, match="^bottom label is wrong$"):
+            validate_trapezium(bad)
+
 
 class TestGroupBuiltOnce:
     """validate_trapezium builds M(S) once per machine.  Neither a verdict

@@ -16,6 +16,7 @@ from smforge.machine import (
     Machine,
     MachineError,
     RulePart,
+    SRule,
     StatePart,
     accept_configuration,
     cyclic_permute,
@@ -53,6 +54,13 @@ class TestHardware:
     def test_state_tape_clash(self):
         with pytest.raises(MachineError):
             Hardware([StatePart("A", ["h4"]), StatePart("B", ["h5"])], [["h4"]])
+
+    def test_no_letters_and_no_parts(self):
+        with pytest.raises(MachineError, match="^part 'p' has no letters$"):
+            StatePart("p", [])
+        with pytest.raises(MachineError,
+                           match="^a machine needs at least one part$"):
+            Hardware([], [])
 
     def test_sector_neighbours(self):
         m = toy_deleter()
@@ -93,6 +101,12 @@ class TestRuleValidation:
         m = toy_deleter()
         with pytest.raises(MachineError):
             Machine("m", m.hw, [m.rule("del"), m.rule("del")])
+
+    def test_wrong_number_of_domains(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError,
+                           match="^rule 'bad': expected 1 domains$"):
+            Machine("m", m.hw, [SRule("bad", m.rule("del").parts, [])])
 
     def test_domain_outside_sector_alphabet(self):
         m = toy_deleter()

@@ -289,12 +289,22 @@ _JSON = st.recursive(
     max_leaves=12)
 
 
+# Subclasses of str and list take the writer's isinstance branches.
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_JSON)
 @example([(1, True), (2, 3)])
 @example([(0, 1), [2, 3], (4, 5, 6)])
 @example([(0, 1, 2), (3,)])
 @example({"é": ((-1, 2 ** 70),), "": [], "a\u2028": {}, "b": ()})
+@example(_List([_Str('a"ä'), 1]))
 def test_emitter_agrees_with_json(value):
     assert dumps_canonical(value) == _reference(value)
 
