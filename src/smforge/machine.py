@@ -23,9 +23,13 @@ every admissible word).
 All application runs one kernel body, ``_SignedRule.apply``, on signed rules
 compiled once per machine.  Each signed rule compiles one row per tuple of
 state letters it meets, on first use: the new state letters, the writes of
-each gap and the gaps whose domain it must check, or why those letters do not
-match.  The machine lists the moves of each tuple: the rows that match.  A gap
-with nothing written keeps its tape as it is.  A rule keeps the base, so the
+the gaps it writes and the gaps whose domain it must check, or why those
+letters do not match.  The machine lists the moves of each tuple: the rows
+that match.  A gap with nothing written keeps its tape as it is.  A written
+gap carries its pre and post words, the letters that would cancel them at
+either junction and the reduced pre.post for an empty tape, so a tape is
+written in one tuple concatenation, and splice runs only when a junction
+cancels.  A rule keeps the base, so the
 gap sectors too: its results skip validation, words from users do not.  A
 configuration's key is its letters: the state letters and each tape's letter
 tuple, concatenated once and cached.  Atoms are ints, so keys, state tuples
@@ -271,15 +275,10 @@ class AdmissibleWord:
                     raise MachineError(
                         f"letter {a.name!r} in gap {j} does not belong to "
                         f"sector {s}")
-        self._fill(hw, states, tapes, tuple(sectors))
-
-    def _fill(self, hw, states, tapes, gap_sectors):
-        """Set the slots unchecked: after validation, or for a rule's result,
-        which keeps the base, so the gap sectors, of the word it rewrote."""
         _set_hw(self, hw)
         _set_states(self, states)
         _set_tapes(self, tapes)
-        _set_gaps(self, gap_sectors)
+        _set_gaps(self, tuple(sectors))
         _set_key(self, None)
 
     def __setattr__(self, *a):
@@ -403,7 +402,7 @@ class _SignedRule:
     is what q^e becomes if its part must carry q; None marks a full domain.
     The emissions are stored reduced, so that writing them onto a reduced
     tape cancels at the junctions only.  rows maps a tuple of state letters
-    to its row, compiled by row() on first use."""
+    to its row, compiled by row() on first use, writes included."""
 
     __slots__ = ("rule", "sign", "emit", "domains", "rows")
 
@@ -420,9 +419,11 @@ class _SignedRule:
 
     def row(self, aw: AdmissibleWord):
         """What the rule does to any word with aw's state letters: why they
-        do not match, or (new state letters, the (pre, post) writes of each
-        gap, None where both are empty, and (gap, domain) for each gap whose
-        domain is not the whole sector alphabet)."""
+        do not match, or (new state letters, writes, and (gap, domain) for
+        each gap whose domain is not the whole sector alphabet).  writes
+        lists only the gaps written, as (gap, pre, post, the letter that
+        cancels pre's last, the one that cancels post's first, and the
+        reduced pre.post for an empty tape); () is no letter."""
         trip = []
         for q in aw.states:
             out = self.emit.get(q)
@@ -430,15 +431,24 @@ class _SignedRule:
                 return (f"state letter {q[0].name!r} does not match "
                         f"rule {self.rule.name!r}")
             trip.append(out)
-        writes = tuple([(a[2], b[0]) if a[2] or b[0] else None
-                        for a, b in zip(trip, trip[1:])])
+        writes = []
+        for j, (left, right) in enumerate(zip(trip, trip[1:])):
+            pre, post = left[2], right[0]
+            if pre or post:
+                writes.append((j, pre, post,
+                               pre and (pre[-1][0], -pre[-1][1]),
+                               post and (post[0][0], -post[0][1]),
+                               _of(splice(pre, (), post)[0])))
         checks = tuple([(j, self.domains[s])
                         for j, s in enumerate(aw.gap_sectors)
                         if self.domains[s] is not None])
-        return tuple([t[1] for t in trip]), writes, checks
+        return tuple([t[1] for t in trip]), tuple(writes), checks
 
     def apply(self, row, aw: AdmissibleWord):
-        """The kernel body: row's result on aw, or why a domain refuses aw."""
+        """The kernel body: row's result on aw, or why a domain refuses aw.
+        A written tape is pre + tape + post, spliced only when a junction
+        cancels.  The result keeps aw's base, so its gap sectors too, and
+        its slots are set unchecked."""
         states, writes, checks = row
         tapes = aw.tapes
         for j, dom in checks:
@@ -446,12 +456,23 @@ class _SignedRule:
                 if a not in dom:
                     return (f"letter {a.name!r} in gap {j} outside "
                             f"the domain of rule {self.rule.name!r}")
+        if writes:
+            tapes = list(tapes)
+            for j, pre, post, undo_pre, undo_post, empty in writes:
+                t = tapes[j].letters
+                if not t:
+                    tapes[j] = empty
+                elif t[0] == undo_pre or t[-1] == undo_post:
+                    tapes[j] = _of(splice(pre, t, post)[0])
+                else:
+                    tapes[j] = _of(pre + t + post)
+            tapes = tuple(tapes)
         res = _new(AdmissibleWord)
-        res._fill(aw.hw, states,
-                  tuple([w if wr is None
-                         else _of(splice(wr[0], w.letters, wr[1])[0])
-                         for w, wr in zip(tapes, writes)]),
-                  aw.gap_sectors)
+        _set_hw(res, aw.hw)
+        _set_states(res, states)
+        _set_tapes(res, tapes)
+        _set_gaps(res, aw.gap_sectors)
+        _set_key(res, None)
         return res
 
 

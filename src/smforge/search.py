@@ -262,24 +262,18 @@ def reduced_computations(m: Machine, start: AdmissibleWord, max_steps: int,
                          prune: Optional[Callable] = None
                          ) -> Iterator[tuple[tuple, AdmissibleWord]]:
     """Depth-first enumeration of every computation from start whose
-    history is freely reduced, as (steps, end) pairs.  steps is a tuple
-    of (rule, sign).  prune(config, depth) may cut a branch after it is
-    yielded."""
-
-    def stop(c, depth):
-        return depth == max_steps or (prune is not None and prune(c, depth))
-
-    yield (), start
-    # One frame per open configuration: its history and its successors.
-    stack = [] if stop(start, 0) else [((), iter(successors(m, start)))]
+    history is freely reduced and at most max_steps long, as (steps, end)
+    pairs in pre-order; a negative max_steps yields ((), start) alone.
+    steps is a tuple of (rule, sign).  prune(config, depth) may cut a
+    branch after it is yielded.  One flat stack holds the pending pairs,
+    each node's children pushed in reverse so that the first pops first;
+    a node is pruned or expanded right after it is yielded."""
+    stack = [((), start)]
     while stack:
-        steps, succ = stack[-1]
-        step = next(succ, None)
-        if step is None:
-            stack.pop()
-            continue
-        rule, sign, end = step
-        steps += ((rule, sign),)
+        steps, end = stack.pop()
         yield steps, end
-        if not stop(end, len(steps)):
-            stack.append((steps, iter(successors(m, end, (rule, -sign)))))
+        depth = len(steps)
+        if depth < max_steps and not (prune is not None and prune(end, depth)):
+            back = (steps[-1][0], -steps[-1][1]) if steps else None
+            stack += [(steps + ((rule, sign),), res) for rule, sign, res
+                      in reversed(successors(m, end, back))]

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -322,6 +323,19 @@ class TestReducedComputations:
         for steps, c in seen:
             if len(steps) >= 2:
                 assert c.tape_length() <= 2
+
+    def test_negative_bound_yields_the_start_alone(self):
+        # As bfs_reach and reachable_configs do, a negative bound stops at
+        # once; islice keeps a walk without end from hanging the test.
+        m = toy_deleter()
+        start = input_configuration(m, W("y"))
+        tried = []
+        for bound in (-1, -2):
+            comps = reduced_computations(
+                m, start, bound, prune=lambda c, d: tried.append(d))
+            assert list(itertools.islice(comps, 3)) == [((), start)]
+        assert tried == []
+        assert reachable_configs(m, start, -1) == ({start: 0}, False)
 
     def test_deep_enumeration(self):
         # One rule: from the empty tape the reduced histories are mul^k

@@ -5,11 +5,12 @@ three rules with writes of length at most one inside the domains), so
 every search below finishes in milliseconds.  Examples are derandomized
 to keep the suite deterministic.  The rule-application kernel is also
 checked against a reference that applies each rule afresh, on these
-machines and on the fixtures, and the keys of admissible words of the
-fixtures against the keys of their flat words.  On the fixtures, the
-skip argument of successors, words on foreign hardware and the
-enumeration of reduced computations are checked against plain
-references too.
+machines, on the fixtures and on arbitrary tapes of every base of the
+fixtures, whose writes meet them at every kind of junction; and the keys
+of admissible words of the fixtures against the keys of their flat words.
+On the fixtures, the skip argument of successors, words on foreign
+hardware and the enumeration of reduced computations, pruned or not, are
+checked against plain references too.
 """
 import functools
 import itertools
@@ -48,7 +49,7 @@ from smforge.search import (
     reduced_computations,
     successors,
 )
-from smforge.words import EMPTY, Word, atom, reduced_words
+from smforge.words import EMPTY, Word, atom, free_reduce, reduced_words, splice
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -168,15 +169,23 @@ def _reference_apply(m, aw, rule, sign):
                 return (None, f"letter {a.name!r} in gap {j} outside "
                         f"the domain of rule {rule.name!r}")
 
-    def emissions(rp, e):
-        if e > 0:
-            return rp.left, (rp.to, 1), rp.right
-        return rp.right.inverse(), (rp.to, -1), rp.left.inverse()
-
-    trip = [emissions(r.parts[part_of[a]], e) for a, e in aw.states]
+    trip = _emissions(r, m, aw)
     tapes = [trip[j][2] * w * trip[j + 1][0] for j, w in enumerate(aw.tapes)]
     result = AdmissibleWord(m.hw, [t[1] for t in trip], tapes)
     return result, None
+
+
+def _emissions(r, m, aw):
+    """What each state letter q^e of aw becomes under the rule r, as
+    (pre, letter, post), unreduced."""
+    out = []
+    for a, e in aw.states:
+        rp = r.parts[m.hw.part_of[a]]
+        if e > 0:
+            out.append((rp.left, (rp.to, 1), rp.right))
+        else:
+            out.append((rp.right.inverse(), (rp.to, -1), rp.left.inverse()))
+    return out
 
 
 def _ball(m, start):
@@ -234,6 +243,18 @@ def _unreduced_writer():
     return Machine("unreduced_writer", hw, [rule])
 
 
+def _long_writer():
+    """One sector over {a, b}; w writes a . b on its left end and
+    b^-1 . a on its right: reduced writes of two letters on both sides,
+    whose product a . a still cancels at their junction."""
+    hw = Hardware([StatePart("V0", ["v0"]), StatePart("V1", ["v1"])],
+                  [[atom("a"), atom("b")]], input_sectors=[0])
+    rule = make_rule(hw, "w", [
+        RulePart("v0", "v0", right=Word.from_tokens("a b")),
+        RulePart("v1", "v1", left=Word.from_tokens("b^-1 a"))])
+    return Machine("long_writer", hw, [rule])
+
+
 @pytest.mark.parametrize("build, inputs", [
     (toy_deleter, "y y y^-1 y^-1"),
     (paired_multiplier, "a_l b_r a_r^-1 b_l a_l"),
@@ -267,7 +288,7 @@ def _fixture_machines():
     return [toy_deleter(), paired_multiplier(), two_sided_multiplier(),
             _unreduced_writer(),
             make_cyclic(build_enhanced_standard(toy_deleter())),
-            presentation_to_machine(z2_presentation())]
+            presentation_to_machine(z2_presentation()), _long_writer()]
 
 
 @st.composite
@@ -303,6 +324,68 @@ def test_key_is_the_key_of_the_flat_word(case):
     for c in [aw] + [res for _, _, res in successors(m, aw)]:
         assert c.key() == c.to_word().key()
         assert c.key() == parse_admissible(m.hw, c.to_word()).key()
+
+
+@PROPERTY
+@given(fixture_words())
+def test_kernel_on_any_word(case):
+    m, aw = case
+    check_kernel(m, [aw])
+
+
+def _junctions(m, aw):
+    """The kinds of junction met where the signed rules that apply to aw
+    write, with the writes reduced afresh from the rule: "empty" (an empty
+    tape is written), "left" and "right" (the tape cancels at that
+    junction), "whole" (a tape cancels completely), and "into" (both
+    writes have two letters or more, and a shorter tape cancels wholly
+    into one of them)."""
+    kinds = set()
+    for rule, sign in m.signed_rules():
+        if m.try_apply(aw, rule, sign) is None:
+            continue
+        trip = _emissions(rule if sign > 0 else invert_rule(rule), m, aw)
+        for j, tape in enumerate(aw.tapes):
+            pre = free_reduce(trip[j][2]).letters
+            post = free_reduce(trip[j + 1][0]).letters
+            t = tape.letters
+            if not (pre or post):
+                continue
+            if not t:
+                kinds.add("empty")
+                continue
+            _, i, k = splice(pre, t, post)
+            into = len(t) == i < len(pre) or i == 0 and len(t) == k < len(post)
+            kinds |= {name for name, hit in (
+                ("left", i > 0), ("right", k > 0), ("whole", i + k >= len(t)),
+                ("into", into and min(len(pre), len(post)) >= 2)) if hit}
+    return kinds
+
+
+# Words on which the writes meet every kind of junction _junctions tells.
+JUNCTION_WORDS = [
+    ("long_writer", "v0 v1"),                   # empty, pre.post cancels
+    ("long_writer", "v0 v0^-1"),                # empty, pre.post is empty
+    ("long_writer", "v0 b^-1 v1"),              # into pre
+    ("long_writer", "v0 b v1"),                 # into post
+    ("long_writer", "v0 a^-1 b v1"),            # wholly, at the right
+    ("long_writer", "v1^-1 a a v0^-1"),         # no junction cancels
+    ("deleter", "q0s y y q1s"),                 # at the right
+    ("unreduced", "u0 a^-1 u1"),                # wholly, at either end
+]
+
+
+def test_kernel_meets_every_junction():
+    machines = dict(zip(["deleter", "paired", "two_sided", "unreduced",
+                         "cyclic_enhanced", "z2_encoder", "long_writer"],
+                        _fixture_machines()))
+    kinds = set()
+    for name, text in JUNCTION_WORDS:
+        m = machines[name]
+        aw = parse_admissible(m.hw, text)
+        check_kernel(m, [aw])
+        kinds |= _junctions(m, aw)
+    assert kinds == {"empty", "left", "right", "whole", "into"}
 
 
 # The fixtures and input words of test_kernel_on_fixtures, in the order
@@ -341,15 +424,17 @@ def test_foreign_hardware_expands_alike():
             assert successors(m, c, skip) == successors(m, own, skip)
 
 
-def _reference_computations(m, start, max_steps):
+def _reference_computations(m, start, max_steps, prune=None):
     """Every computation from start with a freely reduced history, as
     (steps, end) pairs in depth-first order: a recursion that tries each
-    signed rule through apply_ex, in (name, sign) order."""
+    signed rule through apply_ex, in (name, sign) order.  A node within
+    the bound is passed to prune(config, depth) as soon as it is listed,
+    and not extended if that returns true."""
     out = []
 
     def visit(steps, c):
         out.append((steps, c))
-        if len(steps) == max_steps:
+        if len(steps) >= max_steps or prune is not None and prune(c, len(steps)):
             return
         for rule, sign in m.signed_rules():
             if not steps or steps[-1] != (rule, -sign):
@@ -367,3 +452,32 @@ def test_enumeration_agrees_with_reference(name):
     for depth in range(5):
         got = list(reduced_computations(m, start, depth))
         assert got == _reference_computations(m, start, depth)
+
+
+@pytest.mark.parametrize("name", ["deleter", "two_sided", "cyclic_enhanced"])
+def test_pruned_enumeration_agrees_with_reference(name):
+    m, start = _fixture_start(name)
+    limit = start.tape_length() + 1
+
+    def recorder(seen):
+        """A prune that cuts long tapes and logs its calls; given the list
+        of pairs yielded so far, it checks that its node came last."""
+        calls = []
+
+        def prune(c, depth):
+            if seen is not None:
+                assert seen[-1][1] is c and len(seen[-1][0]) == depth
+            calls.append((c, depth))
+            return c.tape_length() > limit
+        return calls, prune
+
+    want_calls, prune = recorder(None)
+    want = _reference_computations(m, start, 5, prune)
+    got = []
+    got_calls, prune = recorder(got)
+    for pair in reduced_computations(m, start, 5, prune=prune):
+        got.append(pair)
+    assert got == want and got_calls == want_calls
+    # The prune cuts some branches and lets others grow.
+    assert len(_reference_computations(m, start, 5)) > len(want)
+    assert max(len(steps) for steps, _ in want) >= 2
