@@ -370,15 +370,13 @@ JUNCTION_WORDS = [
     ("long_writer", "v0 b v1"),                 # into post
     ("long_writer", "v0 a^-1 b v1"),            # wholly, at the right
     ("long_writer", "v1^-1 a a v0^-1"),         # no junction cancels
-    ("deleter", "q0s y y q1s"),                 # at the right
-    ("unreduced", "u0 a^-1 u1"),                # wholly, at either end
+    ("toy_deleter", "q0s y y q1s"),             # at the right
+    ("unreduced_writer", "u0 a^-1 u1"),         # wholly, at either end
 ]
 
 
 def test_kernel_meets_every_junction():
-    machines = dict(zip(["deleter", "paired", "two_sided", "unreduced",
-                         "cyclic_enhanced", "z2_encoder", "long_writer"],
-                        _fixture_machines()))
+    machines = {m.name: m for m in _fixture_machines()}
     kinds = set()
     for name, text in JUNCTION_WORDS:
         m = machines[name]
