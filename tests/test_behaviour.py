@@ -3,7 +3,8 @@
 "Same behaviour" means: the witness histories (rules are tried in
 (name, sign) order), the explored counts, the order in which
 reduced_computations yields, time functions, the reasons apply_ex gives,
-and the output and exit codes of the command line.  They are taken on
+and the output and exit codes of the command line; a second digest pins
+reachable_configs.  They are taken on
 the fixture machines, both presentation encoders, LR({a, b}) and the
 cyclic enhanced deleter, at small bounds, and hashed by names and tokens
 only: never by atom ids, so the digest does not depend on the order in
@@ -23,11 +24,18 @@ from smforge.fixtures import (
     two_sided_multiplier,
     z2_presentation,
 )
-from smforge.machine import input_configuration
+from smforge.machine import (
+    Hardware,
+    Machine,
+    StatePart,
+    input_configuration,
+    make_rule,
+)
 from smforge.primitive import build_lr, standard_lr_computation
 from smforge.search import (
     accepts,
     enumerate_inputs,
+    reachable_configs,
     reduced_computations,
     time_function,
 )
@@ -151,3 +159,43 @@ def test_behaviour_digest_is_pinned(tmp_path):
     assert codes == [0, 0, 1, 3, 3, 0, 0, 0, 0, 0]
     assert h.hexdigest() == ("629aa0839bd35e0f7f0ab4efc3d6ee7b"
                              "379d22f9f50c4db395c1b075df70a315")
+
+
+def _chain() -> Machine:
+    """A finite component: step(i) moves part P from p<i-1> to p<i>, tape
+    kept; step(3) needs the tape empty.  From p0 the radius is 3 on the
+    empty tape and 2 on any other."""
+    hw = Hardware([StatePart("P", ["p0", "p1", "p2", "p3"]),
+                   StatePart("Q", ["q"])], [["y"]], input_sectors=[0])
+    return Machine("chain", hw, [
+        make_rule(hw, f"step({i})", [(f"p{i - 1}", f"p{i}"), ("q", "q")],
+                  domains=None if i < 3 else [[]])
+        for i in (1, 2, 3)])
+
+
+def _reached(m, inputs, bound):
+    dist, complete = reachable_configs(
+        m, input_configuration(m, inputs), bound)
+    return ([w.tokens() for w in inputs], bound, complete,
+            [(c.tokens(), d) for c, d in dist.items()])
+
+
+def test_reachable_configs_is_pinned():
+    """Every configuration reachable_configs returns, in dict order, with
+    its distance and the complete flag, hashed by tokens only; the finite
+    components are cut at their radius and exhausted one step later."""
+    h = hashlib.sha256()
+    for m, n, bound, _, _ in _machines():
+        h.update(m.name.encode())
+        for inputs in enumerate_inputs(m, min(n, 1)):
+            h.update(repr(_reached(m, inputs, min(bound, 3))).encode())
+    chain = _chain()
+    cuts = []
+    for tape, radius in (("ε", 3), ("y", 2)):
+        for bound in (radius, radius + 1):
+            answer = _reached(chain, [W(tape)], bound)
+            cuts.append((answer[2], len(answer[3])))
+            h.update(repr(answer).encode())
+    assert cuts == [(False, 4), (True, 4), (False, 3), (True, 3)]
+    assert h.hexdigest() == ("96cd05f881af083c1c9bf6c8a09b8172"
+                             "6cccd934bc502d17b511a25f383cec87")
