@@ -7,12 +7,12 @@ machine.successors, imported here, in one pass over its compiled moves.
 A breadth-first search does not try the step back along the edge that
 reached a configuration: its child is the parent, which is already
 recorded, so answers and explored counts are those of the full expansion.
-Every breadth-first search, over configurations here and over words in
-encode.area_oracle, runs on one layer step, _layer, and one parent walk,
-_path; the one-sided ones on one driver, shortest.  Those and successors
-hold the determinism contract: rules are tried in (name, sign) order and
-frontiers kept in insertion order, so the witness history found for a
-given query never changes between runs.
+Every breadth-first search, here and in encode.area_oracle, keeps each
+side in one _Visited, which owns the parent map, frontier and depth;
+the one-sided ones run on one driver, shortest.  _Visited and
+successors hold the determinism contract: rules are tried in (name,
+sign) order and frontiers kept in insertion order, so the witness
+history found for a given query never changes between runs.
 """
 from __future__ import annotations
 
@@ -53,67 +53,81 @@ class ReachResult:
         return f"ReachResult({self.status}, explored={self.explored})"
 
 
-def _path(parents, key) -> list:
-    """The (a, b) labels of the recorded edges from the root to key."""
-    steps = []
-    while parents[key] is not None:
-        key, a, b = parents[key]
-        steps.append((a, b))
-    return steps[::-1]
-
-
 def _history(path) -> Word:
     return Word([(atom(rule.name), sign) for rule, sign in path])
 
 
 def _expand(m: Machine):
-    """successors as _layer expands a configuration: the step back along
-    its parents entry (rule, sign), to the parent itself, is skipped."""
+    """successors without the step back along the node's parent entry."""
     def expand(c, entry):
         return successors(m, c, entry and (entry[1], -entry[2]))
     return expand
 
 
-def _layer(expand, frontier, parents, stop=None) -> Iterator[tuple]:
-    """One breadth-first layer: (key, child) for every node first reached
-    from frontier, in discovery order; cut short once parents holds stop
-    entries.  expand(node, entry), given the node's own parents entry,
-    yields (a, b, child), recorded as parents[child key] = (node key, a,
-    b): (rule, sign) for a configuration, ((relator, position), word) for
-    an area word."""
-    for c in frontier:
-        ckey = c.key()
-        for a, b, res in expand(c, parents[ckey]):
-            k = res.key()
-            if k not in parents:
-                parents[k] = (ckey, a, b)
-                yield k, res
-                if stop is not None and len(parents) >= stop:
-                    return
+class _Visited:
+    """One side of a breadth-first search: the parent map, key -> (parent
+    key, a, b) or None for the root, read and written only here; the
+    frontier, in discovery order; and depth, the layers run."""
+
+    __slots__ = ("parents", "frontier", "depth")
+
+    def __init__(self, root):
+        self.parents = {root.key(): None}
+        self.frontier = [root]
+        self.depth = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self.parents
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def path(self, key) -> list:
+        """The (a, b) labels of the recorded edges from the root to key."""
+        parents, steps = self.parents, []
+        while parents[key] is not None:
+            key, a, b = parents[key]
+            steps.append((a, b))
+        return steps[::-1]
+
+    def layers(self, expand, max_steps: int, stop=None) -> Iterator[tuple]:
+        """(key, child) for each node first reached, layer by layer in
+        discovery order, until the frontier runs dry, max_steps layers
+        have run, or stop nodes are visited, checked before each
+        expansion.  expand(node, entry), given the node's parent entry,
+        yields (a, b, child): (rule, sign) and a configuration, or
+        ((relator, position), word) and a word."""
+        parents = self.parents
+        while self.frontier and self.depth < max_steps and (
+                stop is None or len(parents) < stop):
+            nxt = []
+            frontier, self.frontier = self.frontier, nxt
+            self.depth += 1
+            for c in frontier:
+                ckey = c.key()
+                for a, b, res in expand(c, parents[ckey]):
+                    k = res.key()
+                    if k not in parents:
+                        parents[k] = (ckey, a, b)
+                        nxt.append(res)
+                        yield k, res
+                        if stop is not None and len(parents) >= stop:
+                            return
 
 
 def shortest(expand, start, tkey, max_steps: int,
              max_nodes: Optional[int] = None) -> tuple:
     """Breadth-first search from start for the node keyed tkey, as
-    (status, path, depth, visited) with the _path labels of a shortest
+    (status, path, depth, visited) with the path labels of a shortest
     route.  UNREACHABLE: the frontier ran dry within max_steps; BOUNDED:
     max_steps went by, or max_nodes nodes were visited before an expansion."""
     if start.key() == tkey:
         return FOUND, [], 0, 1
-    parents = {start.key(): None}
-    frontier = [start]
-    for depth in range(1, max_steps + 1):
-        if max_nodes is not None and len(parents) >= max_nodes:
-            break
-        nxt = []
-        for k, res in _layer(expand, frontier, parents, max_nodes):
-            if k == tkey:
-                return FOUND, _path(parents, k), depth, len(parents)
-            nxt.append(res)
-        if not nxt:
-            return UNREACHABLE, None, None, len(parents)
-        frontier = nxt
-    return BOUNDED, None, None, len(parents)
+    seen = _Visited(start)
+    for k, _ in seen.layers(expand, max_steps, max_nodes):
+        if k == tkey:
+            return FOUND, seen.path(k), seen.depth, len(seen)
+    return (BOUNDED if seen.frontier else UNREACHABLE), None, None, len(seen)
 
 
 def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
@@ -132,16 +146,11 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
     The flag reports whether the whole component was exhausted.  Every
     configuration in the dict lies on m's hardware, start too."""
     start = AdmissibleWord(m.hw, start.states, start.tapes)
-    expand = _expand(m)
-    parents = {start.key(): None}
+    seen = _Visited(start)
     dist = {start: 0}
-    frontier = [start]
-    for depth in range(1, max_steps + 1):
-        frontier = [res for _, res in _layer(expand, frontier, parents)]
-        if not frontier:
-            return dist, True
-        dist.update(dict.fromkeys(frontier, depth))
-    return dist, False
+    for _, res in seen.layers(_expand(m), max_steps):
+        dist[res] = seen.depth
+    return dist, not seen.frontier
 
 
 def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
@@ -154,38 +163,29 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     it visits at least 2."""
     if start.key() == target.key():
         return ReachResult(FOUND, EMPTY, 0, 1)
-    # Index 0 searches forward from start, index 1 backward from target.
+    # fwd searches from start, back from target.  The side with the
+    # smaller frontier runs the next layer; sorted keeps a tie on fwd.
     expand = _expand(m)
-    parents = ({start.key(): None}, {target.key(): None})
-    frontiers = [[start], [target]]
-    depths = [0, 0]
+    sides = fwd, back = _Visited(start), _Visited(target)
     meet = None
-    while meet is None and all(frontiers) and sum(depths) < max_steps:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        other = parents[1 - side]
-        stop = None if max_nodes is None else max_nodes - len(other)
-        if stop is not None and len(parents[side]) >= stop:
-            break
-        nxt = []
-        for k, res in _layer(expand, frontiers[side], parents[side], stop):
-            nxt.append(res)
-            # A meet in this layer has length sum(depths) + 1: k cannot be
-            # shallower on the other side, or its parent here would have
-            # met that side a layer earlier.
-            if meet is None and k in other:
+    while (meet is None and fwd.frontier and back.frontier
+           and fwd.depth + back.depth < max_steps
+           and (max_nodes is None or len(fwd) + len(back) < max_nodes)):
+        here, there = sorted(sides, key=lambda side: len(side.frontier))
+        stop = None if max_nodes is None else max_nodes - len(there)
+        for k, _ in here.layers(expand, here.depth + 1, stop):
+            # A meet in this layer has length fwd.depth + back.depth: k
+            # cannot be shallower on the other side, or its parent here
+            # would have met that side a layer earlier.
+            if meet is None and k in there:
                 meet = k
-        frontiers[side] = nxt
-        depths[side] += 1
-    explored = len(parents[0]) + len(parents[1])
-    if meet is not None:
-        # the backward half leads target -> meet; invert it to continue
-        # meet -> target.
-        history = (_history(_path(parents[0], meet))
-                   * _history(_path(parents[1], meet)).inverse())
-        return ReachResult(FOUND, history, sum(depths), explored)
-    if not all(frontiers):
-        return ReachResult(UNREACHABLE, explored=explored)
-    return ReachResult(BOUNDED, explored=explored)
+    explored = len(fwd) + len(back)
+    if meet is None:
+        status = BOUNDED if fwd.frontier and back.frontier else UNREACHABLE
+        return ReachResult(status, explored=explored)
+    # back's path leads target -> meet; inverted, it continues to target.
+    history = _history(fwd.path(meet)) * _history(back.path(meet)).inverse()
+    return ReachResult(FOUND, history, fwd.depth + back.depth, explored)
 
 
 # -- acceptance and time functions -----------------------------------------
