@@ -374,7 +374,8 @@ def abelianized_trivial(p: GroupPresentation, w: Word) -> bool:
 
 class AreaResult:
     """Outcome of the insertion search: ``found`` carries the cell count
-    and the insertion path; ``impossible`` is an abelianized refutation;
+    (least if at most 5, else an upper bound: see area_oracle) and the
+    insertion path; ``impossible`` is an abelianized refutation;
     ``bound-limited`` is a shrug.  explored counts insertion attempts,
     rejected ones included, while ReachResult.explored counts visited
     configurations."""
@@ -399,13 +400,15 @@ class AreaResult:
 
 def area_oracle(p: GroupPresentation, w: Word, max_area: int,
                 moves: str = "symmetrized") -> AreaResult:
-    """Least number of relator insertions taking w to the empty word.
-
-    Breadth-first from w on search.shortest: insert one relator (the
-    symmetrized closure, or just the stored ones) at any position and
-    reduce, splicing at the two junctions.  Words longer than w plus two
-    relators are skipped, so running out of words certifies nothing: only
-    ``found`` and ``impossible`` are conclusive, and all three are sound."""
+    """Number of relator insertions taking w to the empty word: the least
+    if at most 5, an upper bound above.  Breadth-first from w on
+    search.shortest: insert one relator (the symmetrized closure, or just
+    the stored ones) at any position and reduce, splicing at the two
+    junctions.  Words longer than w plus two relators are skipped; as one
+    insertion changes the length by at most a relator's, a derivation of
+    k insertions passes that cap only when k >= 6.  Running out of words
+    certifies nothing: only ``found`` and ``impossible`` are conclusive,
+    and all three are sound."""
     if moves not in ("symmetrized", "stored"):
         raise EncodeError(f"unknown move set {moves!r}")
     w = free_reduce(w)

@@ -93,10 +93,9 @@ class _Visited:
     def layers(self, expand, max_steps: int, stop=None) -> Iterator[tuple]:
         """(key, child) for each node first reached, layer by layer in
         discovery order, until the frontier runs dry, max_steps layers
-        have run, or stop nodes are visited, checked before each
-        expansion.  expand(node, entry), given the node's parent entry,
-        yields (a, b, child): (rule, sign) and a configuration, or
-        ((relator, position), word) and a word."""
+        have run, or stop nodes are visited (checked before expanding).
+        expand(node, its parent entry) yields (a, b, child): (rule, sign,
+        configuration) or ((relator, position), word, word)."""
         parents = self.parents
         while self.frontier and self.depth < max_steps and (
                 stop is None or len(parents) < stop):
@@ -119,8 +118,7 @@ def shortest(expand, start, tkey, max_steps: int,
              max_nodes: Optional[int] = None) -> tuple:
     """Breadth-first search from start for the node keyed tkey, as
     (status, path, depth, visited) with the path labels of a shortest
-    route.  UNREACHABLE: the frontier ran dry within max_steps; BOUNDED:
-    max_steps went by, or max_nodes nodes were visited before an expansion."""
+    route; UNREACHABLE if the frontier ran dry, BOUNDED if layers ran out."""
     if start.key() == tkey:
         return FOUND, [], 0, 1
     seen = _Visited(start)
@@ -163,8 +161,7 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     it visits at least 2."""
     if start.key() == target.key():
         return ReachResult(FOUND, EMPTY, 0, 1)
-    # fwd searches from start, back from target.  The side with the
-    # smaller frontier runs the next layer; sorted keeps a tie on fwd.
+    # fwd searches from start, back from target; a tie runs fwd (stable sort).
     expand = _expand(m)
     sides = fwd, back = _Visited(start), _Visited(target)
     meet = None
