@@ -135,6 +135,8 @@ def _cli_runs(tmp_path):
         out = tmp_path / f"out-{i}.txt"
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         code = cli.main(argv + ["-o", str(out)])
+        if not out.exists():
+            raise AssertionError(f"{argv} exited {code} without writing -o")
         yield i, code, out.read_text(encoding="utf-8").replace(
             str(tmp_path), "<tmp>")
 

@@ -51,3 +51,22 @@ def test_only_machine_reads_the_compiled_table():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names if name in private]
     assert not found, found
+
+
+def test_only_the_visited_map_touches_parents():
+    # Every breadth-first search keeps its parent map in one
+    # search._Visited; no other code subscripts, assigns or reads it.
+    tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
+    outside = [node for node in tree.body
+               if not (isinstance(node, ast.ClassDef)
+                       and node.name == "_Visited")]
+    found = [f"search.py:{node.lineno}: def {node.name}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_layer", "_path")]
+    for node in (n for top in outside for n in ast.walk(top)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name == "parents":
+            found.append(f"search.py:{node.lineno}: parents")
+    assert not found, found
