@@ -395,6 +395,51 @@ def test_wide_area_digest_is_pinned():
                              "6129e6ecfca4b6d100ff1be9b7823328")
 
 
+def _pinned_presentations():
+    """Encoder inputs beyond the two fixtures: a free group, a one-letter
+    relator (its rho chain has no middle column), relators that coincide
+    up to rotation or inversion, and three generators."""
+    return [
+        z2_presentation(),
+        commutator_presentation(),
+        GroupPresentation(atoms(["a", "b"]), [], name="F2"),
+        GroupPresentation(atoms(["x", "y"]), [W("x"), W("y y y")], name="Z3"),
+        GroupPresentation(atoms(["a", "b"]), [
+            W("a b a^-1 b^-1"), W("b a^-1 b^-1 a"), W("b a b^-1 a^-1"),
+            W("a a"), W("a^-1 a^-1"), W("b^-1 a b a^-1")], name="collide"),
+        GroupPresentation(atoms(["x", "y", "z"]), [
+            W("x y x^-1 y^-1 z^-1"), W("x z x^-1 z^-1"), W("y z^-1 y^-1 z"),
+            W("x^-1 y^-1 z^-1 z^-1")], name="H3"),
+    ]
+
+
+def test_encoder_machines_are_pinned():
+    """Every byte of the encoder machine, its rule names in order, each
+    rule's parts and domains, each part's letters and the meta the
+    emulation reads, hashed by names and tokens only."""
+    h = hashlib.sha256()
+    for p in _pinned_presentations():
+        m = presentation_to_machine(p)
+        meta = m.meta
+        h.update(machine_dumps(m).encode())
+        h.update(repr([r.name for r in m.rules]).encode())
+        for r in m.rules:
+            h.update(repr([(rp.frm.name, rp.to.name, rp.left.tokens(),
+                            rp.right.tokens()) for rp in r.parts]).encode())
+            h.update(repr([sorted(a.name for a in d)
+                           for d in r.domains]).encode())
+        h.update(repr([[a.name for a in part.letters]
+                       for part in m.parts]).encode())
+        h.update(repr([meta["kind"], meta["presentation"].dumps(),
+                       [y.name for y in meta["doubled"].letters],
+                       [r.tokens() for r in meta["stored"]],
+                       [r.tokens() for r in meta["positive"]],
+                       [(Word._of(k).tokens(), ri)
+                        for k, ri in meta["index"].items()]]).encode())
+    assert h.hexdigest() == ("6dacdfd5aedb215603feabe7e352604f"
+                             "335ceb7dffc54d1c6d5e93ae7cb9cda9")
+
+
 class TestEmulation:
     def setup_method(self):
         self.m = presentation_to_machine(z2_presentation())
