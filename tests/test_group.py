@@ -100,6 +100,26 @@ class TestMPresentation:
         assert machine_to_group(
             toy_deleter(), strict=True).name == "M(toy_deleter).strict"
 
+    def test_tape_letters_come_by_name(self):
+        # Fresh tape letters interned in reverse name order, so that an
+        # order by atom id would put them backwards: the generators and
+        # the domain letters of each (theta,a) relator come by name.
+        letters = [atom(f"by_name_{c}") for c in "dcba"]
+        assert [a.id for a in letters] == sorted(a.id for a in letters)
+        hw = Hardware([StatePart("N0", ["n0"]), StatePart("N1", ["n1"])],
+                      [letters])
+        m = Machine("by_name", hw, [
+            make_rule(hw, name, [("n0", "n0"), ("n1", "n1")],
+                      domains=[letters[:3] if name == "s" else letters[1:]])
+            for name in ("s", "r")])
+        p = machine_to_group(m)
+        assert [a.name for a in p.generators] == [
+            "by_name_a", "by_name_b", "by_name_c", "by_name_d", "n0", "n1",
+            "r.0", "r.1", "s.0", "s.1"]
+        assert [w.tokens() for w in p.relators[4:]] == [
+            f"{th} by_name_{c} {th}^-1 by_name_{c}^-1"
+            for th, cs in (("r.1", "abc"), ("s.1", "bcd")) for c in cs]
+
     def test_theta_collision_refused(self):
         hw = Hardware([StatePart("P", ["r.0", "r.1"])], [])
         m = Machine("clash", hw, [make_rule(hw, "r", [("r.0", "r.1")])])

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from smforge.machine import (
     RulePart,
     SRule,
     StatePart,
+    _gap_sector,
     accept_configuration,
     cyclic_permute,
     input_configuration,
@@ -177,6 +179,65 @@ class TestParseAdmissible:
         m = two_sided_multiplier()
         with pytest.raises(MachineError, match="does not belong"):
             AdmissibleWord(m.hw, [(atom("Q0"), 1), (atom("Q1"), 1)], [W("y")])
+
+
+def _reference_gap_sector(hw, left, right, j):
+    """The gap sector as one branch per pair of signs, the way it was
+    written before it became one rule."""
+    (a, e), (b, f) = left, right
+    k, l = hw.part_of[a], hw.part_of[b]
+    n = hw.n_parts
+    if e > 0 and f > 0:
+        s = hw.right_sector(k)
+        if s is None or l != (k + 1) % n:
+            raise MachineError(
+                f"positions {j},{j + 1}: {a.name} {b.name} do not bound a sector")
+        return s
+    if e < 0 and f < 0:
+        s = hw.left_sector(k)
+        if s is None or l != (k - 1) % n:
+            raise MachineError(
+                f"positions {j},{j + 1}: {a.name}^-1 {b.name}^-1 do not bound a sector")
+        return s
+    if a is not b:
+        raise MachineError(
+            f"positions {j},{j + 1}: mixed signs need the same state letter, "
+            f"got {a.name} and {b.name}")
+    s = hw.right_sector(k) if e > 0 else hw.left_sector(k)
+    if s is None:
+        raise MachineError(f"positions {j},{j + 1}: no sector on that side of {a.name}")
+    return s
+
+
+def test_gap_sector_agrees_with_the_sign_branches():
+    # Every ordered pair of signed state letters, on non-cyclic and cyclic
+    # hardware of one to three parts with two letters each, so that mixed
+    # signs meet both the same letter and another one.
+    kinds = set()
+    for n, cyclic in itertools.product((1, 2, 3), (False, True)):
+        parts = [StatePart(f"GS{i}", [f"gs{n}{cyclic:d}_{i}{c}" for c in "ab"])
+                 for i in range(n)]
+        hw = Hardware(parts, [[f"gst{n}{cyclic:d}_{s}"]
+                              for s in range(n if cyclic else n - 1)],
+                      cyclic=cyclic)
+        signed = [(a, e) for p in parts for a in p.letters for e in (1, -1)]
+        for left, right in itertools.product(signed, repeat=2):
+            answers = []
+            for gap_sector in (_reference_gap_sector, _gap_sector):
+                try:
+                    answers.append(gap_sector(hw, left, right, 4))
+                except MachineError as err:
+                    answers.append(str(err))
+            assert answers[0] == answers[1], (n, cyclic, left, right)
+            kinds.add(answers[0] if isinstance(answers[0], int)
+                      else re.sub(r"gs\w+", "q", answers[0]))
+    # Every sector, and each of the four messages with both signs.
+    assert kinds == {0, 1, 2,
+                     "positions 4,5: q q do not bound a sector",
+                     "positions 4,5: q^-1 q^-1 do not bound a sector",
+                     "positions 4,5: mixed signs need the same state letter, "
+                     "got q and q",
+                     "positions 4,5: no sector on that side of q"}
 
 
 class TestApply:

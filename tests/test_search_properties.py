@@ -16,7 +16,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from smforge.encode import presentation_to_machine
 from smforge.enhance import build_enhanced_standard, make_cyclic
@@ -291,10 +291,27 @@ def _fixture_machines():
             presentation_to_machine(z2_presentation()), _long_writer()]
 
 
+def _gap_pieces(m, left, right):
+    """The inverted pieces of what the signed rules write into the gap
+    between two signed state letters, sorted by tokens: tapes that cancel
+    into a write, partly or wholly."""
+    pieces = set()
+    for rule in m.rules:
+        for sign in (1, -1):
+            trip = _emissions(rule if sign > 0 else invert_rule(rule), m,
+                              AdmissibleWord(m.hw, [left, right], [EMPTY]))
+            for write in (trip[0][2], trip[1][0]):
+                t = free_reduce(write).inverse().letters
+                pieces.update(t[i:j] for i in range(len(t))
+                              for j in range(i + 1, len(t) + 1))
+    return sorted((Word(p) for p in pieces), key=Word.tokens)
+
+
 @st.composite
 def fixture_words(draw):
     """A fixture machine and an admissible word of it on any base the
-    shapes allow, state letters of both signs, tapes of up to 3 letters."""
+    shapes allow, state letters of both signs, tapes of up to 3 letters:
+    drawn letter by letter, or an inverted piece of a write into the gap."""
     m = draw(st.sampled_from(_fixture_machines()))
     signed = [(a, e) for a in m.hw.part_of for e in (1, -1)]
     states, tapes = [draw(st.sampled_from(signed))], []
@@ -310,9 +327,14 @@ def fixture_words(draw):
         if not steps:
             break
         q, alphabet = draw(st.sampled_from(steps))
-        letters = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
-        tapes.append(Word(draw(st.lists(letters, max_size=3)) if alphabet
-                          else ()))
+        pieces = _gap_pieces(m, states[-1], q)
+        if pieces and draw(st.booleans()):
+            tapes.append(draw(st.sampled_from(pieces)))
+        else:
+            letters = st.tuples(st.sampled_from(alphabet),
+                                st.sampled_from((1, -1)))
+            tapes.append(Word(draw(st.lists(letters, max_size=3))
+                              if alphabet else ()))
         states.append(q)
     return m, AdmissibleWord(m.hw, states, tapes)
 
@@ -373,6 +395,13 @@ JUNCTION_WORDS = [
     ("toy_deleter", "q0s y y q1s"),             # at the right
     ("unreduced_writer", "u0 a^-1 u1"),         # wholly, at either end
 ]
+
+
+@pytest.mark.parametrize("kind", ["empty", "left", "right", "whole", "into"])
+def test_fixture_words_meet_every_junction(kind):
+    # The drawn words alone reach every kind of junction, "into" too.
+    find(fixture_words(), lambda case: kind in _junctions(*case),
+         settings=settings(max_examples=500, derandomize=True, database=None))
 
 
 def test_kernel_meets_every_junction():
