@@ -220,46 +220,35 @@ def presentation_to_machine(p: GroupPresentation) -> Machine:
     stored = stored_relators(p)
     positive = tuple(d.positivize(r) for r in stored)
 
-    parts = []
-    for i in range(3):
-        letters = [f"q{i}.s", f"q{i}.f"]
-        letters += [f"q{i}.{y.name}" for y in d.letters]
-        for ri, pr in enumerate(positive):
-            letters += [f"q{i}.{ri}.{j}" for j in range(1, len(pr))]
-        parts.append(StatePart(f"Q{i}", letters, f"q{i}.s", f"q{i}.f"))
-    hw = Hardware(parts,
+    # State columns: s, f, each doubled letter, and the inner positions
+    # ri.j of each relator's chain, which opens and closes at s.
+    chains = [["s"] + [f"{ri}.{j}" for j in range(1, len(pr))] + ["s"]
+              for ri, pr in enumerate(positive)]
+    columns = (["s", "f"] + [y.name for y in d.letters]
+               + [c for chain in chains for c in chain[1:-1]])
+    hw = Hardware([StatePart(f"Q{i}", [f"q{i}.{c}" for c in columns],
+                             f"q{i}.s", f"q{i}.f") for i in range(3)],
                   [list(d.letters), [d.prime(y) for y in d.letters]],
                   input_sectors=[0])
 
+    def rule(name, frm, to, work=EMPTY, service=EMPTY, domains=None):
+        """Every part moves from column frm to column to; parts 1 and 2
+        write work and service on their left."""
+        return make_rule(hw, name, [
+            RulePart(f"q{i}.{frm}", f"q{i}.{to}", left=w)
+            for i, w in enumerate((EMPTY, work, service))], domains)
+
     rules = []
     for y in d.letters:
-        rules.append(make_rule(hw, f"sigma({y.name})", [
-            ("q0.s", "q0.s"),
-            RulePart("q1.s", "q1.s", left=Word.of(y)),
-            RulePart("q2.s", "q2.s", left=Word.of(d.prime(y)))]))
-        rules.append(make_rule(hw, f"tau1({y.name})", [
-            ("q0.s", f"q0.{y.name}"),
-            RulePart("q1.s", f"q1.{y.name}", left=Word.of(y, d.bar(y))),
-            ("q2.s", f"q2.{y.name}")]))
-        rules.append(make_rule(hw, f"tau2({y.name})", [
-            (f"q0.{y.name}", "q0.s"),
-            (f"q1.{y.name}", "q1.s"),
-            (f"q2.{y.name}", "q2.s")]))
-    for ri, pr in enumerate(positive):
-        n = len(pr)
-
-        def st(i, j, _ri=ri, _n=n):
-            return f"q{i}.s" if j in (0, _n) else f"q{i}.{_ri}.{j}"
-
-        for j in range(1, n + 1):
-            rules.append(make_rule(hw, f"rho({ri},{j})", [
-                (st(0, j - 1), st(0, j)),
-                RulePart(st(1, j - 1), st(1, j), left=Word(pr.letters[j - 1:j])),
-                (st(2, j - 1), st(2, j))]))
-    rules.append(make_rule(hw, "omega",
-                           [("q0.s", "q0.f"), ("q1.s", "q1.f"),
-                            ("q2.s", "q2.f")],
-                           domains=[[], []]))
+        rules += [rule(f"sigma({y.name})", "s", "s", Word.of(y),
+                       Word.of(d.prime(y))),
+                  rule(f"tau1({y.name})", "s", y.name, Word.of(y, d.bar(y))),
+                  rule(f"tau2({y.name})", y.name, "s")]
+    for ri, (pr, chain) in enumerate(zip(positive, chains)):
+        rules += [rule(f"rho({ri},{j})", chain[j - 1], chain[j],
+                       Word(pr.letters[j - 1:j]))
+                  for j in range(1, len(pr) + 1)]
+    rules.append(rule("omega", "s", "f", domains=[[], []]))
 
     meta = {"kind": "encoder", "presentation": p, "doubled": d,
             "stored": stored, "positive": positive,
