@@ -336,27 +336,22 @@ _new, _of = object.__new__, Word._of
 
 
 def _gap_sector(hw: Hardware, left, right, j: int) -> int:
+    """The sector on the sign side of the left letter's part.  Equal signs
+    need the right letter's part next that way round; mixed signs need the
+    same letter."""
     (a, e), (b, f) = left, right
-    k, l = hw.part_of[a], hw.part_of[b]
-    n = hw.n_parts
-    if e > 0 and f > 0:
-        s = hw.right_sector(k)
-        if s is None or l != (k + 1) % n:
-            raise MachineError(
-                f"positions {j},{j + 1}: {a.name} {b.name} do not bound a sector")
-        return s
-    if e < 0 and f < 0:
-        s = hw.left_sector(k)
-        if s is None or l != (k - 1) % n:
-            raise MachineError(
-                f"positions {j},{j + 1}: {a.name}^-1 {b.name}^-1 do not bound a sector")
-        return s
-    if a is not b:
+    k = hw.part_of[a]
+    s = hw.right_sector(k) if e > 0 else hw.left_sector(k)
+    if e == f:
+        if s is None or hw.part_of[b] != (k + e) % hw.n_parts:
+            inv = "" if e > 0 else "^-1"
+            raise MachineError(f"positions {j},{j + 1}: {a.name}{inv} "
+                               f"{b.name}{inv} do not bound a sector")
+    elif a is not b:
         raise MachineError(
             f"positions {j},{j + 1}: mixed signs need the same state letter, "
             f"got {a.name} and {b.name}")
-    s = hw.right_sector(k) if e > 0 else hw.left_sector(k)
-    if s is None:
+    elif s is None:
         raise MachineError(f"positions {j},{j + 1}: no sector on that side of {a.name}")
     return s
 
