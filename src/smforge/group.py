@@ -204,33 +204,25 @@ class Trapezium:
 
     def boundary_word(self) -> Word:
         """Label of the outer contour: bottom^-1 . left . top . right^-1."""
-        return free_reduce(self.path_word(self.bottom).inverse()
-                           * self.path_word(self.left)
-                           * self.path_word(self.top)
-                           * self.path_word(self.right).inverse())
+        return free_reduce(self.path_word(_outer_loop(self)))
 
     def __repr__(self):
         return (f"Trapezium({self.machine.name}, {len(self.rows)} rows, "
                 f"{len(self.cells)} cells)")
 
 
-class _Builder:
-    def __init__(self):
-        self.edges = {}
-        self._next = 0
-
-    def new_edge(self, a: Atom, kind: str) -> int:
-        e = Edge(self._next, a, kind)
-        self.edges[e.id] = e
-        self._next += 1
-        return e.id
+def _new_edge(edges: list, a: Atom, kind: str) -> int:
+    """Append a fresh edge; its id is its position in the list."""
+    edges.append(Edge(len(edges), a, kind))
+    return len(edges) - 1
 
 
-def _spell_admissible(bld, aw):
+def _spell_admissible(edges, aw):
     """Fresh edges spelling an admissible word; returns (path, state edge
     ids, per-sector tape edge ids)."""
-    b_state = [bld.new_edge(a, "q") for a, _ in aw.states]
-    b_tape = [[bld.new_edge(a, "a") for a, _ in w.letters] for w in aw.tapes]
+    b_state = [_new_edge(edges, a, "q") for a, _ in aw.states]
+    b_tape = [[_new_edge(edges, a, "a") for a, _ in w.letters]
+              for w in aw.tapes]
     path = [(b_state[0], aw.states[0][1])]
     for j, w in enumerate(aw.tapes):
         path.extend((b_tape[j][k], e) for k, (_, e) in enumerate(w.letters))
@@ -274,7 +266,7 @@ def _check_computation(m: Machine, comp: Computation):
             raise GroupError(f"step {t} does not replay")
 
 
-def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
+def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
                   hi: AdmissibleWord):
     """Build one band for a positive application of ``rule`` taking ``lo``
     to ``hi``, both on the standard base.  The writes of the outer parts
@@ -282,15 +274,15 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
     n = m.n_parts
     rp = rule.parts
 
-    bottom, b_state, b_tape = _spell_admissible(bld, lo)
-    t_state = [bld.new_edge(rp[i].to, "q") for i in range(n)]
+    bottom, b_state, b_tape = _spell_admissible(edges, lo)
+    t_state = [_new_edge(edges, rp[i].to, "q") for i in range(n)]
 
     # Per part: the l- and r-spans of its cell top; per sector: squares for
     # the surviving tape letters and the resulting top-path entries.
     pre = [None] * n
     post = [None] * n
-    pre[0] = [(bld.new_edge(a, "a"), e) for a, e in rp[0].left.letters]
-    post[n - 1] = [(bld.new_edge(a, "a"), e) for a, e in rp[-1].right.letters]
+    pre[0] = [(_new_edge(edges, a, "a"), e) for a, e in rp[0].left.letters]
+    post[n - 1] = [(_new_edge(edges, a, "a"), e) for a, e in rp[-1].right.letters]
     squares = [[] for _ in range(n - 1)]
     sector_top = [[] for _ in range(n - 1)]
     for s in range(n - 1):
@@ -306,7 +298,7 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
             if p is not None and spans[p] is not None:
                 spans[t] = (spans[p][0], -spans[p][1])
             else:
-                spans[t] = (bld.new_edge(a, "a"), e)
+                spans[t] = (_new_edge(edges, a, "a"), e)
         rn = len(rp[s].right)
         post[s] = spans[:rn]
         pre[s + 1] = spans[rn + len(lo.tapes[s]):]
@@ -314,7 +306,7 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
             if partner[t] is not None:
                 continue
             if tag == "w":
-                te = bld.new_edge(a, "a")
+                te = _new_edge(edges, a, "a")
                 squares[s].append((b_tape[s][j], e, te))
                 sector_top[s].append((te, e))
             else:
@@ -323,11 +315,11 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
     # Columns left to right; every vertical over sector s carries index
     # (s+1) mod n, and the outermost two carry index 0.
     cells = []
-    left_v = bld.new_edge(theta_atom(rule.name, 0), "theta")
+    left_v = _new_edge(edges, theta_atom(rule.name, 0), "theta")
     v_first = left_v
     top = []
     for i in range(n):
-        rv = bld.new_edge(theta_atom(rule.name, (i + 1) % n), "theta")
+        rv = _new_edge(edges, theta_atom(rule.name, (i + 1) % n), "theta")
         span = list(pre[i]) + [(t_state[i], 1)] + list(post[i])
         boundary = ([(b_state[i], 1), (rv, 1)]
                     + [(e, -o) for e, o in reversed(span)]
@@ -337,7 +329,7 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
         top.append((t_state[i], 1))
         if i < n - 1:
             for be, e, te in squares[i]:
-                rv = bld.new_edge(theta_atom(rule.name, (i + 1) % n), "theta")
+                rv = _new_edge(edges, theta_atom(rule.name, (i + 1) % n), "theta")
                 cells.append(Cell("ta", [(be, e), (rv, 1), (te, -e),
                                          (left_v, -1)], rule.name, i))
                 left_v = rv
@@ -346,7 +338,7 @@ def _positive_row(bld: _Builder, m: Machine, lo: AdmissibleWord, rule,
     row = Row(rule.name, 1, bottom, top,
               [(v_first, 1)] + pre[0],
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
-    word = Word._of(tuple([(bld.edges[e].atom, o) for e, o in row.top]))
+    word = Word._of(tuple([(edges[e].atom, o) for e, o in row.top]))
     if word != hi.to_word():
         raise InvariantError("row top does not spell the resulting word")
     return row, cells
@@ -368,15 +360,15 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     replay; negative steps are built as their positive counterparts and
     mounted upside down."""
     _check_computation(m, comp)
-    bld = _Builder()
+    edges = []
     rows = []
     cells = []
     for t, (rule, sign) in enumerate(comp.steps):
         lo, hi = comp.configs[t], comp.configs[t + 1]
         if sign > 0:
-            row, rcells = _positive_row(bld, m, lo, rule, hi)
+            row, rcells = _positive_row(edges, m, lo, rule, hi)
         else:
-            row, rcells = _positive_row(bld, m, hi, rule, lo)
+            row, rcells = _positive_row(edges, m, hi, rule, lo)
             row = _flip_row(row)
             # Mirrored cells are read the other way around.
             for c in rcells:
@@ -387,8 +379,9 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
         cells.extend(rcells)
 
     if not rows:
-        path, _, _ = _spell_admissible(bld, comp.configs[0])
-        return Trapezium(m, [], [], bld.edges, comp.configs, degenerate=path)
+        path, _, _ = _spell_admissible(edges, comp.configs[0])
+        return Trapezium(m, [], [], dict(enumerate(edges)), comp.configs,
+                         degenerate=path)
 
     # Glue consecutive rows: the top of one and the bottom of the next
     # spell the same configuration edge for edge.  Each row makes its own
@@ -399,7 +392,7 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
         if len(up) != len(down):
             raise InvariantError("interface paths differ in length")
         for (e1, o1), (e2, o2) in zip(up, down):
-            a1, a2 = bld.edges[e1], bld.edges[e2]
+            a1, a2 = edges[e1], edges[e2]
             if o1 != o2 or a1.atom is not a2.atom or a1.kind != a2.kind:
                 raise InvariantError("interface paths do not match")
             alias[e2] = e1
@@ -411,7 +404,7 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
                 remap(r.left), remap(r.right)) for r in rows]
     for c in cells:
         c.boundary = remap(c.boundary)
-    edges = {e: edge for e, edge in bld.edges.items() if e not in alias}
+    edges = {e: edge for e, edge in enumerate(edges) if e not in alias}
     return Trapezium(m, rows, cells, edges, comp.configs)
 
 
