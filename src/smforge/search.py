@@ -208,8 +208,7 @@ def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
 def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]:
     """Tuples of reduced input words, one per input sector, of total
     length <= n (== n if exact), in deterministic order."""
-    alphabets = [sorted(m.sector_alphabets[s], key=lambda a: a.name)
-                 for s in m.input_sectors]
+    alphabets = [m.sector_alphabets[s] for s in m.input_sectors]
 
     def rec(i, budget):
         if i == len(alphabets):
