@@ -221,8 +221,7 @@ def _spell_admissible(edges, aw):
     """Fresh edges spelling an admissible word; returns (path, state edge
     ids, per-sector tape edge ids)."""
     b_state = [_new_edge(edges, a, "q") for a, _ in aw.states]
-    b_tape = [[_new_edge(edges, a, "a") for a, _ in w.letters]
-              for w in aw.tapes]
+    b_tape = [[_new_edge(edges, a, "a") for a, _ in w.letters] for w in aw.tapes]
     path = [(b_state[0], aw.states[0][1])]
     for j, w in enumerate(aw.tapes):
         path.extend((b_tape[j][k], e) for k, (_, e) in enumerate(w.letters))
