@@ -317,8 +317,15 @@ _KEY = st.text(st.one_of(st.characters(),
 _INT_PAIRS = (st.lists(st.tuples(_INTS, _INTS), max_size=4)
               | st.lists(st.tuples(_INTS, _INTS), max_size=4).map(tuple)
               | st.lists(st.lists(_INTS, min_size=2, max_size=2), max_size=4))
+# Pair lists that a whole-column pass must refuse, mixed with clean ones:
+# one pair holds a bool or has three items.
+_ODD_PAIRS = st.builds(
+    lambda pairs, odd, i: pairs[:i] + [odd] + pairs[i:],
+    st.lists(st.tuples(_INTS, _INTS), max_size=3),
+    st.tuples(_INTS, st.booleans()) | st.tuples(_INTS, _INTS, _INTS),
+    st.integers(0, 3))
 _COLUMNS = (_TEXT, _INTS, st.booleans(), st.none(), _SCALARS, _INT_PAIRS,
-            _JSON)
+            _INT_PAIRS | _ODD_PAIRS, _JSON)
 
 
 class _Dict(dict):
@@ -353,6 +360,8 @@ def _record_arrays(draw):
 @given(_record_arrays())
 @example([{"%s": 1, "%%": "%d"}, {"%s": -2 ** 70, "%%": "ä"}])
 @example([{"a": True, "b": (1, 2)}, {"a": 0, "b": [(3, 4)]}])
+@example([{"a": [(1, 2)]}, {"a": ((3, True),)}])
+@example([{"a": [(1, 2)]}, {"a": [(3, 4), (5, 6, 7)]}, {"a": []}])
 def test_record_arrays_agree_with_json(value):
     assert dumps_canonical(value) == _reference(value)
 
@@ -361,10 +370,13 @@ def test_record_arrays_agree_with_json(value):
     [{"a": 1.5, "b": "x"}, {"a": 2, "b": atom("x")}],
     [{"a": 1, "b": 1.5}, {"a": atom("x"), "b": 2}],
     [{"a": [1, 1.5]}, {"a": [atom("x")]}],
-], ids=["same_column", "later_column", "nested"])
+    [{"a": [(1, 2)], "b": 1.5}, {"a": [(atom("x"), 1)], "b": 2}],
+    [{"a": [(1, 2)], "b": 2}, {"a": [(1, 1.5)], "b": atom("x")}],
+], ids=["same_column", "later_column", "nested", "pairs_after_float",
+        "float_in_pairs"])
 def test_the_first_refused_value_is_named(value):
-    # Record 0 holds a float and record 1 an atom: written in document
-    # order, the float is met first.
+    # The float comes before the atom in document order, so it is met
+    # first, even where the atom sits in an earlier column of pairs.
     with pytest.raises(TypeError, match="float is not JSON serializable"):
         dumps_canonical(value)
 
