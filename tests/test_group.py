@@ -442,9 +442,12 @@ class TestValidation:
         (lambda t: {"cells": _unknown_edge_in_cell(t)}, "unknown edge"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
+        # Uses in face order: the cells, then the outer contour.
+        (lambda t: {"cells": t.cells + (t.cells[0],)},
+         r"^edge 0 used \[1, 1, -1\], expected once each way$"),
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
             "unknown_side_edge", "unknown_cell_edge", "swapped_words",
-            "one_letter_base"])
+            "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
         assert validate_trapezium(t)
