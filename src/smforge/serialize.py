@@ -3,11 +3,15 @@
 Every document is written by ``dumps_canonical``, which emits the text
 itself: the bytes of ``json.dumps(indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a final newline, with tuples written as arrays.
-Two kinds of array make up nearly all the bytes of a trapezium, and each
-is written in C-level passes, with the same bytes: an array of dicts that
-share one tuple of string keys a column at a time, and an array of
-``(int, int)`` pairs by one format string.  Any other value, a dict
-subclass or a bool among them, is written item by item.
+An array of dicts that share one tuple of string keys, such as a
+trapezium's cells, is written a column at a time, and one format string
+over all of its values joins the records.  A column whose values are all
+arrays of ``(int, int)`` pairs, such as the cells' edge paths, gets one
+type check over the whole column and one format string over all of its
+ints, joined from one template per array length; a lone array of
+pairs is a column of one.  A column that fails the check, and any other
+value, a dict subclass or a bool among them, is written item by item, in
+document order, so the first refused value is the one named.
 The machine format is canonical, so equal machines produce byte-identical
 files.  Empty write words are omitted, a domain equal to the whole sector
 alphabet is written as "full", and a part carries ``"lock": true`` exactly
@@ -177,34 +181,50 @@ def _object_text(o, nl: str) -> str:
 def _array_text(o, nl: str) -> str:
     if not o:
         return "[]"
+    pairs = _pair_arrays((o,), nl)
+    if pairs is not None:
+        return pairs[0]
     inner = nl + "  "
     sep = "," + inner
     return ("[" + inner
-            + (_int_pairs(o, inner, sep) or _records(o, inner, sep)
-               or sep.join([_text(x, inner) for x in o]))
+            + (_records(o, inner, sep) or sep.join([_text(x, inner) for x in o]))
             + nl + "]")
 
 
-def _int_pairs(o, inner: str, sep: str) -> str | None:
-    """The items of an array of 2-tuples of ints, such as an edge path,
-    or None: one format string writes them all."""
-    if (type(o[0]) is not tuple or set(map(type, o)) != {tuple}
-            or set(map(len, o)) != {2}):
+def _pair_arrays(col, nl: str) -> list[str] | None:
+    """The texts of a column of arrays of 2-tuples of ints, such as the
+    edge paths of a trapezium's cells, each array written after ``nl``;
+    or None.  One type check covers the whole column, and one format
+    string, joined from a template per array length, writes all of its
+    ints."""
+    if not set(map(type, col)) <= {list, tuple}:
         return None
-    flat = tuple(chain.from_iterable(o))
-    if set(map(type, flat)) != {int}:  # bools and atoms are no ints here
+    pairs = tuple(chain.from_iterable(col))
+    if pairs and (set(map(type, pairs)) != {tuple}
+                  or set(map(len, pairs)) != {2}):
         return None
+    flat = tuple(chain.from_iterable(pairs))
+    if flat and set(map(type, flat)) != {int}:  # bools and atoms are no ints
+        return None
+    inner = nl + "  "
     pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-    return sep.join([pair] * len(o)) % flat
+    lens = list(map(len, col))
+    templates = {n: "[" + inner + ("," + inner).join([pair] * n) + nl + "]"
+                 if n else "[]" for n in set(lens)}
+    try:  # an int too long to write is refused value by value, in order
+        text = "\0".join(map(templates.__getitem__, lens)) % flat
+    except ValueError:
+        return None
+    return text.split("\0")  # no template or int holds a NUL
 
 
 def _records(o, inner: str, sep: str) -> str | None:
     """The items of an array of dicts that share one tuple of string keys,
-    such as a trapezium's edges, or None.  Each column of values is
-    written in one pass when it holds only strings or only ints, and value
-    by value otherwise; one template then joins each record.  The columns
-    are read record by record, so a refused value raises in document
-    order."""
+    such as a trapezium's edges, or None.  A column of values that holds
+    only strings, only ints or only arrays of int pairs is written in one
+    pass, any other value by value; one format string then joins every
+    record.  The other columns are read record by record, so a refused
+    value raises in document order."""
     if type(o[0]) is not dict or set(map(type, o)) != {dict}:
         return None
     shapes = set(map(tuple, o))
@@ -221,11 +241,13 @@ def _records(o, inner: str, sep: str) -> str | None:
         kinds = set(map(type, col))
         columns.append(map(_ENCODE_STRING, col) if kinds == {str}
                        else map(int.__repr__, col) if kinds == {int}
-                       else map(_text, col, repeat(at)))
+                       else _pair_arrays(col, at)
+                       or map(_text, col, repeat(at)))
     record = ("{" + at + ("," + at).join(
         _ENCODE_STRING(k).replace("%", "%%") + ": %s" for k in keys)
         + inner + "}")
-    return sep.join(map(record.__mod__, zip(*columns)))
+    return (sep.join([record] * len(o))
+            % tuple(chain.from_iterable(zip(*columns))))
 
 
 def machine_to_dict(m: Machine) -> dict:
