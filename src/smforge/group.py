@@ -10,6 +10,8 @@ sides record the history.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
@@ -272,6 +274,8 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     fall off the ends of the word.  Returns (row, cells)."""
     n = m.n_parts
     rp = rule.parts
+    # The vertical edges over part i's right carry theta_{(i+1) mod n}.
+    theta = [theta_atom(rule.name, (i + 1) % n) for i in range(n)]
 
     bottom, b_state, b_tape = _spell_admissible(edges, lo)
     t_state = [_new_edge(edges, rp[i].to, "q") for i in range(n)]
@@ -314,11 +318,11 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     # Columns left to right; every vertical over sector s carries index
     # (s+1) mod n, and the outermost two carry index 0.
     cells = []
-    left_v = _new_edge(edges, theta_atom(rule.name, 0), "theta")
+    left_v = _new_edge(edges, theta[-1], "theta")
     v_first = left_v
     top = []
     for i in range(n):
-        rv = _new_edge(edges, theta_atom(rule.name, (i + 1) % n), "theta")
+        rv = _new_edge(edges, theta[i], "theta")
         span = list(pre[i]) + [(t_state[i], 1)] + list(post[i])
         boundary = ([(b_state[i], 1), (rv, 1)]
                     + [(e, -o) for e, o in reversed(span)]
@@ -328,7 +332,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
         top.append((t_state[i], 1))
         if i < n - 1:
             for be, e, te in squares[i]:
-                rv = _new_edge(edges, theta_atom(rule.name, (i + 1) % n), "theta")
+                rv = _new_edge(edges, theta[i], "theta")
                 cells.append(Cell("ta", [(be, e), (rv, 1), (te, -e),
                                          (left_v, -1)], rule.name, i))
                 left_v = rv
@@ -424,13 +428,14 @@ def _outer_loop(trap: Trapezium):
             + _flip_path(trap.right))
 
 
-def _default_closure(m: Machine) -> frozenset[Word]:
-    """The symmetrized closure of the default M(m), built once per machine
-    and kept on it like ``Machine._table``.  A failure is not kept: it is
-    raised again on every call."""
+def _default_closure(m: Machine) -> frozenset[tuple]:
+    """The letter tuples of the symmetrized closure of the default M(m),
+    built once per machine and kept on it like ``Machine._table``.  A
+    failure is not kept: it is raised again on every call."""
     closure = m.__dict__.get("_default_closure")
     if closure is None:
-        closure = symmetrized_closure(machine_to_group(m).relators)
+        closure = frozenset(w.letters for w in symmetrized_closure(
+            machine_to_group(m).relators))
         m.__dict__["_default_closure"] = closure
     return closure
 
@@ -451,25 +456,35 @@ def validate_trapezium(trap: Trapezium) -> bool:
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
 
-    use = {}
-    for c in trap.cells:
-        for e, o in c.boundary:
-            use.setdefault(e, []).append(o)
-    for e, o in _outer_loop(trap):
-        use.setdefault(e, []).append(o)
-    if not use.keys() <= trap.edges.keys():
+    uses = tuple(chain.from_iterable([c.boundary for c in trap.cells]))
+    uses += _outer_loop(trap)
+    if not set(map(itemgetter(0), uses)) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
 
+    atoms = {e: edge.atom for e, edge in trap.edges.items()}
+
+    def letters(path) -> tuple:
+        return tuple([(atoms[e], o) for e, o in path])
+
+    # Every closure word is reduced, so a cell that spells one as it
+    # stands needs no reduction.
     closure = _default_closure(m)
     for c in trap.cells:
-        w = free_reduce(trap.path_word(c.boundary))
-        if w not in closure:
+        w = letters(c.boundary)
+        if w not in closure and free_reduce(Word._of(w)).letters not in closure:
             raise GroupError(f"cell {c!r} does not spell a relator")
 
-    for e in trap.edges:
-        if sorted(use.get(e, ())) != [-1, 1]:
-            raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
-                             "expected once each way")
+    # Once each way for every edge: no use repeats, each is +1 or -1, and
+    # there are two per edge.  Otherwise name the first edge that fails.
+    if (len(set(uses)) != len(uses) or len(uses) != 2 * len(trap.edges)
+            or not set(map(itemgetter(1), uses)) <= {1, -1}):
+        use = {}
+        for e, o in uses:
+            use.setdefault(e, []).append(o)
+        for e in trap.edges:
+            if sorted(use.get(e, ())) != [-1, 1]:
+                raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
+                                 "expected once each way")
 
     for j, row in enumerate(trap.rows):
         rule = m.rule(row.rule)
@@ -480,18 +495,18 @@ def validate_trapezium(trap: Trapezium) -> bool:
         right = th * rule.parts[-1].right.inverse()
         if row.sign < 0:
             left, right = left.inverse(), right.inverse()
-        if trap.path_word(row.left) != left:
+        if letters(row.left) != left.letters:
             raise GroupError(f"row {j} left side label is wrong")
-        if trap.path_word(row.right) != right:
+        if letters(row.right) != right.letters:
             raise GroupError(f"row {j} right side label is wrong")
-        if trap.path_word(row.bottom) != trap.words[j].to_word():
+        if letters(row.bottom) != trap.words[j].to_word().letters:
             raise GroupError(f"row {j} bottom label is wrong")
-        if trap.path_word(row.top) != trap.words[j + 1].to_word():
+        if letters(row.top) != trap.words[j + 1].to_word().letters:
             raise GroupError(f"row {j} top label is wrong")
 
-    if trap.path_word(trap.bottom) != trap.words[0].to_word():
+    if letters(trap.bottom) != trap.words[0].to_word().letters:
         raise GroupError("bottom label is wrong")
-    if trap.path_word(trap.top) != trap.words[-1].to_word():
+    if letters(trap.top) != trap.words[-1].to_word().letters:
         raise GroupError("top label is wrong")
     return True
 
