@@ -250,9 +250,17 @@ def presentation_to_machine(p: GroupPresentation) -> Machine:
                   for j in range(1, len(pr) + 1)]
     rules.append(rule("omega", "s", "f", domains=[[], []]))
 
+    # Each state letter's column; each column's unwritten relator suffix.
+    suffix = dict.fromkeys(columns, EMPTY)
+    for pr, chain in zip(positive, chains):
+        suffix.update((c, Word(pr.letters[j:]))
+                      for j, c in enumerate(chain[1:-1], 1))
     meta = {"kind": "encoder", "presentation": p, "doubled": d,
             "stored": stored, "positive": positive,
-            "index": {r.key(): ri for ri, r in enumerate(stored)}}
+            "index": {r.key(): ri for ri, r in enumerate(stored)},
+            "column": {a: c for part in hw.parts
+                       for a, c in zip(part.letters, columns)},
+            "suffix": suffix}
     return Machine(f"encode.{p.name}", hw, rules, meta)
 
 
@@ -262,28 +270,19 @@ def _encoder_meta(m: Machine) -> dict:
     return m.meta
 
 
-def _column(aw: AdmissibleWord) -> str:
+def _column(meta: dict, aw: AdmissibleWord) -> str:
     """The shared state column of a configuration ('s', 'f', a letter
     name, or 'ri.j'); the three parts must agree."""
     if aw.base != ((0, 1), (1, 1), (2, 1)):
         raise EncodeError("standard three-part configuration expected")
     cols = []
-    for i, (a, _) in enumerate(aw.states):
-        head = f"q{i}."
-        if not a.name.startswith(head):
+    for a, _ in aw.states:
+        if a not in meta["column"]:
             raise EncodeError(f"unexpected state letter {a.name!r}")
-        cols.append(a.name[len(head):])
+        cols.append(meta["column"][a])
     if len(set(cols)) != 1:
         raise EncodeError(f"state columns out of step: {cols}")
     return cols[0]
-
-
-def _state_suffix(meta: dict, col: str) -> Word:
-    d = meta["doubled"]
-    if col in ("s", "f") or any(y.name == col for y in d.letters):
-        return EMPTY
-    ri, j = col.split(".")
-    return Word(meta["positive"][int(ri)].letters[int(j):])
 
 
 def h_ext(m: Machine, aw: AdmissibleWord) -> Word:
@@ -293,9 +292,9 @@ def h_ext(m: Machine, aw: AdmissibleWord) -> Word:
     group is the same at every step of a computation."""
     meta = _encoder_meta(m)
     d = meta["doubled"]
-    col = _column(aw)
+    suffix = meta["suffix"][_column(meta, aw)]
     t, v = aw.tapes
-    return free_reduce(d.unbar(t * _state_suffix(meta, col))
+    return free_reduce(d.unbar(t * suffix)
                        * d.mirror(v).inverse())
 
 
@@ -308,11 +307,10 @@ def rule_h_defect(m: Machine, rule) -> Word:
     for i in (0, 1):
         if rule.parts[i].right:
             raise EncodeError(f"{rule.name}: unexpected right write")
-    col_f = rule.parts[0].frm.name[3:]
-    col_t = rule.parts[0].to.name[3:]
-    w = (rule.parts[1].left * _state_suffix(meta, col_t)
+    column, suffix = meta["column"], meta["suffix"]
+    w = (rule.parts[1].left * suffix[column[rule.parts[0].to]]
          * d.unprime(rule.parts[2].left).inverse()
-         * _state_suffix(meta, col_f).inverse())
+         * suffix[column[rule.parts[0].frm]].inverse())
     return free_reduce(d.unbar(w))
 
 
