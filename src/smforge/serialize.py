@@ -181,9 +181,10 @@ def _object_text(o, nl: str) -> str:
 def _array_text(o, nl: str) -> str:
     if not o:
         return "[]"
-    pairs = _pair_arrays((o,), nl)
-    if pairs is not None:
-        return pairs[0]
+    if type(o[0]) is tuple:  # maybe pairs: written as a column of one
+        pairs = _pair_arrays((o,), nl)
+        if pairs is not None:
+            return pairs[0]
     inner = nl + "  "
     sep = "," + inner
     return ("[" + inner
