@@ -16,7 +16,7 @@ from smforge.enhance import (accepting_computation_from_history,
                              build_enhanced_standard)
 from smforge.fixtures import (one_sector_left_multiplier, toy_deleter,
                               z2_presentation)
-from smforge.group import (Cell, GroupError, Row, Trapezium,
+from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
                            computation_to_trapezium,
                            conjugator_from_accepting, dehn_cell_bound_check,
                            heisenberg_product, letter_types, machine_to_group,
@@ -457,6 +457,19 @@ class TestValidation:
                         parts["words"])
         with pytest.raises(GroupError, match=message):
             validate_trapezium(bad)
+
+    def test_cell_spelling_a_relator_once_reduced(self):
+        """A spur, one fresh edge out and back, in a cell's boundary: the
+        cell still spells its relator once reduced, and the spur edge is
+        used once each way, so the trapezium stays valid."""
+        t = self.trap()
+        spur = max(t.edges) + 1
+        c = t.cells[0]
+        cells = (Cell(c.kind, c.boundary[:1] + ((spur, 1), (spur, -1))
+                      + c.boundary[1:], c.rule, c.index, c.row),) + t.cells[1:]
+        edges = {**t.edges, spur: Edge(spur, atom("y"), "a")}
+        assert validate_trapezium(Trapezium(t.machine, t.rows, cells, edges,
+                                            t.words))
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda r: setattr(r[0], "left", r[4].left),

@@ -372,8 +372,10 @@ def test_record_arrays_agree_with_json(value):
     [{"a": [1, 1.5]}, {"a": [atom("x")]}],
     [{"a": [(1, 2)], "b": 1.5}, {"a": [(atom("x"), 1)], "b": 2}],
     [{"a": [(1, 2)], "b": 2}, {"a": [(1, 1.5)], "b": atom("x")}],
+    # An int too long to write raises ValueError, after the float.
+    [{"a": [(1, 2)], "b": 1.5}, {"a": [(10 ** 5000, 1)], "b": 2}],
 ], ids=["same_column", "later_column", "nested", "pairs_after_float",
-        "float_in_pairs"])
+        "float_in_pairs", "long_int_in_pairs"])
 def test_the_first_refused_value_is_named(value):
     # The float comes before the atom in document order, so it is met
     # first, even where the atom sits in an earlier column of pairs.
