@@ -274,7 +274,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     fall off the ends of the word.  Returns (row, cells)."""
     n = m.n_parts
     rp = rule.parts
-    # The vertical edges over part i's right carry theta_{(i+1) mod n}.
+    # theta[i] is theta_{(i+1) mod n}, so theta[-1] is theta_0.
     theta = [theta_atom(rule.name, (i + 1) % n) for i in range(n)]
 
     bottom, b_state, b_tape = _spell_admissible(edges, lo)
