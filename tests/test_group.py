@@ -389,6 +389,36 @@ class TestTrapeziumExport:
         assert h.hexdigest() == (
             "bda35ee89b5dfd56e8f9833b01d73961e4840430a6a36e744fb7047256960cfa")
 
+    def test_nested_cancellation_bytes_are_pinned(self):
+        """JSON and DOT of rows whose writes cancel in every way a fold
+        pairs letters, hashed: nested right·right, right·left across an
+        empty tape, left·left, right·tape and tape·left, each positive and
+        negative.  A cancelling pair shares the edge of its first letter,
+        so handing it another fresh edge renumbers the rest."""
+        hw = Hardware([StatePart("P0", ["p"]), StatePart("P1", ["q"])],
+                      [["x", "y"]])
+
+        def rule(name, right="", left=""):
+            return make_rule(hw, name, [RulePart("p", "p", right=W(right)),
+                                        RulePart("q", "q", left=W(left))])
+
+        m = Machine("folds", hw, [
+            rule("rr", right="x y y^-1 x^-1"),
+            rule("rl", right="x y", left="y^-1 x^-1"),
+            rule("ll", left="x y y^-1 x^-1"),
+            rule("rw", right="x^-1"),
+            rule("wl", left="x^-1")])
+        h = hashlib.sha256()
+        for tape, history in [("", "rr rl ll rr^-1 rl^-1 ll^-1"),
+                              ("x y x", "rw wl rw^-1 wl^-1 rr rl^-1")]:
+            comp = run(m, parse_admissible(hw, f"p {tape} q"), W(history))
+            trap = computation_to_trapezium(m, comp)
+            assert validate_trapezium(trap)
+            h.update(trapezium_dumps(trap).encode())
+            h.update(trapezium_to_dot(trap).encode())
+        assert h.hexdigest() == (
+            "0368f731a9b3ad235790655fca77cee7837fd99bfd0eb56d63fda8b312cb14bd")
+
 
 def _first_square_flipped(t):
     """The cells with one edge of the first (theta,a) square reversed."""

@@ -1,6 +1,8 @@
 import copy
+import enum
 import hashlib
 import json
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -298,6 +300,10 @@ class _List(list):
     pass
 
 
+# A tuple subclass, written as an array, as json writes it.
+_Point = namedtuple("_Point", "x y")
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_JSON)
 @example([(1, True), (2, 3)])
@@ -305,6 +311,9 @@ class _List(list):
 @example([(0, 1, 2), (3,)])
 @example({"é": ((-1, 2 ** 70),), "": [], "a\u2028": {}, "b": ()})
 @example(_List([_Str('a"ä'), 1]))
+@example(_Point(1, [_Point("a", None)]))
+@example([_Point(1, 2), (3, 4)])
+@example([(1, 2), _Point(3, 4)])
 def test_emitter_agrees_with_json(value):
     assert dumps_canonical(value) == _reference(value)
 
@@ -383,10 +392,20 @@ def test_the_first_refused_value_is_named(value):
         dumps_canonical(value)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
 def test_atoms_are_not_written_as_ints():
-    # An atom equals its id, which depends on the order of interning.
+    # An atom equals its id, which depends on the order of interning.  No
+    # other int subclass is written either: json writes an IntEnum
+    # member's value, and the canonical writer refuses it.
     for value in (atom("x"), [(atom("x"), 1)], {"a": (1, atom("y"))}):
         with pytest.raises(TypeError, match="Atom is not JSON serializable"):
+            dumps_canonical(value)
+    for value in (_Level.LOW, [(_Level.LOW, 1)], {"a": [_Level.LOW]}):
+        with pytest.raises(TypeError, match="^Object of type _Level is not "
+                                            "JSON serializable$"):
             dumps_canonical(value)
 
 
