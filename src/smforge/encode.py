@@ -459,7 +459,7 @@ def _mo(d: DoubledAlphabet, c: Atom):
             _sig(f"sigma({cb.name})", 1)]
 
 
-def _mi_restore(d: DoubledAlphabet, rec: Atom):
+def _mi_restore(rec: Atom):
     return [_sig(f"sigma({rec.name})", -1), _sig(f"tau1({rec.name})", 1),
             _sig(f"tau2({rec.name})", 1)]
 
@@ -525,7 +525,7 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):
             out.extend(_mi_cancel(rec))
             tape.pop()
         else:
-            out.extend(_mi_restore(d, rec))
+            out.extend(_mi_restore(rec))
             tape.append(d.bar(rec))
     expect = Word._of(product)
     if tape != [x for x, _ in d.positivize(expect)]:

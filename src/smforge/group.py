@@ -231,22 +231,20 @@ def _spell_admissible(edges, aw):
     return tuple(path), b_state, b_tape
 
 
-def _fold(rho: Word, w: Word, lam: Word):
-    """Cancellation structure of rho.w.lam: tagged letters plus a pairing
-    of the positions that cancel.  Survivors spell the reduced product."""
-    entries = ([("r", j, l) for j, l in enumerate(rho.letters)]
-               + [("w", j, l) for j, l in enumerate(w.letters)]
-               + [("l", j, l) for j, l in enumerate(lam.letters)])
-    partner = [None] * len(entries)
+def _fold(*words: Word):
+    """Cancellation structure of the product of ``words``: its letters,
+    flattened, and for each position the position it cancels with, or
+    None.  Survivors spell the reduced product."""
+    letters = list(chain.from_iterable([w.letters for w in words]))
+    partner = [None] * len(letters)
     stack = []
-    for t, (_, _, (a, e)) in enumerate(entries):
-        if stack and entries[stack[-1]][2] == (a, -e):
+    for t, (a, e) in enumerate(letters):
+        if stack and letters[stack[-1]] == (a, -e):
             s = stack.pop()
-            partner[s] = t
-            partner[t] = s
+            partner[s], partner[t] = t, s
         else:
             stack.append(t)
-    return entries, partner
+    return letters, partner
 
 
 def _check_standard_base(aw: AdmissibleWord):
@@ -270,8 +268,12 @@ def _check_computation(m: Machine, comp: Computation):
 def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
                   hi: AdmissibleWord):
     """Build one band for a positive application of ``rule`` taking ``lo``
-    to ``hi``, both on the standard base.  The writes of the outer parts
-    fall off the ends of the word.  Returns (row, cells)."""
+    to ``hi``, both on the standard base; the outer parts' writes fall off
+    the ends of the word.  Returns (row, cells).  In each sector's fold of
+    right write · tape · left write, a tape letter keeps its bottom edge,
+    each other letter in turn shares its partner's edge if that has one
+    yet or takes a fresh one, and each surviving tape letter gets a
+    square."""
     n = m.n_parts
     rp = rule.parts
     # theta[i] is theta_{(i+1) mod n}, so theta[-1] is theta_0.
@@ -289,12 +291,13 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     squares = [[] for _ in range(n - 1)]
     sector_top = [[] for _ in range(n - 1)]
     for s in range(n - 1):
-        entries, partner = _fold(rp[s].right, lo.tapes[s], rp[s + 1].left)
-        spans = [None] * len(entries)
-        for t, (tag, j, (a, e)) in enumerate(entries):
-            if tag == "w":
-                spans[t] = (b_tape[s][j], e)
-        for t, (tag, j, (a, e)) in enumerate(entries):
+        tape = lo.tapes[s]
+        letters, partner = _fold(rp[s].right, tape, rp[s + 1].left)
+        rn = len(rp[s].right)
+        wn = rn + len(tape)
+        spans = ([None] * rn + [(b, e) for b, (_, e) in zip(b_tape[s], tape)]
+                 + [None] * (len(letters) - wn))
+        for t, (a, e) in enumerate(letters):
             if spans[t] is not None:
                 continue
             p = partner[t]
@@ -302,17 +305,14 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
                 spans[t] = (spans[p][0], -spans[p][1])
             else:
                 spans[t] = (_new_edge(edges, a, "a"), e)
-        rn = len(rp[s].right)
         post[s] = spans[:rn]
-        pre[s + 1] = spans[rn + len(lo.tapes[s]):]
-        for t, (tag, j, (a, e)) in enumerate(entries):
-            if partner[t] is not None:
-                continue
-            if tag == "w":
-                te = _new_edge(edges, a, "a")
-                squares[s].append((b_tape[s][j], e, te))
-                sector_top[s].append((te, e))
-            else:
+        pre[s + 1] = spans[wn:]
+        for t, p in enumerate(partner):  # the tape letters are at rn..wn-1
+            if p is None and rn <= t < wn:
+                te = _new_edge(edges, letters[t][0], "a")
+                squares[s].append((*spans[t], te))
+                sector_top[s].append((te, letters[t][1]))
+            elif p is None:
                 sector_top[s].append(spans[t])
 
     # Columns left to right; every vertical over sector s carries index
@@ -351,11 +351,6 @@ def _flip_path(path):
     return tuple((e, -o) for e, o in reversed(path))
 
 
-def _flip_row(row: Row) -> Row:
-    return Row(row.rule, -1, row.top, row.bottom,
-               _flip_path(row.left), _flip_path(row.right))
-
-
 def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     """Flatten a computation into a trapezium over M(S).
 
@@ -372,7 +367,8 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
             row, rcells = _positive_row(edges, m, lo, rule, hi)
         else:
             row, rcells = _positive_row(edges, m, hi, rule, lo)
-            row = _flip_row(row)
+            row = Row(row.rule, -1, row.top, row.bottom,
+                      _flip_path(row.left), _flip_path(row.right))
             # Mirrored cells are read the other way around.
             for c in rcells:
                 c.boundary = _flip_path(c.boundary)

@@ -11,7 +11,10 @@ type check over the whole column and one format string over all of its
 ints, joined from one template per array length; a lone array of
 pairs is a column of one.  A column that fails the check, and any other
 value, a dict subclass or a bool among them, is written item by item, in
-document order, so the first refused value is the one named.
+document order, so the first refused value is the one named.  An item is
+dispatched once, in this order: a string, an exact int, None, true or
+false, a dict, a list or tuple (a namedtuple too); anything else, an
+Atom or an IntEnum member among them, is refused.
 The machine format is canonical, so equal machines produce byte-identical
 files.  Empty write words are omitted, a domain equal to the whole sector
 alphabet is written as "full", and a part carries ``"lock": true`` exactly
@@ -144,52 +147,28 @@ def dumps_canonical(obj) -> str:
 def _text(o, nl: str) -> str:
     """The text of ``o`` whose first line starts after ``nl``, the line
     break and indent of the enclosing level."""
-    t = type(o)
-    if t is str:
-        return _ENCODE_STRING(o)
-    if t is list or t is tuple:
-        return _array_text(o, nl)
-    if t is dict:
-        return _object_text(o, nl)
-    if t is int:  # not an Atom, whose id depends on interning order
-        return int.__repr__(o)
     if isinstance(o, str):
         return _ENCODE_STRING(o)
-    if isinstance(o, dict):
-        return _object_text(o, nl)
-    if isinstance(o, (list, tuple)):
-        return _array_text(o, nl)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    raise TypeError(
-        f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _object_text(o, nl: str) -> str:
-    if not o:
-        return "{}"
-    inner = nl + "  "
-    return ("{" + inner + ("," + inner).join(
-        [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)])
-        + nl + "}")
-
-
-def _array_text(o, nl: str) -> str:
-    if not o:
-        return "[]"
-    if type(o[0]) is tuple:  # maybe pairs: written as a column of one
-        pairs = _pair_arrays((o,), nl)
-        if pairs is not None:
-            return pairs[0]
+    if type(o) is int:  # not an Atom, whose id depends on interning order
+        return int.__repr__(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
     inner = nl + "  "
     sep = "," + inner
-    return ("[" + inner
-            + (_records(o, inner, sep) or sep.join([_text(x, inner) for x in o]))
-            + nl + "]")
+    if isinstance(o, dict):
+        body = [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)]
+        return "{" + inner + sep.join(body) + nl + "}" if o else "{}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if type(o[0]) is tuple:  # maybe pairs: written as a column of one
+            pairs = _pair_arrays((o,), nl)
+            if pairs is not None:
+                return pairs[0]
+        body = _records(o, inner, sep) or sep.join([_text(x, inner) for x in o])
+        return "[" + inner + body + nl + "]"
+    raise TypeError(
+        f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _pair_arrays(col, nl: str) -> list[str] | None:
