@@ -11,8 +11,8 @@ type check over the whole column and one format string over all of its
 ints, joined from one template per array length; a lone array of
 pairs is a column of one.  A column that fails the check, and any other
 value, a dict subclass or a bool among them, is written item by item, in
-document order, so the first refused value is the one named.  An item is
-dispatched once, in this order: a string, an exact int, None, true or
+document order, so the first refused value is the one named.  Each value
+is dispatched once, in this order: a string, an exact int, None, true or
 false, a dict, a list or tuple (a namedtuple too); anything else, an
 Atom or an IntEnum member among them, is refused.
 The machine format is canonical, so equal machines produce byte-identical
@@ -157,7 +157,7 @@ def _text(o, nl: str) -> str:
     sep = "," + inner
     if isinstance(o, dict):
         body = [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)]
-        return "{" + inner + sep.join(body) + nl + "}" if o else "{}"
+        return ("{" + inner + sep.join(body) + nl + "}") if o else "{}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
