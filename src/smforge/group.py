@@ -232,9 +232,8 @@ def _spell_admissible(edges, aw):
 
 
 def _fold(*words: Word):
-    """Cancellation structure of the product of ``words``: its letters,
-    flattened, and for each position the position it cancels with, or
-    None.  Survivors spell the reduced product."""
+    """The flat letters of the product of ``words`` and, for each, the
+    position it cancels with or None.  Survivors spell the reduced product."""
     letters = list(chain.from_iterable([w.letters for w in words]))
     partner = [None] * len(letters)
     stack = []
@@ -271,9 +270,8 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     to ``hi``, both on the standard base; the outer parts' writes fall off
     the ends of the word.  Returns (row, cells).  In each sector's fold of
     right write · tape · left write, a tape letter keeps its bottom edge,
-    each other letter in turn shares its partner's edge if that has one
-    yet or takes a fresh one, and each surviving tape letter gets a
-    square."""
+    each other letter in turn shares its partner's edge if that has one yet
+    or takes a fresh one, and each surviving tape letter gets a square."""
     n = m.n_parts
     rp = rule.parts
     # theta[i] is theta_{(i+1) mod n}, so theta[-1] is theta_0.

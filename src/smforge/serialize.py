@@ -146,7 +146,8 @@ def dumps_canonical(obj) -> str:
 
 def _text(o, nl: str) -> str:
     """The text of ``o`` whose first line starts after ``nl``, the line
-    break and indent of the enclosing level."""
+    break and indent of the enclosing level.  A container's body is joined
+    into its brackets, not added, so that it is copied only once."""
     if isinstance(o, str):
         return _ENCODE_STRING(o)
     if type(o) is int:  # not an Atom, whose id depends on interning order
@@ -156,8 +157,9 @@ def _text(o, nl: str) -> str:
     inner = nl + "  "
     sep = "," + inner
     if isinstance(o, dict):
-        body = [_ENCODE_STRING(k) + ": " + _text(o[k], inner) for k in sorted(o)]
-        return ("{" + inner + sep.join(body) + nl + "}") if o else "{}"
+        body = sep.join([_ENCODE_STRING(k) + ": " + _text(o[k], inner)
+                         for k in sorted(o)])
+        return "".join(("{", inner, body, nl, "}")) if o else "{}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -166,7 +168,7 @@ def _text(o, nl: str) -> str:
             if pairs is not None:
                 return pairs[0]
         body = _records(o, inner, sep) or sep.join([_text(x, inner) for x in o])
-        return "[" + inner + body + nl + "]"
+        return "".join(("[", inner, body, nl, "]"))
     raise TypeError(
         f"Object of type {type(o).__name__} is not JSON serializable")
 
