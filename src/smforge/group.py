@@ -221,12 +221,12 @@ def _new_edge(edges: list, a: Atom, kind: str) -> int:
 
 def _spell_admissible(edges, aw):
     """Fresh edges spelling an admissible word; returns (path, state edge
-    ids, per-sector tape edge ids)."""
+    ids, per-sector tape paths)."""
     b_state = [_new_edge(edges, a, "q") for a, _ in aw.states]
-    b_tape = [[_new_edge(edges, a, "a") for a, _ in w.letters] for w in aw.tapes]
+    b_tape = [[(_new_edge(edges, a, "a"), e) for a, e in w] for w in aw.tapes]
     path = [(b_state[0], aw.states[0][1])]
-    for j, w in enumerate(aw.tapes):
-        path.extend((b_tape[j][k], e) for k, (_, e) in enumerate(w.letters))
+    for j, tape in enumerate(b_tape):
+        path.extend(tape)
         path.append((b_state[j + 1], aw.states[j + 1][1]))
     return tuple(path), b_state, b_tape
 
@@ -293,8 +293,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
         letters, partner = _fold(rp[s].right, tape, rp[s + 1].left)
         rn = len(rp[s].right)
         wn = rn + len(tape)
-        spans = ([None] * rn + [(b, e) for b, (_, e) in zip(b_tape[s], tape)]
-                 + [None] * (len(letters) - wn))
+        spans = [None] * rn + b_tape[s] + [None] * (len(letters) - wn)
         for t, (a, e) in enumerate(letters):
             if spans[t] is not None:
                 continue
@@ -307,9 +306,10 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
         pre[s + 1] = spans[wn:]
         for t, p in enumerate(partner):  # the tape letters are at rn..wn-1
             if p is None and rn <= t < wn:
+                be, e = spans[t]
                 te = _new_edge(edges, letters[t][0], "a")
-                squares[s].append((*spans[t], te))
-                sector_top[s].append((te, letters[t][1]))
+                squares[s].append((be, e, te))
+                sector_top[s].append((te, e))
             elif p is None:
                 sector_top[s].append(spans[t])
 
