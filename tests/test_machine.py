@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 import re
 
@@ -31,6 +32,7 @@ from smforge.machine import (
     run,
     successors,
 )
+from smforge.search import reduced_computations
 from smforge.words import _REGISTRY, EMPTY, Word, atom, atoms
 
 
@@ -655,3 +657,76 @@ class TestImmutable:
         for dup in (shallow, copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
             assert dup.tokens() == c.tokens() and dup.key() == c.key()
             assert answers(dup) == answers(c)
+
+
+class TestConfigurationRecord:
+    """Equality, hashing, order and copies of configurations, against the
+    definition by keys: two configurations are equal when they share the
+    hardware object and spell the same letters, and hash as their key."""
+
+    @staticmethod
+    def _configs(m):
+        start = input_configuration(m, W("y y^-1 y"))
+        return [c for _, c in reduced_computations(m, start, 3)]
+
+    def test_equality_and_hash_agree_with_keys(self):
+        m, twin = toy_deleter(), toy_deleter()
+        assert m.hw is not twin.hw
+        configs = self._configs(m) + self._configs(twin)
+        configs += [AdmissibleWord(c.hw, c.states, c.tapes) for c in configs]
+        configs.append(accept_configuration(trivial_acceptor()))
+        assert len({(c.hw, c.key()) for c in configs}) > 10
+        for a, b in itertools.product(configs, repeat=2):
+            same = a.hw is b.hw and a.key() == b.key()
+            assert (a == b) is same
+            assert (a != b) is (not same)
+            if same:
+                assert hash(a) == hash(b)
+        for c in configs:
+            assert hash(c) == hash(c.key())
+        # A twin's copy of a configuration differs only in its hardware.
+        here, there = self._configs(m)[4], self._configs(twin)[4]
+        assert here.key() == there.key() and here != there
+
+    def test_a_configuration_is_not_its_fields(self):
+        m = toy_deleter()
+        c = input_configuration(m, W("y y"))
+        for other in ((c.hw, c.states, c.tapes), (c.states, c.tapes),
+                      c.key(), c.to_word()):
+            assert not c == other and not other == c
+            assert c != other and other != c
+            assert other not in {c} and c not in {other}
+
+    def test_configurations_are_not_ordered(self):
+        m = toy_deleter()
+        c = input_configuration(m, W("y y"))
+        d = m.apply(c, m.rule("del"))
+        fields = (c.hw, c.states, c.tapes)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            for x, y in ((c, c), (c, d), (d, c), (c, fields), (fields, c)):
+                with pytest.raises(TypeError):
+                    op(x, y)
+
+    def test_copies_and_pickles_run_the_validator(self, monkeypatch):
+        m = toy_deleter()
+        c = input_configuration(m, W("y y"))
+        calls = []
+        init = AdmissibleWord.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(AdmissibleWord, "__init__", counted)
+        # Protocols 0 and 1 cannot pickle the slotted hardware parts.
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        dups = [copy.copy(c)] + [pickle.loads(pickle.dumps(c, protocol))
+                                 for protocol in protocols]
+        assert len(calls) == len(dups)
+        assert all(dup.key() == c.key() for dup in dups)
+        assert dups[0] == c and all(dup != c for dup in dups[1:])
+        # The validator refuses a broken record: its tape cannot sit in
+        # the gap, whatever path rebuilds it.
+        reduce_fn, (hw, states, tapes) = c.__reduce__()
+        with pytest.raises(MachineError, match="^letter 'x'"):
+            reduce_fn(hw, states, [W("x")])

@@ -508,3 +508,45 @@ def test_pruned_enumeration_agrees_with_reference(name):
     # The prune cuts some branches and lets others grow.
     assert len(_reference_computations(m, start, 5)) > len(want)
     assert max(len(steps) for steps, _ in want) >= 2
+
+
+def _flat_stack_computations(m, start, max_steps, prune=None):
+    """reduced_computations as it ran on one flat stack of pending
+    (steps, end) pairs, each node's children pushed in reverse so that
+    the first pops first."""
+    stack = [((), start)]
+    while stack:
+        steps, end = stack.pop()
+        yield steps, end
+        depth = len(steps)
+        if depth < max_steps and not (prune is not None and prune(end, depth)):
+            back = (steps[-1][0], -steps[-1][1]) if steps else None
+            stack += [(steps + ((rule, sign),), res) for rule, sign, res
+                      in reversed(successors(m, end, back))]
+
+
+@PROPERTY
+@given(machines(), st.integers(-1, 4), st.one_of(st.none(), st.integers(0, 3)),
+       st.integers(0, 2))
+def test_frame_walk_agrees_with_flat_stack(case, max_steps, cut_depth, cut_tape):
+    # The same pairs in the same order and the same prune calls, with no
+    # prune, with one that cuts at depth 0 and with ones that cut deeper
+    # or on long tapes; the bound -1 and 0 yield the start alone.
+    m, start = case
+
+    def recorder():
+        calls = []
+
+        def prune(c, depth):
+            calls.append((c, depth))
+            return depth >= cut_depth or c.tape_length() > cut_tape
+        return calls, (None if cut_depth is None else prune)
+
+    runs = []
+    for walk in (reduced_computations, _flat_stack_computations):
+        calls, prune = recorder()
+        pairs = list(itertools.islice(walk(m, start, max_steps, prune), 2000))
+        runs.append((pairs, calls))
+    assert runs[0] == runs[1]
+    if max_steps <= 0 or cut_depth == 0:
+        assert runs[0][0] == [((), start)]
