@@ -480,6 +480,7 @@ def validate_trapezium(trap: Trapezium) -> bool:
                 raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
                                  "expected once each way")
 
+    spelled = [aw.key() for aw in trap.words]
     for j, row in enumerate(trap.rows):
         rule = m.rule(row.rule)
         if m.try_apply(trap.words[j if row.sign > 0 else j + 1], rule) is None:
@@ -493,14 +494,14 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"row {j} left side label is wrong")
         if letters(row.right) != right.letters:
             raise GroupError(f"row {j} right side label is wrong")
-        if letters(row.bottom) != trap.words[j].to_word().letters:
+        if letters(row.bottom) != spelled[j]:
             raise GroupError(f"row {j} bottom label is wrong")
-        if letters(row.top) != trap.words[j + 1].to_word().letters:
+        if letters(row.top) != spelled[j + 1]:
             raise GroupError(f"row {j} top label is wrong")
 
-    if letters(trap.bottom) != trap.words[0].to_word().letters:
+    if letters(trap.bottom) != spelled[0]:
         raise GroupError("bottom label is wrong")
-    if letters(trap.top) != trap.words[-1].to_word().letters:
+    if letters(trap.top) != spelled[-1]:
         raise GroupError("top label is wrong")
     return True
 

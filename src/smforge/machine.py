@@ -31,15 +31,17 @@ either junction and the reduced pre.post for an empty tape, so a tape is
 written in one tuple concatenation, and splice runs only when a junction
 cancels.  A rule keeps the base, so the
 gap sectors too: its results skip validation, words from users do not.  A
-configuration's key is its letters: the state letters and each tape's letter
-tuple, concatenated once and cached.  Atoms are ints, so keys, state tuples
-and domains hash and compare in C.
+configuration is the tuple record (hw, states, tapes), which the kernel
+builds in one allocation.  Its key is its letters: the state letters and
+each tape's letter tuple, concatenated on each call.  Atoms are ints, so
+keys, state tuples and domains hash and compare in C.
 Machine._step applies one signed rule of the machine's own; successors, the
 expansion every search runs, applies all of them.  No other module reads the
 compiled table.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -231,7 +233,11 @@ def invert_rule(rule: SRule) -> SRule:
     return SRule(rule.name, parts, rule.domains)
 
 
-class AdmissibleWord:
+# The C getters of a configuration's three fields.
+_Fields = namedtuple("_Fields", "hw states tapes")
+
+
+class AdmissibleWord(tuple):
     """An alternating word  q_0 w_0 q_1 w_1 ... q_m  of state letters
     (possibly inverted) and tape words, with consistent shapes.
 
@@ -244,14 +250,20 @@ class AdmissibleWord:
                 gap sector k resp. k - 1;
 
     indices mod n_parts when the hardware is cyclic.  Tapes are stored
-    freely reduced.
-    """
+    freely reduced.  The word is the tuple (hw, states, tapes): __new__
+    packs it, __init__ validates it, and the kernel builds one past that.
+    Equal words share the hardware and the letters; none equals a plain
+    tuple, and none is ordered."""
 
-    __slots__ = ("hw", "states", "tapes", "gap_sectors", "_key")
+    __slots__ = ()
+    hw, states, tapes = _Fields.hw, _Fields.states, _Fields.tapes
+
+    def __new__(cls, hw: Hardware, states, tapes):
+        return _new(cls, (hw, tuple(states),
+                          tuple([free_reduce(w) for w in tapes])))
 
     def __init__(self, hw: Hardware, states, tapes):
-        states = tuple(states)
-        tapes = tuple(free_reduce(w) for w in tapes)
+        states, tapes = self.states, self.tapes
         if not states:
             raise MachineError("admissible word needs at least one state letter")
         if len(tapes) != len(states) - 1:
@@ -265,32 +277,27 @@ class AdmissibleWord:
                 raise MachineError(f"{a.name!r} is not a state letter")
             if isinstance(e, Atom) or e not in (1, -1):
                 raise MachineError(f"bad sign {e!r}")
-        sectors = []
-        for j in range(len(tapes)):
-            sectors.append(_gap_sector(hw, states[j], states[j + 1], j))
-        for j, w in enumerate(tapes):
-            s = sectors[j]
+        for j, (w, s) in enumerate(zip(tapes, self.gap_sectors)):
             for a, _ in w.letters:
                 if hw.sector_of.get(a) != s:
                     raise MachineError(
                         f"letter {a.name!r} in gap {j} does not belong to "
                         f"sector {s}")
-        _set_hw(self, hw)
-        _set_states(self, states)
-        _set_tapes(self, tapes)
-        _set_gaps(self, tuple(sectors))
-        _set_key(self, None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("AdmissibleWord is immutable")
-
-    def __reduce__(self):  # copies and pickles rebuild past the guard
-        return AdmissibleWord, (self.hw, self.states, self.tapes)
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return AdmissibleWord, tuple(self)
 
     def __deepcopy__(self, memo):
         """The word itself, as for a tuple, so the hardware is shared; a
         pickle still carries its own copy of the hardware."""
         return self
+
+    @property
+    def gap_sectors(self) -> tuple:
+        """The sector of each tape, read off the state letters around it."""
+        hw, states = self.hw, self.states
+        return tuple([_gap_sector(hw, states[j], states[j + 1], j)
+                      for j in range(len(states) - 1)])
 
     @property
     def base(self):
@@ -308,31 +315,33 @@ class AdmissibleWord:
 
     def key(self) -> tuple:
         """The letters q_0 w_0 q_1 ... q_m as one tuple, which is
-        to_word().key(): built from whole letter tuples, then cached."""
-        k = self._key
-        if k is None:
-            states = self.states
-            k = states[:1]
-            for w, q in zip(self.tapes, states[1:]):
-                k += w.letters + (q,)
-            _set_key(self, k)
+        to_word().key(), built from whole letter tuples."""
+        states = self.states
+        k = states[:1]
+        for w, q in zip(self.tapes, states[1:]):
+            k += w.letters + (q,)
         return k
 
     def __eq__(self, other):
         return (isinstance(other, AdmissibleWord) and self.hw is other.hw
-                and self.key() == other.key())
+                and self.states == other.states and self.tapes == other.tapes)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self.key())
+
+    def _unordered(self, other):
+        raise TypeError("admissible words are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self):
         return f"AdmissibleWord({self.tokens()})"
 
 
-# The slots' own setters write past the immutability guard.
-_set_hw, _set_states, _set_tapes, _set_gaps, _set_key = (
-    AdmissibleWord.__dict__[name].__set__ for name in AdmissibleWord.__slots__)
-_new, _of = object.__new__, Word._of
+_new, _of = tuple.__new__, Word._of
 
 
 def _gap_sector(hw: Hardware, left, right, j: int) -> int:
@@ -443,7 +452,7 @@ class _SignedRule:
         """The kernel body: row's result on aw, or why a domain refuses aw.
         A written tape is pre + tape + post, spliced only when a junction
         cancels.  The result keeps aw's base, so its gap sectors too, and
-        its slots are set unchecked."""
+        is built as one tuple, past the validation in __init__."""
         states, writes, checks = row
         tapes = aw.tapes
         for j, dom in checks:
@@ -462,13 +471,7 @@ class _SignedRule:
                 else:
                     tapes[j] = _of(pre + t + post)
             tapes = tuple(tapes)
-        res = _new(AdmissibleWord)
-        _set_hw(res, aw.hw)
-        _set_states(res, states)
-        _set_tapes(res, tapes)
-        _set_gaps(res, aw.gap_sectors)
-        _set_key(res, None)
-        return res
+        return _new(AdmissibleWord, (aw.hw, states, tapes))
 
 
 class Machine:

@@ -67,13 +67,14 @@ def _expand(m: Machine):
 class _Visited:
     """One side of a breadth-first search: the parent map, key -> (parent
     key, a, b) or None for the root, read and written only here; the
-    frontier, in discovery order; and depth, the layers run."""
+    frontier, (key, node) pairs in discovery order, so each node's key is
+    computed once; and depth, the layers run."""
 
     __slots__ = ("parents", "frontier", "depth")
 
-    def __init__(self, root):
-        self.parents = {root.key(): None}
-        self.frontier = [root]
+    def __init__(self, key, root):
+        self.parents = {key: None}
+        self.frontier = [(key, root)]
         self.depth = 0
 
     def __contains__(self, key) -> bool:
@@ -102,13 +103,12 @@ class _Visited:
             nxt = []
             frontier, self.frontier = self.frontier, nxt
             self.depth += 1
-            for c in frontier:
-                ckey = c.key()
+            for ckey, c in frontier:
                 for a, b, res in expand(c, parents[ckey]):
                     k = res.key()
                     if k not in parents:
                         parents[k] = (ckey, a, b)
-                        nxt.append(res)
+                        nxt.append((k, res))
                         yield k, res
                         if stop is not None and len(parents) >= stop:
                             return
@@ -119,9 +119,10 @@ def shortest(expand, start, tkey, max_steps: int,
     """Breadth-first search from start for the node keyed tkey, as
     (status, path, depth, visited) with the path labels of a shortest
     route; UNREACHABLE if the frontier ran dry, BOUNDED if layers ran out."""
-    if start.key() == tkey:
+    skey = start.key()
+    if skey == tkey:
         return FOUND, [], 0, 1
-    seen = _Visited(start)
+    seen = _Visited(skey, start)
     for k, _ in seen.layers(expand, max_steps, max_nodes):
         if k == tkey:
             return FOUND, seen.path(k), seen.depth, len(seen)
@@ -144,7 +145,7 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
     The flag reports whether the whole component was exhausted.  Every
     configuration in the dict lies on m's hardware, start too."""
     start = AdmissibleWord(m.hw, start.states, start.tapes)
-    seen = _Visited(start)
+    seen = _Visited(start.key(), start)
     dist = {start: 0}
     for _, res in seen.layers(_expand(m), max_steps):
         dist[res] = seen.depth
@@ -159,11 +160,12 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     would return).  It gives up, BOUNDED, after visiting max_nodes
     configurations on both sides together; it always holds both ends, so
     it visits at least 2."""
-    if start.key() == target.key():
+    skey, tkey = start.key(), target.key()
+    if skey == tkey:
         return ReachResult(FOUND, EMPTY, 0, 1)
     # fwd searches from start, back from target; a tie runs fwd (stable sort).
     expand = _expand(m)
-    sides = fwd, back = _Visited(start), _Visited(target)
+    sides = fwd, back = _Visited(skey, start), _Visited(tkey, target)
     meet = None
     while (meet is None and fwd.frontier and back.frontier
            and fwd.depth + back.depth < max_steps
@@ -261,15 +263,23 @@ def reduced_computations(m: Machine, start: AdmissibleWord, max_steps: int,
     history is freely reduced and at most max_steps long, as (steps, end)
     pairs in pre-order; a negative max_steps yields ((), start) alone.
     steps is a tuple of (rule, sign).  prune(config, depth) may cut a
-    branch after it is yielded.  One flat stack holds the pending pairs,
-    each node's children pushed in reverse so that the first pops first;
-    a node is pruned or expanded right after it is yielded."""
-    stack = [((), start)]
+    branch after it is yielded.  The walk keeps a stack of frames, one
+    per expanded node on the current path: its steps and an iterator over
+    its successors.  A node is pruned or expanded right after it is
+    yielded, and an expanded node's frame goes on top."""
+    yield (), start
+    if max_steps <= 0 or prune is not None and prune(start, 0):
+        return
+    stack = [((), iter(successors(m, start)))]
     while stack:
-        steps, end = stack.pop()
-        yield steps, end
-        depth = len(steps)
-        if depth < max_steps and not (prune is not None and prune(end, depth)):
-            back = (steps[-1][0], -steps[-1][1]) if steps else None
-            stack += [(steps + ((rule, sign),), res) for rule, sign, res
-                      in reversed(successors(m, end, back))]
+        steps, children = stack[-1]
+        depth = len(steps) + 1
+        for rule, sign, res in children:
+            path = steps + ((rule, sign),)
+            yield path, res
+            if depth < max_steps and not (prune is not None
+                                          and prune(res, depth)):
+                stack.append((path, iter(successors(m, res, (rule, -sign)))))
+                break
+        else:
+            stack.pop()

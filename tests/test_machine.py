@@ -624,9 +624,14 @@ class TestImmutable:
         assert result.tokens() == "q0s y q1s"
         for aw in (built, parsed, result):
             before = (aw.tokens(), aw.key())
-            for name in ("hw", "states", "tapes", "gap_sectors", "_key"):
+            # Each write and each delete must raise by itself: a name
+            # read first would pass by failing the read.
+            for name in ("hw", "states", "tapes", "gap_sectors", "base",
+                         "_key", "extra"):
                 with pytest.raises(AttributeError):
-                    setattr(aw, name, getattr(aw, name))
+                    setattr(aw, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(aw, name)
             assert (aw.tokens(), aw.key()) == before
         tape = result.tapes[0]
         assert tape is not built.tapes[0]
