@@ -386,8 +386,7 @@ class AreaResult:
 
 
 def area_oracle(p: GroupPresentation, w: Word, max_area: int,
-                moves: str = "symmetrized",
-                max_nodes: Optional[int] = None) -> AreaResult:
+                moves: str = "symmetrized") -> AreaResult:
     """Number of relator insertions taking w to the empty word: the least
     if at most 5, an upper bound above.  Breadth-first from w on
     search.shortest: insert one relator (the symmetrized closure, or just
@@ -396,8 +395,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     insertion changes the length by at most a relator's, a derivation of
     k insertions passes that cap only when k >= 6.  Running out of words
     certifies nothing: only ``found`` and ``impossible`` are conclusive,
-    and all three are sound.  Like bfs_reach, the search gives up,
-    BOUNDED, after visiting max_nodes words."""
+    and all three are sound."""
     if moves not in ("symmetrized", "stored"):
         raise EncodeError(f"unknown move set {moves!r}")
     w = free_reduce(w)
@@ -419,8 +417,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
                 if len(v) <= max_len:
                     yield (s, pos), v, v
 
-    status, path, depth, _ = shortest(insertions, w, EMPTY.key(), max_area,
-                                      max_nodes)
+    status, path, depth, _ = shortest(insertions, w, EMPTY.key(), max_area)
     if status != FOUND:
         return AreaResult(BOUNDED, explored=explored)
     return AreaResult(FOUND, depth, (a for a, _ in path),

@@ -335,24 +335,6 @@ class TestAreaOracle:
             res = area_oracle(GroupPresentation(atoms(["x", "y"]), rels), w, 60)
             assert (res.status, res.explored) == (BOUNDED, explored)
 
-    def test_node_budget_stops_the_search(self):
-        # A budget of visited words stops the same search far sooner, and
-        # a budget the search never reaches changes nothing.
-        w = W("x y x^-1 y^-1")
-        p = GroupPresentation(atoms(["x", "y"]), [W("x x")])
-        res = area_oracle(p, w, 60, max_nodes=10)
-        assert (res.status, res.explored) == (BOUNDED, 16)
-        assert area_oracle(p, w, 60).explored == 912
-        for p, w, area in ((commutator_presentation(),
-                            W("x y y x^-1 y^-1 y^-1"), 3),
-                           (z2_presentation(), W("x x x x"), 3)):
-            free, budgeted = (area_oracle(p, w, area, max_nodes=n)
-                              for n in (None, 10 ** 6))
-            assert budgeted.found
-            assert ((free.area, free.steps, free.words, free.explored)
-                    == (budgeted.area, budgeted.steps, budgeted.words,
-                        budgeted.explored))
-
 
 def _trivial_words(p, seed, count):
     """Seeded products of one or two conjugates g r^±1 g^-1 of relators,
