@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from smforge import group
-from smforge.words import Word, atom, free_reduce
+from smforge.words import InvariantError, Word, atom, free_reduce
 from smforge.machine import (AdmissibleWord, Computation, Hardware, Machine,
                              RulePart, StatePart, accept_configuration,
                              input_configuration, make_rule, parse_admissible,
@@ -290,6 +290,23 @@ class TestTrapezium:
         comp = run(m, input_configuration(m), ["acc", "del"], strict=False)
         assert not comp.ok
         with pytest.raises(GroupError):
+            computation_to_trapezium(m, comp)
+
+    def test_interface_mismatch_refused(self, monkeypatch):
+        """Consecutive rows are glued only where the lower row's top and
+        the upper row's freshly spelled bottom agree edge for edge; one
+        letter read the other way is an invariant violation."""
+        spell = group._spell_admissible
+
+        def flipped(edges, aw):
+            path, b_state, b_tape = spell(edges, aw)
+            (e, o), *rest = path
+            return ((e, -o), *rest), b_state, b_tape
+
+        monkeypatch.setattr(group, "_spell_admissible", flipped)
+        m, comp = self.accepting()
+        with pytest.raises(InvariantError,
+                           match="^interface paths do not match$"):
             computation_to_trapezium(m, comp)
 
     @pytest.mark.parametrize("flatten", [computation_to_trapezium,

@@ -32,6 +32,14 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 def check_trapezium(m, comp):
     trap = computation_to_trapezium(m, comp)
     assert validate_trapezium(trap)
+    # Consecutive rows share their interface path, and no path names an
+    # edge the trapezium dropped.
+    paths = [c.boundary for c in trap.cells]
+    for r in trap.rows:
+        paths += [r.bottom, r.top, r.left, r.right]
+    assert {e for path in paths for e, _ in path} <= trap.edges.keys()
+    for lower, upper in zip(trap.rows, trap.rows[1:]):
+        assert upper.bottom == lower.top
     back = trapezium_to_computation(trap)
     assert back.history_word() == comp.history_word()
     assert back.configs == comp.configs
