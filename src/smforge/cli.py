@@ -21,7 +21,7 @@ from .primitive import build_lr, build_rl
 from .enhance import (add_historical_sectors, build_enhanced_standard,
                       make_cyclic, pad_locked)
 from .encode import GroupPresentation, presentation_to_machine
-from .group import (GroupError, computation_to_trapezium,
+from .group import (BoundaryWriteError, GroupError, computation_to_trapezium,
                     conjugator_from_accepting, machine_to_group,
                     trapezium_dumps, trapezium_to_dot, validate_trapezium)
 from . import search
@@ -177,7 +177,7 @@ def cmd_conjugator(args) -> int:
     comp = _computation(m, args)
     try:
         g = conjugator_from_accepting(m, comp)
-    except GroupError as e:
+    except BoundaryWriteError as e:
         print(f"no conjugator: {e}", file=sys.stderr)
         return NEGATIVE
     if args.format == "json":

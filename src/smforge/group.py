@@ -11,7 +11,7 @@ sides record the history.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # imported where used: fractions slows every CLI start
 
 class GroupError(SmforgeError):
     pass
+
+
+class BoundaryWriteError(GroupError):
+    """A negative answer, unlike other GroupErrors: a step writes tape
+    letters past the outer parts, so the sides are not pure conjugators."""
 
 
 # -- the group of a machine -------------------------------------------------
@@ -354,11 +359,17 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
 
     Every configuration must have the standard base and every step must
     replay; negative steps are built as their positive counterparts and
-    mounted upside down."""
+    mounted upside down.  Consecutive rows share their interface path:
+    a row's bottom is the previous row's top, and only cells are renumbered."""
     _check_computation(m, comp)
     edges = []
+    if not comp.steps:
+        path, _, _ = _spell_admissible(edges, comp.configs[0])
+        return Trapezium(m, [], [], dict(enumerate(edges)), comp.configs,
+                         degenerate=path)
     rows = []
     cells = []
+    alias = {}
     for t, (rule, sign) in enumerate(comp.steps):
         lo, hi = comp.configs[t], comp.configs[t + 1]
         if sign > 0:
@@ -372,35 +383,19 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
                 c.boundary = _flip_path(c.boundary)
         for c in rcells:
             c.row = t
+        if rows:
+            # Glue: the fresh bottom spells the previous top edge for edge;
+            # only it and this row's cells name the edges dropped here.
+            up, down = rows[-1].top, row.bottom
+            if ([(edges[e].atom, edges[e].kind, o) for e, o in up]
+                    != [(edges[e].atom, edges[e].kind, o) for e, o in down]):
+                raise InvariantError("interface paths do not match")
+            alias.update(zip(map(itemgetter(0), down), map(itemgetter(0), up)))
+            row.bottom = up
         rows.append(row)
         cells.extend(rcells)
-
-    if not rows:
-        path, _, _ = _spell_admissible(edges, comp.configs[0])
-        return Trapezium(m, [], [], dict(enumerate(edges)), comp.configs,
-                         degenerate=path)
-
-    # Glue consecutive rows: the top of one and the bottom of the next
-    # spell the same configuration edge for edge.  Each row makes its own
-    # top edges, so every bottom edge maps straight to one of them.
-    alias = {}
-    for t in range(len(rows) - 1):
-        up, down = rows[t].top, rows[t + 1].bottom
-        if len(up) != len(down):
-            raise InvariantError("interface paths differ in length")
-        for (e1, o1), (e2, o2) in zip(up, down):
-            a1, a2 = edges[e1], edges[e2]
-            if o1 != o2 or a1.atom is not a2.atom or a1.kind != a2.kind:
-                raise InvariantError("interface paths do not match")
-            alias[e2] = e1
-
-    def remap(path):
-        return tuple([(alias.get(e, e), o) for e, o in path])
-
-    rows = [Row(r.rule, r.sign, remap(r.bottom), remap(r.top),
-                remap(r.left), remap(r.right)) for r in rows]
     for c in cells:
-        c.boundary = remap(c.boundary)
+        c.boundary = tuple([(alias.get(e, e), o) for e, o in c.boundary])
     edges = {e: edge for e, edge in enumerate(edges) if e not in alias}
     return Trapezium(m, rows, cells, edges, comp.configs)
 
@@ -437,7 +432,9 @@ def _default_closure(m: Machine) -> frozenset[tuple]:
 def validate_trapezium(trap: Trapezium) -> bool:
     """Check a trapezium cell by cell and edge by edge.
 
-    Every cell must spell a relator of the default presentation of
+    Every path must name edges of the trapezium, every cell an existing
+    row, and every row a rule of the machine with sign 1 or -1.  Every
+    cell must spell a relator of the default presentation of
     M(machine), every edge must be used exactly twice with opposite
     orientations (the outer contour counts as a face), the bottom and
     top must spell the stored end configurations, and each row's sides
@@ -452,8 +449,13 @@ def validate_trapezium(trap: Trapezium) -> bool:
 
     uses = tuple(chain.from_iterable([c.boundary for c in trap.cells]))
     uses += _outer_loop(trap)
-    if not set(map(itemgetter(0), uses)) <= trap.edges.keys():
+    paths = [p for r in trap.rows for p in (r.bottom, r.top, r.left, r.right)]
+    if not set(map(itemgetter(0), chain(uses, *paths))) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
+    rows = range(len(trap.rows))
+    if not set(map(attrgetter("row"), trap.cells)) <= set(rows):
+        c = next(c for c in trap.cells if c.row not in rows)
+        raise GroupError(f"cell {c!r} names row {c.row}, which does not exist")
 
     atoms = {e: edge.atom for e, edge in trap.edges.items()}
 
@@ -482,7 +484,11 @@ def validate_trapezium(trap: Trapezium) -> bool:
 
     spelled = [aw.key() for aw in trap.words]
     for j, row in enumerate(trap.rows):
-        rule = m.rule(row.rule)
+        rule = m.rule_by_name.get(row.rule)
+        if rule is None:
+            raise GroupError(f"row {j} names no rule of the machine")
+        if row.sign not in (1, -1):
+            raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
         if m.try_apply(trap.words[j if row.sign > 0 else j + 1], rule) is None:
             raise GroupError(f"row {j} does not replay")
         th = Word.of((theta_atom(rule.name, 0), 1))
@@ -604,13 +610,14 @@ def conjugator_from_accepting(m: Machine, comp: Computation) -> Word:
     the number of steps.  It is the label of both sides of the
     computation's trapezium, and so a conjugator, when no step writes
     tape letters past the outer parts: every rule of the history must
-    have an empty parts[0].left and parts[-1].right, or this raises.
-    Needs the part-0 relations, so the default (non-strict)
-    presentation."""
+    have an empty parts[0].left and parts[-1].right, or this raises
+    BoundaryWriteError.  Needs the part-0 relations, so the default
+    (non-strict) presentation."""
     _check_computation(m, comp)
     if any(r.parts[0].left or r.parts[-1].right for r, _ in comp.steps):
-        raise GroupError("a step emits tape letters at the boundary; "
-                         "the sides are not pure conjugators")
+        raise BoundaryWriteError("a step emits tape letters at the "
+                                 "boundary; the sides are not pure "
+                                 "conjugators")
     return Word._of(tuple([(theta_atom(r.name, 0), s) for r, s in comp.steps]))
 
 

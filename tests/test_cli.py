@@ -384,6 +384,19 @@ class TestGroupCommands:
                                 "the boundary; the sides are not pure "
                                 "conjugators\n")
 
+    def test_start_off_the_standard_base_is_bad_input(self, capsys,
+                                                      deleter_file):
+        # Exit 1 would certify that no conjugator exists; the start is
+        # simply not one that a trapezium can be built from.
+        for command in ("trapezium", "conjugator"):
+            code = main([command, deleter_file, "--start", "q1s^-1 y q1s",
+                         "--history", "del"])
+            captured = capsys.readouterr()
+            assert (command, code) == (command, 2)
+            assert captured.out == ""
+            assert captured.err == ("error: trapezia need the standard base "
+                                    "q_0 ... q_{n-1}\n")
+
     def test_trapezium_failing_validation_exits_4(self, capsys, monkeypatch,
                                                   deleter_file):
         def refuse(trap):

@@ -459,6 +459,32 @@ def _unknown_edge_on_side(t):
                                     r.left + ((1000000, 1),), r.right)]
 
 
+def _unknown_edge_on_row(t, side):
+    """Row 1's top or bottom, which the outer contour does not read, with
+    its first edge replaced by one the trapezium does not have."""
+    rows = list(t.rows)
+    r = rows[1]
+    paths = {"bottom": r.bottom, "top": r.top}
+    paths[side] = ((1000000, 1),) + paths[side][1:]
+    rows[1] = Row(r.rule, r.sign, paths["bottom"], paths["top"], r.left,
+                  r.right)
+    return rows
+
+
+def _row_with(t, j, **fields):
+    rows = list(t.rows)
+    r = rows[j]
+    rows[j] = Row(fields.get("rule", r.rule), fields.get("sign", r.sign),
+                  r.bottom, r.top, r.left, r.right)
+    return rows
+
+
+def _cell_on_missing_row(t):
+    c = t.cells[-1]
+    return t.cells[:-1] + (Cell(c.kind, c.boundary, c.rule, c.index,
+                                len(t.rows)),)
+
+
 def _swapped_last_words(t):
     return t.words[:-2] + (t.words[-1], t.words[-2])
 
@@ -487,13 +513,25 @@ class TestValidation:
         (lambda t: {"cells": t.cells[:1] + t.cells[2:]}, r"used \[-1\]"),
         (lambda t: {"rows": _unknown_edge_on_side(t)}, "unknown edge"),
         (lambda t: {"cells": _unknown_edge_in_cell(t)}, "unknown edge"),
+        (lambda t: {"rows": _unknown_edge_on_row(t, "top")},
+         "unknown edge"),
+        (lambda t: {"rows": _unknown_edge_on_row(t, "bottom")},
+         "unknown edge"),
+        (lambda t: {"rows": _row_with(t, 1, rule="nope")},
+         "^row 1 names no rule of the machine$"),
+        (lambda t: {"rows": _row_with(t, 0, sign=0)},
+         "^row 0 has sign 0, not 1 or -1$"),
+        (lambda t: {"cells": _cell_on_missing_row(t)},
+         "^cell .* names row 5, which does not exist$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
         (lambda t: {"cells": t.cells + (t.cells[0],)},
          r"^edge 0 used \[1, 1, -1\], expected once each way$"),
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
-            "unknown_side_edge", "unknown_cell_edge", "swapped_words",
+            "unknown_side_edge", "unknown_cell_edge", "unknown_inner_top_edge",
+            "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
+            "missing_cell_row", "swapped_words",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()

@@ -1,8 +1,10 @@
 """Checks on the package source itself."""
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smforge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smforge"
 
 
 def test_no_assert_statements():
@@ -70,3 +72,15 @@ def test_only_the_visited_map_touches_parents():
         if name == "parents":
             found.append(f"search.py:{node.lineno}: parents")
     assert not found, found
+
+
+def test_line_counter_counts_code_lines():
+    # tools/src_lines.py reports the size of src/: a code line holds a
+    # token other than a comment, a docstring or a line break.
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    text = ('"""Module."""\n\n# note\ndef f(x):\n    """Doc,\n    more."""\n'
+            '    return (x +\n            1)  # tail\n')
+    assert src_lines.counts({"m.py": text}) == {"m.py": (8, 3)}
