@@ -392,7 +392,7 @@ class TestGroupCommands:
             code = main([command, deleter_file, "--start", "q1s^-1 y q1s",
                          "--history", "del"])
             captured = capsys.readouterr()
-            assert (command, code) == (command, 2)
+            assert code == 2, command
             assert captured.out == ""
             assert captured.err == ("error: trapezia need the standard base "
                                     "q_0 ... q_{n-1}\n")
