@@ -6,8 +6,8 @@ For each module of src/smforge, and in total, print its ``wc -l`` and its
 code lines at the git revision BASE (``HEAD^`` by default) and in the
 working tree, with the change.  A code line holds a token other than a
 comment, a docstring or a line break.  A module missing on one side
-counts 0 there; with no such revision (a checkout of depth 1) only the
-tree is counted.  Run from the root of the repository.
+counts 0 there, and so does every module when there is no revision BASE
+(a checkout of depth 1).  Run from the root of the repository.
 """
 import ast
 import subprocess
@@ -62,31 +62,19 @@ def base_texts(rev: str):
 
 def main(argv) -> int:
     rev = argv[1] if len(argv) > 1 else "HEAD^"
-    tree = counts(tree_texts())
     texts = base_texts(rev)
-    base = counts(texts) if texts is not None else None
-    rows = sorted(set(tree) | set(base or ()))
-    if base is None:
-        print(f"no revision {rev}: the working tree only")
-        print(f"{'module':<14}{'wc -l':>8}{'code':>8}")
-    else:
-        print(f"{rev} -> working tree: wc -l, then code lines")
-        print(f"{'module':<14}{'base':>8}{'tree':>8}{'change':>8}"
-              f"{'base':>8}{'tree':>8}{'change':>8}")
-    total = [0, 0, 0, 0]
-    for name in rows + ["total"]:
-        if name == "total":
-            t_wc, t_code, b_wc, b_code = total
-        else:
-            t_wc, t_code = tree.get(name, (0, 0))
-            b_wc, b_code = (base or {}).get(name, (0, 0))
-            for i, n in enumerate((t_wc, t_code, b_wc, b_code)):
-                total[i] += n
-        if base is None:
-            print(f"{name:<14}{t_wc:>8}{t_code:>8}")
-        else:
-            print(f"{name:<14}{b_wc:>8}{t_wc:>8}{t_wc - b_wc:>+8}"
-                  f"{b_code:>8}{t_code:>8}{t_code - b_code:>+8}")
+    if texts is None:
+        print(f"no revision {rev}: every module counts 0 there")
+    base, tree = counts(texts or {}), counts(tree_texts())
+    rows = [(name, *base.get(name, (0, 0)), *tree.get(name, (0, 0)))
+            for name in sorted(base.keys() | tree.keys())]
+    rows.append(("total", *map(sum, list(zip(*rows))[1:])))
+    print(f"{rev} -> working tree: wc -l, then code lines")
+    print(f"{'module':<14}{'base':>8}{'tree':>8}{'change':>8}"
+          f"{'base':>8}{'tree':>8}{'change':>8}")
+    for name, b_wc, b_code, t_wc, t_code in rows:
+        print(f"{name:<14}{b_wc:>8}{t_wc:>8}{t_wc - b_wc:>+8}"
+              f"{b_code:>8}{t_code:>8}{t_code - b_code:>+8}")
     return 0
 
 
