@@ -23,6 +23,7 @@ certifiable rule by rule.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
@@ -359,7 +360,8 @@ def abelianized_trivial(p: GroupPresentation, w: Word) -> bool:
     return True
 
 
-class AreaResult:
+class AreaResult(namedtuple("AreaResult", "status area steps words explored",
+                            defaults=(None, (), (), 0))):
     """Outcome of the insertion search: ``found`` carries the cell count
     (least if at most 5, else an upper bound: see area_oracle) and the
     insertion path; ``impossible`` is an abelianized refutation;
@@ -367,22 +369,11 @@ class AreaResult:
     rejected ones included, while ReachResult.explored counts visited
     configurations."""
 
-    __slots__ = ("status", "area", "steps", "words", "explored")
-
-    def __init__(self, status, area=None, steps=(), words=(), explored=0):
-        self.status = status
-        self.area = area
-        self.steps = tuple(steps)
-        self.words = tuple(words)
-        self.explored = explored
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
         return self.status == FOUND
-
-    def __repr__(self):
-        extra = f" area={self.area}" if self.found else ""
-        return f"<area {self.status}{extra} explored={self.explored}>"
 
 
 def area_oracle(p: GroupPresentation, w: Word, max_area: int,
@@ -420,7 +411,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     status, path, depth, _ = shortest(insertions, w, EMPTY.key(), max_area)
     if status != FOUND:
         return AreaResult(BOUNDED, explored=explored)
-    return AreaResult(FOUND, depth, (a for a, _ in path),
+    return AreaResult(FOUND, depth, tuple([a for a, _ in path]),
                       (w,) + tuple(v for _, v in path), explored)
 
 

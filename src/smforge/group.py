@@ -417,14 +417,26 @@ def _outer_loop(trap: Trapezium):
             + _flip_path(trap.right))
 
 
-def _default_closure(m: Machine) -> frozenset[tuple]:
+def _default_closure(m: Machine) -> dict[tuple, tuple]:
     """The letter tuples of the symmetrized closure of the default M(m),
-    built once per machine and kept on it like ``Machine._table``.  A
-    failure is not kept: it is raised again on every call."""
+    each mapped to the (kind, rule, index) label of the cells that spell
+    it: the rule of its theta letters, then "tq" and the part of its
+    state letters, or "ta" and the sector of its tape letter.  Built once
+    per machine and kept on it like ``Machine._table``.  A failure is not
+    kept: it is raised again on every call."""
     closure = m.__dict__.get("_default_closure")
     if closure is None:
-        closure = frozenset(w.letters for w in symmetrized_closure(
-            machine_to_group(m).relators))
+        relators = symmetrized_closure(machine_to_group(m).relators)
+        part_of, sector_of = m.hw.part_of, m.hw.sector_of
+        rule_of = {theta_atom(r.name, i): r.name
+                   for r in m.rules for i in range(m.n_parts)}
+        closure = {}
+        for w in relators:
+            rule = next(rule_of[a] for a, _ in w if a in rule_of)
+            parts = [part_of[a] for a, _ in w if a in part_of]
+            closure[w.letters] = (
+                ("tq", rule, parts[0]) if parts else
+                ("ta", rule, next(sector_of[a] for a, _ in w if a in sector_of)))
         m.__dict__["_default_closure"] = closure
     return closure
 
@@ -435,12 +447,13 @@ def validate_trapezium(trap: Trapezium) -> bool:
     Every path must name edges of the trapezium, every cell an existing
     row, and every row a rule of the machine with sign 1 or -1.  Every
     cell must spell a relator of the default presentation of
-    M(machine), every edge must be used exactly twice with opposite
-    orientations (the outer contour counts as a face), the bottom and
-    top must spell the stored end configurations, and each row's sides
-    must read the theta letter followed by the word the outer part
-    writes off the end.  That holds on the standard base only, so a
-    stored word off it is refused first."""
+    M(machine), carry that relator's kind, rule and index as its label
+    and lie in a row of its rule; every edge must be used exactly twice
+    with opposite orientations (the outer contour counts as a face), the
+    bottom and top must spell the stored end configurations, and each
+    row's sides must read the theta letter followed by the word the
+    outer part writes off the end.  That holds on the standard base
+    only, so a stored word off it is refused first."""
     m = trap.machine
     for aw in trap.words:
         _check_standard_base(aw)
@@ -467,8 +480,12 @@ def validate_trapezium(trap: Trapezium) -> bool:
     closure = _default_closure(m)
     for c in trap.cells:
         w = letters(c.boundary)
-        if w not in closure and free_reduce(Word._of(w)).letters not in closure:
+        label = (closure.get(w)
+                 or closure.get(free_reduce(Word._of(w)).letters))
+        if label is None:
             raise GroupError(f"cell {c!r} does not spell a relator")
+        if label != (c.kind, c.rule, c.index):
+            raise GroupError(f"cell {c!r} spells a relator of {label!r}")
 
     # Once each way for every edge: no use repeats, each is +1 or -1, and
     # there are two per edge.  Otherwise name the first edge that fails.
@@ -504,6 +521,10 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"row {j} bottom label is wrong")
         if letters(row.top) != spelled[j + 1]:
             raise GroupError(f"row {j} top label is wrong")
+    # After the rows, so that a row's own fault is named first.
+    for c in trap.cells:
+        if c.rule != trap.rows[c.row].rule:
+            raise GroupError(f"cell {c!r} lies in a row of another rule")
 
     if letters(trap.bottom) != spelled[0]:
         raise GroupError("bottom label is wrong")

@@ -56,8 +56,6 @@ class MachineError(SmforgeError):
 class StatePart:
     """One state component: its letters and the designated start/end letters."""
 
-    __slots__ = ("name", "letters", "start", "end")
-
     def __init__(self, name: str, letters, start=None, end=None):
         letters = tuple(map(atom, letters))
         if not letters:
@@ -131,8 +129,6 @@ class Hardware:
 class RulePart:
     """The action of a rule on one part: frm -> left . to . right."""
 
-    __slots__ = ("frm", "to", "left", "right")
-
     def __init__(self, frm, to, left: Word = EMPTY, right: Word = EMPTY):
         self.frm = atom(frm)
         self.to = atom(to)
@@ -146,8 +142,6 @@ class RulePart:
 
 class SRule:
     """A rule: one RulePart per part plus one domain alphabet per sector."""
-
-    __slots__ = ("name", "parts", "domains")
 
     def __init__(self, name: str, parts: Sequence[RulePart], domains):
         self.name = name
@@ -390,15 +384,9 @@ def parse_admissible(hw: Hardware, w: Union[Word, str]) -> AdmissibleWord:
     return AdmissibleWord(hw, states, tapes)
 
 
-class ApplyOutcome:
-    """Result of applying one rule: the resulting word, or why it fails."""
-
-    __slots__ = ("ok", "result", "reason")
-
-    def __init__(self, ok, result=None, reason=None):
-        self.ok = ok
-        self.result = result
-        self.reason = reason
+# The answer of applying one rule: the resulting word, or why it fails.
+ApplyOutcome = namedtuple("ApplyOutcome", "ok result reason",
+                          defaults=(None, None))
 
 
 class _SignedRule:

@@ -16,6 +16,7 @@ history found for a given query never changes between runs.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable, Iterator, Optional
 
 from smforge.machine import (AdmissibleWord, Machine, MachineError,
@@ -28,7 +29,8 @@ UNREACHABLE = "unreachable"
 BOUNDED = "bound-limited"
 
 
-class ReachResult:
+class ReachResult(namedtuple("ReachResult", "status history length explored",
+                             defaults=(None, None, 0))):
     """Outcome of a reachability query.
 
     status is one of FOUND / UNREACHABLE / BOUNDED.  UNREACHABLE is a
@@ -37,20 +39,11 @@ class ReachResult:
     was hit first and nothing is certified either way.
     """
 
-    def __init__(self, status, history=None, length=None, explored=0):
-        self.status = status
-        self.history = history
-        self.length = length
-        self.explored = explored
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
         return self.status == FOUND
-
-    def __repr__(self):
-        if self.found:
-            return f"ReachResult(found, length={self.length})"
-        return f"ReachResult({self.status}, explored={self.explored})"
 
 
 def _history(path) -> Word:
@@ -224,17 +217,11 @@ def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]
     yield from rec(0, n)
 
 
-class TimeFunction:
-    """TM(n) over all accepted inputs of length <= n.
-
-    complete is False when some input search hit the bound without an
-    answer, in which case value is only a lower estimate.
-    """
-
-    def __init__(self, values, complete, rejected):
-        self.values = values          # n -> max minimal acceptance length
-        self.complete = complete      # n -> bool
-        self.rejected = rejected      # list of input tuples not accepted
+# TM(n) over all accepted inputs of length <= n: values maps n to the
+# longest minimal acceptance, complete maps n to False when some input
+# search hit the bound without an answer (the value is then only a lower
+# estimate), and rejected lists the input tuples not accepted.
+TimeFunction = namedtuple("TimeFunction", "values complete rejected")
 
 
 def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",

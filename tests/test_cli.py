@@ -554,8 +554,8 @@ class TestEntryPoint:
     def test_cold_import_skips_heavy_dependencies(self, tmp_path):
         proc = _fresh_python(
             "-c", "import sys, smforge.cli; "
-                  "print(sorted({'sympy', 'jsonschema', 'fractions'} "
-                  "& set(sys.modules)))")
+                  "print(sorted({'sympy', 'jsonschema', 'fractions', "
+                  "'dataclasses', 'inspect'} & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
         # Reading and validating documents imports nothing heavy either.

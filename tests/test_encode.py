@@ -26,7 +26,7 @@ from smforge.encode import (
 from smforge.fixtures import commutator_presentation, z2_presentation
 from smforge.machine import (accept_configuration, input_configuration,
                              parse_admissible, run)
-from smforge.primitive import build_lr
+from smforge.primitive import build_lr, home_configuration
 from smforge.search import BOUNDED, FOUND, accepts
 from smforge.serialize import SerializeError, machine_dumps, machine_from_dict
 from smforge.words import EMPTY, Word, atom, atoms, free_reduce, reduced_words
@@ -557,6 +557,13 @@ class TestHInvariant:
     def test_h_ext_refusals(self, config, message):
         with pytest.raises(EncodeError, match=f"^{message}$"):
             h_ext(self.m, parse_admissible(self.m.hw, config))
+
+    def test_other_machines_configuration_refused(self):
+        """An LR home configuration lies on a standard three-part base, but
+        its state letters are not the encoder's."""
+        m = build_lr(["a"])
+        with pytest.raises(EncodeError, match="^unexpected state letter 'p1'$"):
+            h_ext(self.m, home_configuration(m, W("a")))
 
     def test_non_encoder_refused(self):
         m = build_lr(["a"])

@@ -479,6 +479,15 @@ def _row_with(t, j, **fields):
     return rows
 
 
+def _cell_with(t, i, **fields):
+    cells = list(t.cells)
+    c = cells[i]
+    cells[i] = Cell(fields.get("kind", c.kind), c.boundary,
+                    fields.get("rule", c.rule), fields.get("index", c.index),
+                    fields.get("row", c.row))
+    return cells
+
+
 def _cell_on_missing_row(t):
     c = t.cells[-1]
     return t.cells[:-1] + (Cell(c.kind, c.boundary, c.rule, c.index,
@@ -523,6 +532,18 @@ class TestValidation:
          "^row 0 has sign 0, not 1 or -1$"),
         (lambda t: {"cells": _cell_on_missing_row(t)},
          "^cell .* names row 5, which does not exist$"),
+        # Cell 0 is the (theta,q) cell of part 0 in row 0, a del row.
+        (lambda t: {"cells": _cell_with(t, 0, rule="acc", index=7)},
+         r"^cell Cell\(tq, acc, 7, row=0\) spells a relator of "
+         r"\('tq', 'del', 0\)$"),
+        (lambda t: {"cells": _cell_with(t, 0, kind="ta")},
+         r"^cell Cell\(ta, del, 0, row=0\) spells a relator of "
+         r"\('tq', 'del', 0\)$"),
+        (lambda t: {"cells": _cell_with(t, 0, index=1)},
+         r"^cell Cell\(tq, del, 1, row=0\) spells a relator of "
+         r"\('tq', 'del', 0\)$"),
+        (lambda t: {"cells": _cell_with(t, 0, row=4)},
+         r"^cell Cell\(tq, del, 0, row=4\) lies in a row of another rule$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
@@ -531,7 +552,8 @@ class TestValidation:
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
             "unknown_side_edge", "unknown_cell_edge", "unknown_inner_top_edge",
             "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
-            "missing_cell_row", "swapped_words",
+            "missing_cell_row", "cell_rule_and_index", "cell_kind",
+            "cell_index", "cell_in_other_rule_row", "swapped_words",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()

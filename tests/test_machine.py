@@ -723,8 +723,7 @@ class TestConfigurationRecord:
             init(self, *args)
 
         monkeypatch.setattr(AdmissibleWord, "__init__", counted)
-        # Protocols 0 and 1 cannot pickle the slotted hardware parts.
-        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         dups = [copy.copy(c)] + [pickle.loads(pickle.dumps(c, protocol))
                                  for protocol in protocols]
         assert len(calls) == len(dups)

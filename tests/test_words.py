@@ -132,6 +132,12 @@ class TestAlgebra:
         with pytest.raises(AttributeError):
             W("x").letters = ()
 
+    def test_slice_is_a_word_and_index_a_letter(self):
+        w = W("x y^-1 x")
+        assert type(w[1:]) is Word and w[1:] == W("y^-1 x")
+        assert type(w[:0]) is Word and w[:0] == EMPTY
+        assert w[1] == (y, -1)
+
     def test_key_matches_equality(self):
         seen = {}
         for w in all_words([x, y], 2):
