@@ -440,6 +440,56 @@ def test_encoder_machines_are_pinned():
                              "335ceb7dffc54d1c6d5e93ae7cb9cda9")
 
 
+# Explicit derivations for emulation_history, between them reaching every
+# branch of the insertion realizer: a whole relator deleted through the
+# inverse rho chain, a forward rho chain with nothing cancelled, a forward
+# one whose k > 0 cancelled letters drop a pair and cascade, and popped
+# service letters that cancel and that are restored.
+_DERIVATIONS = [
+    (z2_presentation, "", [("x x", 0), ("x^-1 x^-1", 2)]),
+    (z2_presentation, "x x", [("x^-1 x^-1", 1)]),
+    (z2_presentation, "x^-1 x^-1", [("x x", 1)]),
+    (z2_presentation, "x x", [("x x", 0), ("x^-1 x^-1", 4),
+                              ("x^-1 x^-1", 2)]),
+    (commutator_presentation, "x y x^-1 y^-1",
+     [("x y x^-1 y^-1", 3), ("y x y^-1 x^-1", 6), ("y x y^-1 x^-1", 5)]),
+    (commutator_presentation, "y x y^-1 x^-1",
+     [("x y x^-1 y^-1", 1), ("x y x^-1 y^-1", 8), ("y x y^-1 x^-1", 5)]),
+    (commutator_presentation, "y x y^-1 x^-1",
+     [("x y x^-1 y^-1", 3), ("x y x^-1 y^-1", 8), ("y x y^-1 x^-1", 3)]),
+]
+
+
+def test_canonical_histories_are_pinned():
+    """The explicit derivations above, seeded oracle derivations and
+    positivizing histories of seeded words, on Z2 and the commutator
+    presentation, hash to the digest they had when each block had its
+    own builder.  Every emulation history is run to acceptance."""
+    h = hashlib.sha256()
+    for fixture, text, steps in _DERIVATIONS:
+        m = presentation_to_machine(fixture())
+        w = W(text)
+        hist = emulation_history(m, w, steps=[(W(s), pos)
+                                              for s, pos in steps])
+        assert run(m, input_configuration(m, w), hist).end == \
+            accept_configuration(m)
+        h.update(hist.tokens().encode())
+    for seed, p in enumerate((z2_presentation(), commutator_presentation())):
+        m = presentation_to_machine(p)
+        rng = random.Random(40 + seed)
+        letters = [(a, s) for a in p.generators for s in (1, -1)]
+        for w in _trivial_words(p, 20 + seed, 10):
+            hist = emulation_history(m, w, max_area=3)
+            assert run(m, input_configuration(m, w), hist).end == \
+                accept_configuration(m)
+            h.update(hist.tokens().encode())
+        for _ in range(10):
+            w = Word([rng.choice(letters) for _ in range(rng.randint(0, 8))])
+            h.update(positivizing_computation(m, w).tokens().encode())
+    assert h.hexdigest() == ("1e356c980366a254f28e8696bfc79249"
+                             "0a27882731bedbe191d54c496805a358")
+
+
 class TestEmulation:
     def setup_method(self):
         self.m = presentation_to_machine(z2_presentation())
