@@ -19,6 +19,11 @@ h-invariant below (working tape times a state-dependent suffix times the
 mirrored service tape) moves inside a single conjugacy class of that
 group along any computation, which is what makes the converse direction
 certifiable rule by rule.
+
+The canonical computations (positivizing a word, realizing a relator
+insertion, emulating a whole derivation) write every block as a product
+of three moves and their inverses: sigma(y), the tau pair tau1(y)
+tau2(y), and the rho chain rho(i,1) ... rho(i,n).
 """
 from __future__ import annotations
 
@@ -417,8 +422,26 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
 
 # -- canonical computations ------------------------------------------------
 
-def _sig(name: str, sign: int):
-    return (atom(name), sign)
+def _move(names: Sequence[str], e: int) -> list:
+    """The rules named, in order, as (atom, sign) letters; for e = -1 the
+    inverse, read backwards."""
+    return [(atom(n), e) for n in (names if e > 0 else reversed(names))]
+
+
+def _sigma(y: Atom, e: int) -> list:
+    """sigma(y): append y to the working tape and y' to the service tape."""
+    return _move([f"sigma({y.name})"], e)
+
+
+def _tau(y: Atom, e: int) -> list:
+    """tau1(y) tau2(y): append the trivial pair y·bar(y)."""
+    return _move([f"tau1({y.name})", f"tau2({y.name})"], e)
+
+
+def _rho(meta: dict, ri: int, e: int) -> list:
+    """rho(ri,1) ... rho(ri,n): append the ri-th positivized relator."""
+    n = len(meta["positive"][ri])
+    return _move([f"rho({ri},{j})" for j in range(1, n + 1)], e)
 
 
 def positivizing_computation(m: Machine, w: Word) -> Word:
@@ -432,42 +455,9 @@ def positivizing_computation(m: Machine, w: Word) -> Word:
         if a not in base:
             raise EncodeError(f"{a.name!r} is not an input letter")
         z = a if s > 0 else d.bar(a)
-        post.append(_sig(f"sigma({z.name})", 1))
-        if s > 0:
-            block = [_sig(f"sigma({z.name})", -1)]
-        else:
-            block = [_sig(f"tau1({a.name})", 1), _sig(f"tau2({a.name})", 1),
-                     _sig(f"sigma({z.name})", -1)]
-        pre = block + pre
+        post += _sigma(z, 1)
+        pre = (_tau(a, 1) if s < 0 else []) + _sigma(z, -1) + pre
     return free_reduce(Word(pre + post))
-
-
-def _mo(d: DoubledAlphabet, c: Atom):
-    """Move the trailing positive letter c from the working tape onto the
-    service stack (record bar(c))."""
-    cb = d.bar(c)
-    return [_sig(f"tau2({cb.name})", -1), _sig(f"tau1({cb.name})", -1),
-            _sig(f"sigma({cb.name})", 1)]
-
-
-def _mi_restore(rec: Atom):
-    return [_sig(f"sigma({rec.name})", -1), _sig(f"tau1({rec.name})", 1),
-            _sig(f"tau2({rec.name})", 1)]
-
-
-def _mi_cancel(rec: Atom):
-    return [_sig(f"sigma({rec.name})", -1)]
-
-
-def _tau_del(y: Atom):
-    return [_sig(f"tau2({y.name})", -1), _sig(f"tau1({y.name})", -1)]
-
-
-def _rho_chain(ri: int, n: int, sign: int):
-    names = [f"rho({ri},{j})" for j in range(1, n + 1)]
-    if sign > 0:
-        return [_sig(nm, 1) for nm in names]
-    return [_sig(nm, -1) for nm in reversed(names)]
 
 
 def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):
@@ -482,24 +472,23 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):
     out, stack = [], []
 
     def mo_last():
-        x = tape.pop()
-        out.extend(_mo(d, x))
-        stack.append(d.bar(x))
+        # the trailing letter x goes onto the service stack as bar(x)
+        rec = d.bar(tape.pop())
+        out.extend(_tau(rec, -1) + _sigma(rec, 1))
+        stack.append(rec)
 
     for _ in range(len(c)):
         mo_last()
     if k == len(s) and s.inverse().key() in index:
         # the whole relator cancels into a literal suffix: delete it
-        ri = index[s.inverse().key()]
-        out.extend(_rho_chain(ri, len(meta["positive"][ri]), -1))
+        out.extend(_rho(meta, index[s.inverse().key()], -1))
         del tape[len(tape) - len(s):]
     else:
         if s.key() not in index:
             raise EncodeError(f"{s.tokens()!r} is not a stored relator")
         ri = index[s.key()]
-        pr = meta["positive"][ri]
-        out.extend(_rho_chain(ri, len(pr), 1))
-        tape.extend(x for x, _ in pr)
+        out.extend(_rho(meta, ri, 1))
+        tape.extend(x for x, _ in meta["positive"][ri])
         if k > 0:
             # expose the innermost cancelling pair, drop it, and let the
             # pop loop below cascade through the rest
@@ -508,15 +497,16 @@ def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):
             y = tape[-2]
             if tape[-1] != d.bar(y):
                 raise InvariantError("no cancelling pair exposed at the tape end")
-            out.extend(_tau_del(y))
+            out.extend(_tau(y, -1))
             del tape[-2:]
     while stack:
+        # a popped letter cancels the tape end or is restored as its bar
         rec = stack.pop()
+        out.extend(_sigma(rec, -1))
         if tape and tape[-1] == rec:
-            out.extend(_mi_cancel(rec))
             tape.pop()
         else:
-            out.extend(_mi_restore(rec))
+            out.extend(_tau(rec, 1))
             tape.append(d.bar(rec))
     expect = Word._of(product)
     if tape != [x for x, _ in d.positivize(expect)]:
@@ -547,7 +537,7 @@ def emulation_history(m: Machine, w: Word,
         hist.extend(block)
     if u:
         raise EncodeError("derivation does not end at the empty word")
-    hist.append(_sig("omega", 1))
+    hist.append((atom("omega"), 1))
     return free_reduce(Word(hist))
 
 
