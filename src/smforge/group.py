@@ -10,7 +10,7 @@ sides record the history.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -448,11 +448,13 @@ def validate_trapezium(trap: Trapezium) -> bool:
     row, and every row a rule of the machine with sign 1 or -1.  Every
     cell must spell a relator of the default presentation of
     M(machine), carry that relator's kind, rule and index as its label
-    and lie in a row of its rule; every edge must be used exactly twice
-    with opposite orientations (the outer contour counts as a face), the
-    bottom and top must spell the stored end configurations, and each
-    row's sides must read the theta letter followed by the word the
-    outer part writes off the end.  That holds on the standard base
+    and lie in a row of its rule; every edge record must carry its key
+    as id and its atom's kind, and every edge must be used exactly twice
+    with opposite orientations (the outer contour counts as a face); the
+    bottom and top must spell the stored end configurations, each row's
+    sides must read the theta letter followed by the word the outer part
+    writes off the end, and each row's cells must form one theta-band
+    from its left side to its right.  That holds on the standard base
     only, so a stored word off it is refused first."""
     m = trap.machine
     for aw in trap.words:
@@ -461,23 +463,39 @@ def validate_trapezium(trap: Trapezium) -> bool:
         raise GroupError("one more stored word than rows expected")
 
     uses = tuple(chain.from_iterable([c.boundary for c in trap.cells]))
+    inner = len(uses)
     uses += _outer_loop(trap)
     paths = [p for r in trap.rows for p in (r.bottom, r.top, r.left, r.right)]
     if not set(map(itemgetter(0), chain(uses, *paths))) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
     rows = range(len(trap.rows))
-    if not set(map(attrgetter("row"), trap.cells)) <= set(rows):
+    cell_rows = list(map(attrgetter("row"), trap.cells))
+    if not set(cell_rows) <= set(rows):
         c = next(c for c in trap.cells if c.row not in rows)
         raise GroupError(f"cell {c!r} names row {c.row}, which does not exist")
-
-    atoms = {e: edge.atom for e, edge in trap.edges.items()}
 
     def letters(path) -> tuple:
         return tuple([(atoms[e], o) for e, o in path])
 
     # Every closure word is reduced, so a cell that spells one as it
-    # stands needs no reduction.
+    # stands needs no reduction.  Built before the edge records are read,
+    # so that a theta letter colliding with a generator is named first.
     closure = _default_closure(m)
+    # Each edge record must carry its key as id and its atom's kind.
+    kind_of = dict.fromkeys(m.hw.part_of, "q")
+    kind_of.update(dict.fromkeys(m.hw.sector_of, "a"))
+    atoms, thetas = {}, set()
+    for e, edge in trap.edges.items():
+        a = atoms[e] = edge.atom
+        kind = kind_of.get(a, "theta")
+        if edge.id != e:
+            raise GroupError(f"edge {e} is recorded with id {edge.id!r}")
+        if edge.kind != kind:
+            raise GroupError(f"edge {e} of {a.name!r} has kind "
+                             f"{edge.kind!r}, not {kind!r}")
+        if kind == "theta":
+            thetas.add(e)
+
     for c in trap.cells:
         w = letters(c.boundary)
         label = (closure.get(w)
@@ -525,6 +543,45 @@ def validate_trapezium(trap: Trapezium) -> bool:
     for c in trap.cells:
         if c.rule != trap.rows[c.row].rule:
             raise GroupError(f"cell {c!r} lies in a row of another rule")
+
+    # Each row is one theta-band.  Every cell spells a relator with two
+    # theta letters, so two theta uses per cell in all means exactly two
+    # each: cell i's are theta[2i] and theta[2i+1].  A row's walk enters
+    # a cell by one use t, leaves by the other, t ^ 1, and enters the
+    # next cell where that edge is used again, until it leaves by the
+    # theta edge of the row's right side.  Each edge is used twice, so
+    # no cell is met twice, and each cell must be met by its own row.
+    theta = list(filter(thetas.__contains__,
+                        map(itemgetter(0), islice(uses, inner))))
+    if len(theta) != 2 * len(trap.cells):
+        raise GroupError("a cell has more than two theta edges")
+    first = dict(zip(reversed(theta), range(len(theta) - 1, -1, -1)))
+    last = dict(zip(theta, range(len(theta))))
+    walked = [None] * len(trap.cells)
+    for j, row in enumerate(trap.rows):
+        end = -1 if row.sign < 0 else 0
+        e, stop = row.left[end][0], row.right[end][0]
+        t = first.get(e, -1)
+        while t >= 0:
+            walked[t >> 1] = j
+            out = t ^ 1
+            e = theta[out]
+            if e == stop:
+                break
+            # the edge's other use by a cell, if it has one
+            t = first[e] + last[e] - out
+            if t == out:
+                t = -1
+        else:
+            raise GroupError(f"row {j} is not one theta-band: its walk "
+                             f"stops at edge {e}")
+    if walked != cell_rows:
+        i = next(i for i, r in enumerate(cell_rows) if walked[i] != r)
+        c = trap.cells[i]
+        if walked[i] is None:
+            raise GroupError(f"cell {c!r} lies on no row's theta-band")
+        raise GroupError(f"cell {c!r} lies on the theta-band of row "
+                         f"{walked[i]}")
 
     if letters(trap.bottom) != spelled[0]:
         raise GroupError("bottom label is wrong")

@@ -494,6 +494,49 @@ def _cell_on_missing_row(t):
                                 len(t.rows)),)
 
 
+def _edge_with(t, e, **fields):
+    edge = t.edges[e]
+    return {**t.edges, e: Edge(fields.get("id", edge.id), edge.atom,
+                               fields.get("kind", edge.kind))}
+
+
+def _detached_sphere(t):
+    """Two (theta,a) cells of row 0 on four fresh edges, each spelling
+    the first square's relator, glued to each other along all four: every
+    edge is used once each way, but the pair lies off the row's band."""
+    c = next(c for c in t.cells if c.kind == "ta")
+    n = max(t.edges) + 1
+    fresh = {n + i: Edge(n + i, t.edges[e].atom, t.edges[e].kind)
+             for i, (e, _) in enumerate(c.boundary)}
+    a = tuple((n + i, o) for i, (_, o) in enumerate(c.boundary))
+    b = tuple((e, -o) for e, o in reversed(a))
+    return {"cells": t.cells + (Cell(c.kind, a, c.rule, c.index, 0),
+                                Cell(c.kind, b, c.rule, c.index, 0)),
+            "edges": {**t.edges, **fresh}}
+
+
+def _theta_spur_in_cell(t):
+    """Cell 0 with a spur, one fresh theta edge out and back, after its
+    first edge: it still spells its relator once reduced, and the spur
+    is used once each way, but the cell has four theta uses."""
+    c = t.cells[0]
+    spur = max(t.edges) + 1
+    return {"cells": (Cell(c.kind, c.boundary[:1] + ((spur, 1), (spur, -1))
+                           + c.boundary[1:], c.rule, c.index, c.row),)
+            + t.cells[1:],
+            "edges": {**t.edges, spur: Edge(spur, atom("del.1"), "theta")}}
+
+
+def _right_sides_swapped(t):
+    """Rows 0 and 1, both del rows, with their right sides swapped: every
+    label and every edge use stays the same."""
+    rows = list(t.rows)
+    r0, r1 = rows[:2]
+    rows[:2] = [Row(r.rule, r.sign, r.bottom, r.top, r.left, other.right)
+                for r, other in ((r0, r1), (r1, r0))]
+    return rows
+
+
 def _swapped_last_words(t):
     return t.words[:-2] + (t.words[-1], t.words[-2])
 
@@ -544,6 +587,19 @@ class TestValidation:
          r"\('tq', 'del', 0\)$"),
         (lambda t: {"cells": _cell_with(t, 0, row=4)},
          r"^cell Cell\(tq, del, 0, row=4\) lies in a row of another rule$"),
+        # Row 2 is a del row too, so only the band walk of row 0 sees it.
+        (lambda t: {"cells": _cell_with(t, 0, row=2)},
+         r"^cell Cell\(tq, del, 0, row=2\) lies on the theta-band of row 0$"),
+        (_detached_sphere,
+         r"^cell Cell\(ta, del, 0, row=0\) lies on no row's theta-band$"),
+        (_theta_spur_in_cell, "^a cell has more than two theta edges$"),
+        (lambda t: {"rows": _right_sides_swapped(t)},
+         "^row 0 is not one theta-band: its walk stops at edge 10$"),
+        # Edge 2 is the first tape letter y of the bottom.
+        (lambda t: {"edges": _edge_with(t, 2, id=3)},
+         "^edge 2 is recorded with id 3$"),
+        (lambda t: {"edges": _edge_with(t, 2, kind="theta")},
+         "^edge 2 of 'y' has kind 'theta', not 'a'$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
@@ -553,15 +609,19 @@ class TestValidation:
             "unknown_side_edge", "unknown_cell_edge", "unknown_inner_top_edge",
             "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
             "missing_cell_row", "cell_rule_and_index", "cell_kind",
-            "cell_index", "cell_in_other_rule_row", "swapped_words",
+            "cell_index", "cell_in_other_rule_row", "cell_in_other_row",
+            "detached_sphere", "theta_spur_in_cell", "right_sides_swapped",
+            "edge_id", "edge_kind",
+            "swapped_words",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
         assert validate_trapezium(t)
-        parts = {"rows": t.rows, "cells": t.cells, "words": t.words}
+        parts = {"rows": t.rows, "cells": t.cells, "words": t.words,
+                 "edges": t.edges}
         parts.update(corrupt(t))
-        bad = Trapezium(t.machine, parts["rows"], parts["cells"], t.edges,
-                        parts["words"])
+        bad = Trapezium(t.machine, parts["rows"], parts["cells"],
+                        parts["edges"], parts["words"])
         with pytest.raises(GroupError, match=message):
             validate_trapezium(bad)
 
