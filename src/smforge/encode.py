@@ -52,8 +52,6 @@ class EncodeError(SmforgeError):
 class GroupPresentation:
     """Generator atoms plus cyclically reduced relator words over them."""
 
-    __slots__ = ("name", "generators", "relators")
-
     def __init__(self, generators, relators, name: str = "G"):
         gens = tuple(map(atom, generators))
         if len(set(gens)) != len(gens):
@@ -126,8 +124,6 @@ class DoubledAlphabet:
     """X together with the formal-inverse letters x~ and the primed
     service copies y'.  bar swaps x and x~; positivize rewrites a word
     over X as a positive word over Y."""
-
-    __slots__ = ("base", "letters", "_bar", "_prime", "_unprime")
 
     def __init__(self, base: Iterable[Atom]):
         self.base = tuple(base)

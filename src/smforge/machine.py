@@ -484,6 +484,15 @@ class Machine:
         self.n_parts, self.n_sectors = hw.n_parts, hw.n_sectors
         self.cyclic, self.input_sectors = hw.cyclic, hw.input_sectors
 
+    def __getstate__(self):
+        """The attributes without the caches built on first use (the rule
+        table and group's closure), so a pickle is the same before and
+        after queries, and works at every protocol."""
+        state = dict(self.__dict__)
+        state.pop("_table", None)
+        state.pop("_default_closure", None)
+        return state
+
     def rule(self, name: str) -> SRule:
         try:
             return self.rule_by_name[name]

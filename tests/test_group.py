@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
                            trapezium_to_dot, validate_trapezium)
 from smforge.primitive import (build_lr, home_configuration,
                                standard_lr_computation)
+from smforge.search import accepts
+from smforge.serialize import machine_dumps
 
 
 def W(text: str) -> Word:
@@ -715,6 +718,26 @@ class TestGroupBuiltOnce:
         assert (machine_to_group(m, strict=True).dumps()
                 == strict)
         assert len(machine_to_group(m).relators) == 5
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_machines_pickle_without_their_caches(protocol):
+    """A machine pickles to the same bytes before and after a search has
+    compiled its rule table and a validation has built its group's
+    closure, at every protocol.  The encoder machine's meta holds a
+    presentation and a doubled alphabet, which pickle too."""
+    z2 = presentation_to_machine(z2_presentation())
+    for m, text, history in (
+            (toy_deleter(), "y y", ["del", "del", "acc"]),
+            (z2, "x x", emulation_history(z2, W("x x")))):
+        before = pickle.dumps(m, protocol)
+        assert accepts(m, [W(text)], 4).found
+        comp = run(m, input_configuration(m, W(text)), history)
+        assert validate_trapezium(computation_to_trapezium(m, comp))
+        assert pickle.dumps(m, protocol) == before
+        dup = pickle.loads(before)
+        assert machine_dumps(dup) == machine_dumps(m)
+        assert accepts(dup, [W(text)], 4).history == comp.history_word()
 
 
 class TestDichotomy:
