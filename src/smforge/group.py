@@ -488,11 +488,9 @@ def validate_trapezium(trap: Trapezium) -> bool:
     for e, edge in trap.edges.items():
         a = atoms[e] = edge.atom
         kind = kind_of.get(a, "theta")
-        if edge.id != e:
-            raise GroupError(f"edge {e} is recorded with id {edge.id!r}")
-        if edge.kind != kind:
-            raise GroupError(f"edge {e} of {a.name!r} has kind "
-                             f"{edge.kind!r}, not {kind!r}")
+        if edge.id != e or edge.kind != kind:
+            raise GroupError(f"edge {e} is recorded as {edge!r}, not "
+                             f"{Edge(e, a, kind)!r}")
         if kind == "theta":
             thetas.add(e)
 
@@ -564,24 +562,18 @@ def validate_trapezium(trap: Trapezium) -> bool:
         t = first.get(e, -1)
         while t >= 0:
             walked[t >> 1] = j
-            out = t ^ 1
-            e = theta[out]
+            t ^= 1
+            e = theta[t]
             if e == stop:
                 break
             # the edge's other use by a cell, if it has one
-            t = first[e] + last[e] - out
-            if t == out:
-                t = -1
+            t = first[e] + last[e] - t if first[e] != last[e] else -1
         else:
             raise GroupError(f"row {j} is not one theta-band: its walk "
                              f"stops at edge {e}")
     if walked != cell_rows:
-        i = next(i for i, r in enumerate(cell_rows) if walked[i] != r)
-        c = trap.cells[i]
-        if walked[i] is None:
-            raise GroupError(f"cell {c!r} lies on no row's theta-band")
-        raise GroupError(f"cell {c!r} lies on the theta-band of row "
-                         f"{walked[i]}")
+        c = next(c for c, j in zip(trap.cells, walked) if c.row != j)
+        raise GroupError(f"cell {c!r} is not on the theta-band of its row")
 
     if letters(trap.bottom) != spelled[0]:
         raise GroupError("bottom label is wrong")

@@ -592,17 +592,20 @@ class TestValidation:
          r"^cell Cell\(tq, del, 0, row=4\) lies in a row of another rule$"),
         # Row 2 is a del row too, so only the band walk of row 0 sees it.
         (lambda t: {"cells": _cell_with(t, 0, row=2)},
-         r"^cell Cell\(tq, del, 0, row=2\) lies on the theta-band of row 0$"),
+         r"^cell Cell\(tq, del, 0, row=2\) is not on the theta-band of its "
+         "row$"),
         (_detached_sphere,
-         r"^cell Cell\(ta, del, 0, row=0\) lies on no row's theta-band$"),
+         r"^cell Cell\(ta, del, 0, row=0\) is not on the theta-band of its "
+         "row$"),
         (_theta_spur_in_cell, "^a cell has more than two theta edges$"),
         (lambda t: {"rows": _right_sides_swapped(t)},
          "^row 0 is not one theta-band: its walk stops at edge 10$"),
         # Edge 2 is the first tape letter y of the bottom.
         (lambda t: {"edges": _edge_with(t, 2, id=3)},
-         "^edge 2 is recorded with id 3$"),
+         r"^edge 2 is recorded as Edge\(3, y, a\), not Edge\(2, y, a\)$"),
         (lambda t: {"edges": _edge_with(t, 2, kind="theta")},
-         "^edge 2 of 'y' has kind 'theta', not 'a'$"),
+         r"^edge 2 is recorded as Edge\(2, y, theta\), not "
+         r"Edge\(2, y, a\)$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
