@@ -418,26 +418,25 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
 
 # -- canonical computations ------------------------------------------------
 
-def _move(names: Sequence[str], e: int) -> list:
-    """The rules named, in order, as (atom, sign) letters; for e = -1 the
-    inverse, read backwards."""
-    return [(atom(n), e) for n in (names if e > 0 else reversed(names))]
-
-
 def _sigma(y: Atom, e: int) -> list:
-    """sigma(y): append y to the working tape and y' to the service tape."""
-    return _move([f"sigma({y.name})"], e)
+    """sigma(y), which appends y to the working tape and y' to the service
+    tape, as (atom, sign) letters; its inverse for e = -1."""
+    return [(atom(f"sigma({y.name})"), e)]
 
 
 def _tau(y: Atom, e: int) -> list:
-    """tau1(y) tau2(y): append the trivial pair y·bar(y)."""
-    return _move([f"tau1({y.name})", f"tau2({y.name})"], e)
+    """tau1(y) tau2(y), which appends the trivial pair y·bar(y); its
+    inverse, read backwards, for e = -1."""
+    move = [(atom(f"tau1({y.name})"), e), (atom(f"tau2({y.name})"), e)]
+    return move if e > 0 else move[::-1]
 
 
 def _rho(meta: dict, ri: int, e: int) -> list:
-    """rho(ri,1) ... rho(ri,n): append the ri-th positivized relator."""
-    n = len(meta["positive"][ri])
-    return _move([f"rho({ri},{j})" for j in range(1, n + 1)], e)
+    """rho(ri,1) ... rho(ri,n), which appends the ri-th positivized
+    relator; its inverse, read backwards, for e = -1."""
+    move = [(atom(f"rho({ri},{j})"), e)
+            for j in range(1, len(meta["positive"][ri]) + 1)]
+    return move if e > 0 else move[::-1]
 
 
 def positivizing_computation(m: Machine, w: Word) -> Word:

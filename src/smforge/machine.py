@@ -485,9 +485,9 @@ class Machine:
         self.cyclic, self.input_sectors = hw.cyclic, hw.input_sectors
 
     def __getstate__(self):
-        """The attributes without the caches built on first use (the rule
-        table and group's closure), so a pickle is the same before and
-        after queries, and works at every protocol."""
+        """The attributes without the caches built on first use, the rule
+        table and the closure of the machine's group: a pickle is the same
+        before and after queries, and works at every protocol."""
         state = dict(self.__dict__)
         state.pop("_table", None)
         state.pop("_default_closure", None)
