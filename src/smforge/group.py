@@ -474,9 +474,6 @@ def validate_trapezium(trap: Trapezium) -> bool:
         c = next(c for c in trap.cells if c.row not in rows)
         raise GroupError(f"cell {c!r} names row {c.row}, which does not exist")
 
-    def letters(path) -> tuple:
-        return tuple([(atoms[e], o) for e, o in path])
-
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
     # so that a theta letter colliding with a generator is named first.
@@ -493,6 +490,9 @@ def validate_trapezium(trap: Trapezium) -> bool:
                              f"{Edge(e, a, kind)!r}")
         if kind == "theta":
             thetas.add(e)
+
+    def letters(path) -> tuple:
+        return tuple([(atoms[e], o) for e, o in path])
 
     for c in trap.cells:
         w = letters(c.boundary)
