@@ -5,7 +5,9 @@ standard-base configuration.  Its trapezium must validate, replay the
 computation and dump to the same bytes on a second build, and the
 conjugator read off the history must be the label of both sides.  The
 dump must be the text json.dumps writes for the same document.
-Examples are derandomized to keep the suite deterministic.
+The label group records for each word of a machine's closure must be the
+one its letters name.  Examples are derandomized to keep the suite
+deterministic.
 """
 import json
 import random
@@ -13,15 +15,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smforge import group
+from smforge.encode import presentation_to_machine
 from smforge.enhance import build_enhanced_standard, make_cyclic
-from smforge.fixtures import toy_deleter
+from smforge.fixtures import (commutator_presentation,
+                              one_sector_left_multiplier, paired_multiplier,
+                              toy_deleter, trivial_acceptor,
+                              two_sided_multiplier, z2_presentation)
 from smforge.group import (GroupError, computation_to_trapezium,
-                           conjugator_from_accepting, trapezium_dumps,
+                           conjugator_from_accepting, machine_to_group,
+                           theta_atom, trapezium_dumps,
                            trapezium_to_computation, trapezium_to_dict,
                            validate_trapezium)
 from smforge.machine import input_configuration, parse_admissible, run
+from smforge.primitive import build_lr, build_rl
 from smforge.search import successors
-from smforge.words import Word
+from smforge.words import Word, symmetrized_closure
 
 from test_group import cyclic_emitter
 from test_search_properties import _unreduced_writer, machines
@@ -96,3 +105,59 @@ def test_fixture_computations(build, start, walks):
     rng = random.Random(7)
     for _ in range(walks):
         check_trapezium(m, _walk(m, start(m), rng.choice, 8))
+
+
+def scanned_labels(m):
+    """The reference: each closure word of the default M(m) labelled by
+    scanning its letters.  The rule is that of its theta letters, then
+    "tq" and the part of its state letters, or "ta" and the sector of its
+    tape letter."""
+    part_of, sector_of = m.hw.part_of, m.hw.sector_of
+    rule_of = {theta_atom(r.name, i): r.name
+               for r in m.rules for i in range(m.n_parts)}
+    closure = {}
+    for w in symmetrized_closure(machine_to_group(m).relators):
+        rule = next(rule_of[a] for a, _ in w if a in rule_of)
+        parts = [part_of[a] for a, _ in w if a in part_of]
+        closure[w.letters] = (
+            ("tq", rule, parts[0]) if parts else
+            ("ta", rule, next(sector_of[a] for a, _ in w if a in sector_of)))
+    return closure
+
+
+def recorded_labels(m):
+    """The closure of the default M(m) as group keeps it for validation:
+    the first item of its per-machine record, or in a tree without one
+    the dict that group._default_closure returns."""
+    if hasattr(group, "_default_closure"):
+        return group._default_closure(m)
+    return group._group_record(m)[0]
+
+
+def check_labels(m):
+    assert recorded_labels(m) == scanned_labels(m)
+
+
+@pytest.mark.parametrize("build", [
+    toy_deleter, trivial_acceptor, one_sector_left_multiplier,
+    lambda: one_sector_left_multiplier(idle=True), paired_multiplier,
+    two_sided_multiplier,
+    lambda: build_lr(["a", "b"]), lambda: build_rl(["a", "b"]),
+    lambda: build_enhanced_standard(toy_deleter()),
+    lambda: make_cyclic(build_enhanced_standard(toy_deleter())),
+    lambda: presentation_to_machine(z2_presentation()),
+    lambda: presentation_to_machine(commutator_presentation()),
+    _unreduced_writer, cyclic_emitter,
+], ids=["toy_deleter", "trivial_acceptor", "left_multiplier",
+        "idle_left_multiplier", "paired_multiplier", "two_sided_multiplier",
+        "lr", "rl", "enhanced_deleter", "cyclic_enhanced_deleter",
+        "z2_encoder", "commutator_encoder", "unreduced", "cyclic_emitter"])
+def test_closure_labels_are_pinned(build):
+    """Every recorded label is the one the closure word's letters name."""
+    check_labels(build())
+
+
+@PROPERTY
+@given(machines())
+def test_closure_labels_of_random_machines(case):
+    check_labels(case[0])
