@@ -451,8 +451,8 @@ def positivizing_computation(m: Machine, w: Word) -> Word:
             raise EncodeError(f"{a.name!r} is not an input letter")
         z = a if s > 0 else d.bar(a)
         post += _sigma(z, 1)
-        pre = (_tau(a, 1) if s < 0 else []) + _sigma(z, -1) + pre
-    return free_reduce(Word(pre + post))
+        pre.append((_tau(a, 1) if s < 0 else []) + _sigma(z, -1))
+    return free_reduce(Word([x for b in reversed(pre) for x in b] + post))
 
 
 def _realize_insertion(meta: dict, u: Word, s: Word, pos: int):

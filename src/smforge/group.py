@@ -10,12 +10,13 @@ sides record the history.
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
-                    free_reduce, symmetrized_closure)
+                    free_reduce, rotations)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
@@ -91,26 +92,47 @@ def machine_to_group(m: Machine, strict: bool = False) -> GroupPresentation:
     return GroupPresentation(gens, relators, name=name)
 
 
+_GROUPS = weakref.WeakKeyDictionary()
+
+
+def _group_record(m: Machine) -> tuple[dict, dict]:
+    """The default M(m) as validation reads it, built from one
+    machine_to_group(m) call and kept while m lives: (closure, kind_of).
+    closure maps the letter tuple of each word of the symmetrized closure
+    to the (kind, rule, index) label of the cells that spell it, the label
+    of the relator it comes from, in the order machine_to_group makes
+    them; kind_of maps each generator to its edge kind, "q", "a" or
+    "theta".  A failure is not kept: it is raised again on every call."""
+    record = _GROUPS.get(m)
+    if record is None:
+        p = machine_to_group(m)
+        rules = sorted(m.rules, key=attrgetter("name"))
+        labels = [("tq", r.name, i) for r in rules for i in range(m.n_parts)]
+        labels += [("ta", r.name, s) for r in rules
+                   for s in range(m.n_sectors) for _ in r.domains[s]]
+        closure = {v.letters: label
+                   for label, w in zip(labels, p.relators, strict=True)
+                   for u in (w, w.inverse()) for v in rotations(u)}
+        kind_of = {a: "q" if a in m.hw.part_of else
+                   "a" if a in m.hw.sector_of else "theta"
+                   for a in p.generators}
+        record = _GROUPS[m] = closure, kind_of
+    return record
+
+
 # -- modified length --------------------------------------------------------
 
 Q_TYPE, A_TYPE, THETA_TYPE = "q", "a", "t"
 
 
 def letter_types(m: Machine, w: Word) -> str:
-    """Classify each letter of a word over M(S) as q, a, or t(heta)."""
-    theta_names = {theta_atom(r.name, i).name
-                   for r in m.rules for i in range(m.n_parts)}
-    out = []
+    """Classify each letter of a word over M(S) as q, a, or t(heta): the
+    first letter of its edge kind."""
+    kind_of = _group_record(m)[1]
     for a, _ in w:
-        if a in m.hw.part_of:
-            out.append(Q_TYPE)
-        elif a in m.hw.sector_of:
-            out.append(A_TYPE)
-        elif a.name in theta_names:
-            out.append(THETA_TYPE)
-        else:
+        if a not in kind_of:
             raise GroupError(f"{a.name!r} is not a generator of M({m.name})")
-    return "".join(out)
+    return "".join([kind_of[a][0] for a, _ in w])
 
 
 def modified_length_from_types(types: str, n_parts: int) -> Fraction:
@@ -417,30 +439,6 @@ def _outer_loop(trap: Trapezium):
             + _flip_path(trap.right))
 
 
-def _default_closure(m: Machine) -> dict[tuple, tuple]:
-    """The letter tuples of the symmetrized closure of the default M(m),
-    each mapped to the (kind, rule, index) label of the cells that spell
-    it: the rule of its theta letters, then "tq" and the part of its
-    state letters, or "ta" and the sector of its tape letter.  Built once
-    per machine and kept on it like ``Machine._table``.  A failure is not
-    kept: it is raised again on every call."""
-    closure = m.__dict__.get("_default_closure")
-    if closure is None:
-        relators = symmetrized_closure(machine_to_group(m).relators)
-        part_of, sector_of = m.hw.part_of, m.hw.sector_of
-        rule_of = {theta_atom(r.name, i): r.name
-                   for r in m.rules for i in range(m.n_parts)}
-        closure = {}
-        for w in relators:
-            rule = next(rule_of[a] for a, _ in w if a in rule_of)
-            parts = [part_of[a] for a, _ in w if a in part_of]
-            closure[w.letters] = (
-                ("tq", rule, parts[0]) if parts else
-                ("ta", rule, next(sector_of[a] for a, _ in w if a in sector_of)))
-        m.__dict__["_default_closure"] = closure
-    return closure
-
-
 def validate_trapezium(trap: Trapezium) -> bool:
     """Check a trapezium cell by cell and edge by edge.
 
@@ -477,10 +475,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
     # so that a theta letter colliding with a generator is named first.
-    closure = _default_closure(m)
+    closure, kind_of = _group_record(m)
     # Each edge record must carry its key as id and its atom's kind.
-    kind_of = dict.fromkeys(m.hw.part_of, "q")
-    kind_of.update(dict.fromkeys(m.hw.sector_of, "a"))
     atoms, thetas = {}, set()
     for e, edge in trap.edges.items():
         a = atoms[e] = edge.atom

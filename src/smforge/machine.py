@@ -485,12 +485,12 @@ class Machine:
         self.cyclic, self.input_sectors = hw.cyclic, hw.input_sectors
 
     def __getstate__(self):
-        """The attributes without the caches built on first use, the rule
-        table and the closure of the machine's group: a pickle is the same
-        before and after queries, and works at every protocol."""
+        """The attributes without the rule table, a cache built on first
+        use: a pickle is the same before and after queries, and works at
+        every protocol.  M(S), which validation builds, is kept by group,
+        not on the machine."""
         state = dict(self.__dict__)
         state.pop("_table", None)
-        state.pop("_default_closure", None)
         return state
 
     def rule(self, name: str) -> SRule:

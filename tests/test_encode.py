@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from smforge import encode
 from smforge.encode import (
     IMPOSSIBLE,
     AreaResult,
@@ -246,6 +247,30 @@ class TestPositivizing:
         m = presentation_to_machine(z2_presentation())
         with pytest.raises(EncodeError, match="^'z' is not an input letter$"):
             positivizing_computation(m, W("z"))
+
+    @staticmethod
+    def prepending(m, w):
+        """The reference: each letter's block prepended to pre, which
+        copies the list built so far, so quadratic in |w|."""
+        d = encode._encoder_meta(m)["doubled"]
+        pre, post = [], []
+        for a, s in free_reduce(w):
+            z = a if s > 0 else d.bar(a)
+            post += encode._sigma(z, 1)
+            pre = ((encode._tau(a, 1) if s < 0 else []) + encode._sigma(z, -1)
+                   + pre)
+        return free_reduce(Word(pre + post))
+
+    @pytest.mark.parametrize("fixture", [z2_presentation,
+                                         commutator_presentation])
+    def test_matches_the_prepending_reference(self, fixture):
+        p = fixture()
+        m = presentation_to_machine(p)
+        rng = random.Random(11)
+        letters = [(a, s) for a in p.generators for s in (1, -1)]
+        for n in (0, 1, 2, 3, 5, 8, 13, 40, 200, 2000):
+            w = Word([rng.choice(letters) for _ in range(n)])
+            assert positivizing_computation(m, w) == self.prepending(m, w)
 
 
 class TestAbelianized:

@@ -663,6 +663,17 @@ class TestValidation:
         with pytest.raises(GroupError, match=message):
             validate_trapezium(t)
 
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_outer_path_reversed(self, side):
+        """The trapezium's own top or bottom reversed in place after it
+        was built: every edge use stays and every row still reads its
+        stored words, so only the outer label checks can see it."""
+        t = self.trap()
+        assert validate_trapezium(t)
+        setattr(t, side, getattr(t, side)[::-1])
+        with pytest.raises(GroupError, match=f"^{side} label is wrong$"):
+            validate_trapezium(t)
+
     def test_zero_row_word_swapped(self):
         m = toy_deleter()
         t = computation_to_trapezium(

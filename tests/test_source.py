@@ -84,3 +84,20 @@ def test_line_counter_counts_code_lines():
     text = ('"""Module."""\n\n# note\ndef f(x):\n    """Doc,\n    more."""\n'
             '    return (x +\n            1)  # tail\n')
     assert src_lines.counts({"m.py": text}) == {"m.py": (8, 3)}
+
+
+def test_only_machine_names_instance_dicts():
+    # A cache kept on an object other modules own would have to be named
+    # in that object's pickle state; group keeps its own per-machine
+    # record instead.  Only machine.py reads an instance __dict__.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "machine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name == "__dict__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
