@@ -56,16 +56,14 @@ def machine_to_group(m: Machine, strict: bool = False) -> GroupPresentation:
     first the (theta,q) relators of each rule, part by part, then the
     (theta,a) relators of each rule, sector by sector and letter by letter.
     """
-    K = m.n_parts
     gens: list[Atom] = []
     for ab in m.sector_alphabets:
         gens.extend(sorted(ab, key=lambda a: a.name))
     for p in m.parts:
         gens.extend(p.letters)
     seen = set(gens)
-    rules = sorted(m.rules, key=lambda r: r.name)
-    for r in rules:
-        for i in range(K):
+    for r in sorted(m.rules, key=lambda r: r.name):
+        for i in range(m.n_parts):
             th = theta_atom(r.name, i)
             if th in seen:
                 raise GroupError(
@@ -73,50 +71,56 @@ def machine_to_group(m: Machine, strict: bool = False) -> GroupPresentation:
             seen.add(th)
             gens.append(th)
 
-    relators: list[Word] = []
+    name = f"M({m.name})" + (".strict" if strict else "")
+    return GroupPresentation(gens, [w for _, w in _relators(m, strict)],
+                             name=name)
+
+
+def _relators(m: Machine, strict: bool = False):
+    """The relators of M(m) in machine_to_group's order, each after its
+    (kind, rule, index) label: ("tq", rule, part) for a (theta,q) relator
+    and ("ta", rule, sector) for a (theta,a) one."""
+    K = m.n_parts
+    rules = sorted(m.rules, key=lambda r: r.name)
     for r in rules:
         for i in range(1 if strict else 0, K):
             rp = r.parts[i]
-            relators.append(free_reduce(
+            yield ("tq", r.name, i), free_reduce(
                 Word.of(rp.frm, theta_atom(r.name, (i + 1) % K))
                 * rp.right.inverse()
                 * Word.of((rp.to, -1))
                 * rp.left.inverse()
-                * Word.of((theta_atom(r.name, i), -1))))
+                * Word.of((theta_atom(r.name, i), -1)))
     for r in rules:
         for s in range(m.n_sectors):
             th = theta_atom(r.name, (s + 1) % K)
             for a in sorted(r.domains[s], key=lambda a: a.name):
-                relators.append(Word.of(th, a, (th, -1), (a, -1)))
-    name = f"M({m.name})" + (".strict" if strict else "")
-    return GroupPresentation(gens, relators, name=name)
+                yield ("ta", r.name, s), Word.of(th, a, (th, -1), (a, -1))
 
 
 _GROUPS = weakref.WeakKeyDictionary()
 
 
-def _group_record(m: Machine) -> tuple[dict, dict]:
-    """The default M(m) as validation reads it, built from one
-    machine_to_group(m) call and kept while m lives: (closure, kind_of).
-    closure maps the letter tuple of each word of the symmetrized closure
-    to the (kind, rule, index) label of the cells that spell it, the label
-    of the relator it comes from, in the order machine_to_group makes
-    them; kind_of maps each generator to its edge kind, "q", "a" or
-    "theta".  A failure is not kept: it is raised again on every call."""
+def _group_record(m: Machine, closure: bool = True) -> list:
+    """What validation and letter_types read of the default M(m), kept
+    while m lives: [kind_of, closure].  kind_of maps each generator to
+    its edge kind, "q", "a" or "theta"; a state or tape letter wins over a
+    theta letter of the same name.  closure, None until a call asks for
+    it, maps the letter tuple of each word of the symmetrized closure to
+    the label _relators gives the relator it comes from.  It is built
+    after one machine_to_group(m) call, which checks M(m); a failure is
+    not kept, but raised again on every call."""
     record = _GROUPS.get(m)
     if record is None:
-        p = machine_to_group(m)
-        rules = sorted(m.rules, key=attrgetter("name"))
-        labels = [("tq", r.name, i) for r in rules for i in range(m.n_parts)]
-        labels += [("ta", r.name, s) for r in rules
-                   for s in range(m.n_sectors) for _ in r.domains[s]]
-        closure = {v.letters: label
-                   for label, w in zip(labels, p.relators, strict=True)
-                   for u in (w, w.inverse()) for v in rotations(u)}
-        kind_of = {a: "q" if a in m.hw.part_of else
-                   "a" if a in m.hw.sector_of else "theta"
-                   for a in p.generators}
-        record = _GROUPS[m] = closure, kind_of
+        kind_of = {theta_atom(r.name, i): "theta"
+                   for r in m.rules for i in range(m.n_parts)}
+        kind_of.update(dict.fromkeys(m.hw.sector_of, "a"))
+        kind_of.update(dict.fromkeys(m.hw.part_of, "q"))
+        record = _GROUPS[m] = [kind_of, None]
+    if closure and record[1] is None:
+        machine_to_group(m)
+        record[1] = {v.letters: label for label, w in _relators(m)
+                     for u in (w, w.inverse()) for v in rotations(u)}
     return record
 
 
@@ -128,7 +132,7 @@ Q_TYPE, A_TYPE, THETA_TYPE = "q", "a", "t"
 def letter_types(m: Machine, w: Word) -> str:
     """Classify each letter of a word over M(S) as q, a, or t(heta): the
     first letter of its edge kind."""
-    kind_of = _group_record(m)[1]
+    kind_of = _group_record(m, closure=False)[0]
     for a, _ in w:
         if a not in kind_of:
             raise GroupError(f"{a.name!r} is not a generator of M({m.name})")
@@ -475,12 +479,15 @@ def validate_trapezium(trap: Trapezium) -> bool:
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
     # so that a theta letter colliding with a generator is named first.
-    closure, kind_of = _group_record(m)
+    kind_of, closure = _group_record(m)
     # Each edge record must carry its key as id and its atom's kind.
     atoms, thetas = {}, set()
     for e, edge in trap.edges.items():
         a = atoms[e] = edge.atom
-        kind = kind_of.get(a, "theta")
+        kind = kind_of.get(a)
+        if kind is None:
+            raise GroupError(f"edge {e} has atom {a.name!r}, not a "
+                             f"generator of M({m.name})")
         if edge.id != e or edge.kind != kind:
             raise GroupError(f"edge {e} is recorded as {edge!r}, not "
                              f"{Edge(e, a, kind)!r}")

@@ -178,6 +178,17 @@ class TestModifiedLength:
         with pytest.raises(GroupError):
             letter_types(toy_deleter(), W("zebra"))
 
+    def test_letter_types_need_no_group(self, monkeypatch):
+        # The tape letter go.1 is also the theta letter of rule go at gap
+        # 1, so the machine has no M(S); its letters are still classed,
+        # a tape letter before a theta letter of the same name.
+        monkeypatch.setattr(group, "machine_to_group", None)
+        hw = Hardware([StatePart("T0", ["s0"]), StatePart("T1", ["s1"])],
+                      [["go.1"]], input_sectors=[0])
+        m = Machine("collide", hw,
+                    [make_rule(hw, "go", [("s0", "s0"), ("s1", "s1")])])
+        assert letter_types(m, W("s0 go.1 go.0^-1 s1")) == "qatq"
+
 
 class TestTrapezium:
     def accepting(self):
@@ -606,6 +617,10 @@ class TestValidation:
         (lambda t: {"edges": _edge_with(t, 2, kind="theta")},
          r"^edge 2 is recorded as Edge\(2, y, theta\), not "
          r"Edge\(2, y, a\)$"),
+        (lambda t: {"edges": {**t.edges, 2: Edge(2, atom("zebra"), "a")}},
+         r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
+        (lambda t: {"edges": {**t.edges, 2: Edge(2, atom("zebra"), "theta")}},
+         r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
@@ -617,7 +632,7 @@ class TestValidation:
             "missing_cell_row", "cell_rule_and_index", "cell_kind",
             "cell_index", "cell_in_other_rule_row", "cell_in_other_row",
             "detached_sphere", "theta_spur_in_cell", "right_sides_swapped",
-            "edge_id", "edge_kind",
+            "edge_id", "edge_kind", "edge_atom", "edge_theta_atom",
             "swapped_words",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):

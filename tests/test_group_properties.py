@@ -125,17 +125,8 @@ def scanned_labels(m):
     return closure
 
 
-def recorded_labels(m):
-    """The closure of the default M(m) as group keeps it for validation:
-    the first item of its per-machine record, or in a tree without one
-    the dict that group._default_closure returns."""
-    if hasattr(group, "_default_closure"):
-        return group._default_closure(m)
-    return group._group_record(m)[0]
-
-
 def check_labels(m):
-    assert recorded_labels(m) == scanned_labels(m)
+    assert group._group_record(m)[1] == scanned_labels(m)
 
 
 @pytest.mark.parametrize("build", [
