@@ -77,9 +77,8 @@ def machine_to_group(m: Machine, strict: bool = False) -> GroupPresentation:
 
 
 def _relators(m: Machine, strict: bool = False):
-    """The relators of M(m) in machine_to_group's order, each after its
-    (kind, rule, index) label: ("tq", rule, part) for a (theta,q) relator
-    and ("ta", rule, sector) for a (theta,a) one."""
+    """(label, relator) pairs of M(m) in machine_to_group's order, each
+    label ("tq", rule, part) or ("ta", rule, sector)."""
     K = m.n_parts
     rules = sorted(m.rules, key=lambda r: r.name)
     for r in rules:
@@ -102,14 +101,12 @@ _GROUPS = weakref.WeakKeyDictionary()
 
 
 def _group_record(m: Machine, closure: bool = True) -> list:
-    """What validation and letter_types read of the default M(m), kept
-    while m lives: [kind_of, closure].  kind_of maps each generator to
-    its edge kind, "q", "a" or "theta"; a state or tape letter wins over a
-    theta letter of the same name.  closure, None until a call asks for
-    it, maps the letter tuple of each word of the symmetrized closure to
-    the label _relators gives the relator it comes from.  It is built
-    after one machine_to_group(m) call, which checks M(m); a failure is
-    not kept, but raised again on every call."""
+    """[kind_of, closure] of the default M(m), kept while m lives.
+    kind_of maps each generator to "q", "a" or "theta", a state or tape
+    letter before a theta letter of the same name.  closure, None until
+    asked for, maps each word of the symmetrized closure to the label of
+    its relator; machine_to_group(m) checks M(m) first, and a failure is
+    raised again on every call."""
     record = _GROUPS.get(m)
     if record is None:
         kind_of = {theta_atom(r.name, i): "theta"
