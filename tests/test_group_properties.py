@@ -6,14 +6,15 @@ computation and dump to the same bytes on a second build, and the
 conjugator read off the history must be the label of both sides.  The
 dump must be the text json.dumps writes for the same document.
 The label group records for each word of a machine's closure must be the
-one its letters name.  Examples are derandomized to keep the suite
+one its letters name.  Every single corruption of a trapezium of at least
+two rows must be refused with a GroupError.  Examples are derandomized to keep the suite
 deterministic.
 """
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smforge import group
 from smforge.encode import presentation_to_machine
@@ -22,7 +23,8 @@ from smforge.fixtures import (commutator_presentation,
                               one_sector_left_multiplier, paired_multiplier,
                               toy_deleter, trivial_acceptor,
                               two_sided_multiplier, z2_presentation)
-from smforge.group import (GroupError, computation_to_trapezium,
+from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
+                           computation_to_trapezium,
                            conjugator_from_accepting, machine_to_group,
                            theta_atom, trapezium_dumps,
                            trapezium_to_computation, trapezium_to_dict,
@@ -93,18 +95,110 @@ def test_random_computations(case, data):
 
 # The writer and the emitter have one rule each, so a few walks already
 # reach both w^8 and w^-8.
-@pytest.mark.parametrize("build, start, walks", [
+FIXTURES = [
     (_unreduced_writer,
      lambda m: input_configuration(m, Word.from_tokens("a b a^-1")), 4),
     (lambda: make_cyclic(build_enhanced_standard(toy_deleter())),
      lambda m: input_configuration(m, Word.from_tokens("y y")), 20),
     (cyclic_emitter, lambda m: parse_admissible(m.hw, "u a0 v"), 4),
-], ids=["unreduced", "cyclic_enhanced", "cyclic_emitter"])
+]
+
+
+@pytest.mark.parametrize("build, start, walks", FIXTURES,
+                         ids=["unreduced", "cyclic_enhanced", "cyclic_emitter"])
 def test_fixture_computations(build, start, walks):
     m = build()
     rng = random.Random(7)
     for _ in range(walks):
         check_trapezium(m, _walk(m, start(m), rng.choice, 8))
+
+
+def _put(items, i, item):
+    return tuple(items[:i]) + (item,) + tuple(items[i + 1:])
+
+
+def _flipped(path):
+    return tuple([(e, -o) for e, o in path])
+
+
+def _row(r, **fields):
+    return Row(*[fields.get(f, getattr(r, f)) for f in Row.__slots__])
+
+
+def _cell(c, **fields):
+    return Cell(*[fields.get(f, getattr(c, f)) for f in Cell.__slots__])
+
+
+def corruptions(trap, choose):
+    """(name, trapezium) for each single corruption of a valid trapezium
+    of at least two rows: a row's rule, sign, side, bottom or top; a
+    cell's row, label or boundary; an edge's atom or kind.  choose picks
+    the row, cell, edge and replacement among the candidates."""
+    m, rows, cells, edges = trap.machine, trap.rows, trap.cells, trap.edges
+
+    def rebuilt(rows=rows, cells=cells, edges=edges):
+        return Trapezium(m, rows, cells, edges, trap.words)
+
+    j = choose(range(len(rows)))
+    r = rows[j]
+    rules = [x.name for x in m.rules if x.name != r.rule] or ["nope"]
+    for name, fields in {
+            "row_rule": {"rule": choose(rules)}, "row_sign": {"sign": -r.sign},
+            "row_left": {"left": _flipped(r.left)},
+            "row_right": {"right": _flipped(r.right)},
+            "row_bottom": {"bottom": _flipped(r.bottom)},
+            "row_top": {"top": _flipped(r.top)}}.items():
+        yield name, rebuilt(rows=_put(rows, j, _row(r, **fields)))
+    i = choose(range(len(cells)))
+    c = cells[i]
+    for name, fields in {
+            "cell_row": {"row": (c.row + 1) % len(rows)},
+            "cell_kind": {"kind": "ta" if c.kind == "tq" else "tq"},
+            "cell_index": {"index": c.index + 1},
+            "cell_boundary": {"boundary": _flipped(c.boundary[:1])
+                              + c.boundary[1:]}}.items():
+        yield name, rebuilt(cells=_put(cells, i, _cell(c, **fields)))
+    e = choose(sorted(edges))
+    edge = edges[e]
+    atoms = [g for g in machine_to_group(m).generators if g != edge.atom]
+    kinds = [k for k in ("q", "a", "theta") if k != edge.kind]
+    yield "edge_atom", rebuilt(edges={**edges, e: Edge(e, choose(atoms),
+                                                       edge.kind)})
+    yield "edge_kind", rebuilt(edges={**edges, e: Edge(e, edge.atom,
+                                                       choose(kinds))})
+
+
+def check_corruptions(trap, choose):
+    assert validate_trapezium(trap)
+    for name, bad in corruptions(trap, choose):
+        try:
+            validate_trapezium(bad)
+        except GroupError:
+            continue
+        pytest.fail(f"{name}: the corrupted trapezium validates")
+
+
+@PROPERTY
+@given(machines(), st.data())
+def test_corruptions_of_random_computations(case, data):
+    m, start = case
+    comp = _walk(m, start,
+                 lambda options: data.draw(st.sampled_from(options)),
+                 data.draw(st.integers(2, 8)))
+    assume(len(comp) >= 2)
+    check_corruptions(computation_to_trapezium(m, comp),
+                      lambda seq: data.draw(st.sampled_from(seq)))
+
+
+@pytest.mark.parametrize("build, start, walks", FIXTURES,
+                         ids=["unreduced", "cyclic_enhanced", "cyclic_emitter"])
+def test_corruptions_of_fixture_computations(build, start, walks):
+    m = build()
+    rng = random.Random(7)
+    for _ in range(walks):
+        comp = _walk(m, start(m), rng.choice, 8)
+        if len(comp) >= 2:
+            check_corruptions(computation_to_trapezium(m, comp), rng.choice)
 
 
 def scanned_labels(m):
