@@ -424,11 +424,13 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
 
 
 def trapezium_to_computation(trap: Trapezium) -> Computation:
-    """Re-run the stored interface words along the stored history."""
-    m = trap.machine
-    comp = run(m, trap.words[0], trap.history())
-    for j, aw in enumerate(comp.configs):
-        if aw != trap.words[j]:
+    """Re-run the stored interface words along the stored history.  Each
+    stored word must be the configuration the history reaches there."""
+    if len(trap.words) != len(trap.rows) + 1:
+        raise GroupError("one more stored word than rows expected")
+    comp = run(trap.machine, trap.words[0], trap.history(), strict=False)
+    for j, aw in enumerate(trap.words):
+        if j == len(comp.configs) or comp.configs[j] != aw:
             raise GroupError(f"stored word {j} does not replay")
     return comp
 
@@ -441,25 +443,27 @@ def _outer_loop(trap: Trapezium):
 
 
 def validate_trapezium(trap: Trapezium) -> bool:
-    """Check a trapezium cell by cell and edge by edge.
+    """Check a trapezium cell by cell and edge by edge, and replay it.
 
-    Every path must name edges of the trapezium, every cell an existing
-    row, and every row a rule of the machine with sign 1 or -1.  Every
-    cell must spell a relator of the default presentation of
-    M(machine), carry that relator's kind, rule and index as its label
-    and lie in a row of its rule; every edge record must carry its key
-    as id and its atom's kind, and every edge must be used exactly twice
-    with opposite orientations (the outer contour counts as a face); the
-    bottom and top must spell the stored end configurations, each row's
-    sides must read the theta letter followed by the word the outer part
-    writes off the end, and each row's cells must form one theta-band
-    from its left side to its right.  That holds on the standard base
-    only, so a stored word off it is refused first."""
+    Each fact is checked once, in this order, and the first fault is
+    named: every stored word is on the standard base, which the rest
+    needs; every path names edges of the trapezium; every edge record
+    carries its key as id and the kind of its atom, a generator of
+    M(machine); every cell spells a relator of the default presentation
+    and carries that relator's kind, rule and index as its label; every
+    edge is used exactly twice with opposite orientations (the outer
+    contour counts as a face); every row names a rule with the int sign
+    1 or -1, its sides read the theta letter followed by the word the
+    outer part writes off the end, and its bottom and top spell its
+    stored words.  Then trapezium_to_computation replays the stored
+    words exactly along the rows' history, which also counts them.  Then
+    each row's cells must form one theta-band from its left side to its
+    right, and each cell must lie on the band of the row it names, which
+    refuses a missing row and a row of another rule too.  Last, the
+    bottom and top must spell the stored end configurations."""
     m = trap.machine
     for aw in trap.words:
         _check_standard_base(aw)
-    if len(trap.words) != len(trap.rows) + 1:
-        raise GroupError("one more stored word than rows expected")
 
     uses = tuple(chain.from_iterable([c.boundary for c in trap.cells]))
     inner = len(uses)
@@ -467,11 +471,6 @@ def validate_trapezium(trap: Trapezium) -> bool:
     paths = [p for r in trap.rows for p in (r.bottom, r.top, r.left, r.right)]
     if not set(map(itemgetter(0), chain(uses, *paths))) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
-    rows = range(len(trap.rows))
-    cell_rows = list(map(attrgetter("row"), trap.cells))
-    if not set(cell_rows) <= set(rows):
-        c = next(c for c in trap.cells if c.row not in rows)
-        raise GroupError(f"cell {c!r} names row {c.row}, which does not exist")
 
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
@@ -515,15 +514,15 @@ def validate_trapezium(trap: Trapezium) -> bool:
                 raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
                                  "expected once each way")
 
+    # The replay below refuses a stored word too few or too many.
     spelled = [aw.key() for aw in trap.words]
-    for j, row in enumerate(trap.rows):
+    for j, (row, below, above) in enumerate(zip(trap.rows, spelled,
+                                                 spelled[1:])):
         rule = m.rule_by_name.get(row.rule)
         if rule is None:
             raise GroupError(f"row {j} names no rule of the machine")
-        if row.sign not in (1, -1):
+        if type(row.sign) is not int or row.sign not in (1, -1):
             raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
-        if m.try_apply(trap.words[j if row.sign > 0 else j + 1], rule) is None:
-            raise GroupError(f"row {j} does not replay")
         th = Word.of((theta_atom(rule.name, 0), 1))
         left = th * rule.parts[0].left
         right = th * rule.parts[-1].right.inverse()
@@ -533,14 +532,13 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"row {j} left side label is wrong")
         if letters(row.right) != right.letters:
             raise GroupError(f"row {j} right side label is wrong")
-        if letters(row.bottom) != spelled[j]:
+        if letters(row.bottom) != below:
             raise GroupError(f"row {j} bottom label is wrong")
-        if letters(row.top) != spelled[j + 1]:
+        if letters(row.top) != above:
             raise GroupError(f"row {j} top label is wrong")
-    # After the rows, so that a row's own fault is named first.
-    for c in trap.cells:
-        if c.rule != trap.rows[c.row].rule:
-            raise GroupError(f"cell {c!r} lies in a row of another rule")
+    # The one replay, after the rows, so that a row's own fault is
+    # named first.
+    trapezium_to_computation(trap)
 
     # Each row is one theta-band.  Every cell spells a relator with two
     # theta letters, so two theta uses per cell in all means exactly two
@@ -555,7 +553,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
         raise GroupError("a cell has more than two theta edges")
     first = dict(zip(reversed(theta), range(len(theta) - 1, -1, -1)))
     last = dict(zip(theta, range(len(theta))))
-    walked = [None] * len(trap.cells)
+    # A cell no row walks matches no row field, not even None.
+    walked = [object()] * len(trap.cells)
     for j, row in enumerate(trap.rows):
         end = -1 if row.sign < 0 else 0
         e, stop = row.left[end][0], row.right[end][0]
@@ -571,7 +570,7 @@ def validate_trapezium(trap: Trapezium) -> bool:
         else:
             raise GroupError(f"row {j} is not one theta-band: its walk "
                              f"stops at edge {e}")
-    if walked != cell_rows:
+    if walked != list(map(attrgetter("row"), trap.cells)):
         c = next(c for c, j in zip(trap.cells, walked) if c.row != j)
         raise GroupError(f"cell {c!r} is not on the theta-band of its row")
 

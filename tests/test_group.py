@@ -243,6 +243,24 @@ class TestTrapezium:
         with pytest.raises(GroupError, match="^stored word 1 does not replay$"):
             trapezium_to_computation(bad)
 
+    @pytest.mark.parametrize("words", [lambda w: w[:-1], lambda w: w + w[-1:]],
+                             ids=["too_few", "too_many"])
+    def test_stored_word_count(self, words):
+        m, comp = self.accepting()
+        t = computation_to_trapezium(m, comp)
+        bad = Trapezium(m, t.rows, t.cells, t.edges, words(t.words))
+        with pytest.raises(GroupError,
+                           match="^one more stored word than rows expected$"):
+            trapezium_to_computation(bad)
+
+    def test_inapplicable_row_does_not_replay(self):
+        # acc locks the sector, which still holds a y after one del.
+        m, comp = self.accepting()
+        t = computation_to_trapezium(m, comp)
+        t.rows[1].rule = "acc"
+        with pytest.raises(GroupError, match="^stored word 2 does not replay$"):
+            trapezium_to_computation(t)
+
     def test_negative_steps(self):
         m = toy_deleter()
         start = input_configuration(m, W("y y"))
@@ -514,18 +532,19 @@ def _edge_with(t, e, **fields):
                                fields.get("kind", edge.kind))}
 
 
-def _detached_sphere(t):
-    """Two (theta,a) cells of row 0 on four fresh edges, each spelling
-    the first square's relator, glued to each other along all four: every
-    edge is used once each way, but the pair lies off the row's band."""
+def _detached_sphere(t, row=0):
+    """Two (theta,a) cells naming ``row`` on four fresh edges, each
+    spelling the first square's relator, glued to each other along all
+    four: every edge is used once each way, but no row's band walks the
+    pair."""
     c = next(c for c in t.cells if c.kind == "ta")
     n = max(t.edges) + 1
     fresh = {n + i: Edge(n + i, t.edges[e].atom, t.edges[e].kind)
              for i, (e, _) in enumerate(c.boundary)}
     a = tuple((n + i, o) for i, (_, o) in enumerate(c.boundary))
     b = tuple((e, -o) for e, o in reversed(a))
-    return {"cells": t.cells + (Cell(c.kind, a, c.rule, c.index, 0),
-                                Cell(c.kind, b, c.rule, c.index, 0)),
+    return {"cells": t.cells + (Cell(c.kind, a, c.rule, c.index, row),
+                                Cell(c.kind, b, c.rule, c.index, row)),
             "edges": {**t.edges, **fresh}}
 
 
@@ -549,6 +568,26 @@ def _right_sides_swapped(t):
     rows[:2] = [Row(r.rule, r.sign, r.bottom, r.top, r.left, other.right)
                 for r, other in ((r0, r1), (r1, r0))]
     return rows
+
+
+def _forged_word(t, word, path):
+    """Stored word 1 replaced by ``word``, with row 0's top and row 1's
+    bottom pointed at ``path``, which spells it: every row still reads its
+    stored words and every edge use stays, so only the replay sees it."""
+    rows = list(t.rows)
+    r0, r1 = rows[:2]
+    rows[:2] = [Row(r0.rule, r0.sign, r0.bottom, path, r0.left, r0.right),
+                Row(r1.rule, r1.sign, path, r1.top, r1.left, r1.right)]
+    return {"rows": rows, "words": (t.words[0], word) + t.words[2:]}
+
+
+def _state_word(t, text):
+    """The state word ``text`` with a path through the first edge of each
+    of its state letters."""
+    path = tuple((min(e for e, edge in t.edges.items()
+                      if edge.atom.name == name), 1)
+                 for name in text.split())
+    return _forged_word(t, parse_admissible(t.machine.hw, text), path)
 
 
 def _swapped_last_words(t):
@@ -587,8 +626,11 @@ class TestValidation:
          "^row 1 names no rule of the machine$"),
         (lambda t: {"rows": _row_with(t, 0, sign=0)},
          "^row 0 has sign 0, not 1 or -1$"),
+        (lambda t: {"rows": _row_with(t, 0, sign=True)},
+         "^row 0 has sign True, not 1 or -1$"),
         (lambda t: {"cells": _cell_on_missing_row(t)},
-         "^cell .* names row 5, which does not exist$"),
+         r"^cell Cell\(tq, acc, 1, row=5\) is not on the theta-band of its "
+         "row$"),
         # Cell 0 is the (theta,q) cell of part 0 in row 0, a del row.
         (lambda t: {"cells": _cell_with(t, 0, rule="acc", index=7)},
          r"^cell Cell\(tq, acc, 7, row=0\) spells a relator of "
@@ -600,7 +642,8 @@ class TestValidation:
          r"^cell Cell\(tq, del, 1, row=0\) spells a relator of "
          r"\('tq', 'del', 0\)$"),
         (lambda t: {"cells": _cell_with(t, 0, row=4)},
-         r"^cell Cell\(tq, del, 0, row=4\) lies in a row of another rule$"),
+         r"^cell Cell\(tq, del, 0, row=4\) is not on the theta-band of its "
+         "row$"),
         # Row 2 is a del row too, so only the band walk of row 0 sees it.
         (lambda t: {"cells": _cell_with(t, 0, row=2)},
          r"^cell Cell\(tq, del, 0, row=2\) is not on the theta-band of its "
@@ -608,6 +651,8 @@ class TestValidation:
         (_detached_sphere,
          r"^cell Cell\(ta, del, 0, row=0\) is not on the theta-band of its "
          "row$"),
+        (lambda t: _detached_sphere(t, row=None),
+         "is not on the theta-band of its row"),
         (_theta_spur_in_cell, "^a cell has more than two theta edges$"),
         (lambda t: {"rows": _right_sides_swapped(t)},
          "^row 0 is not one theta-band: its walk stops at edge 10$"),
@@ -622,6 +667,12 @@ class TestValidation:
         (lambda t: {"edges": {**t.edges, 2: Edge(2, atom("zebra"), "theta")}},
          r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
+        # Row 1 is del, which applies to stored word 0 as well.
+        (lambda t: _forged_word(t, t.words[0], t.rows[0].bottom),
+         "^stored word 1 does not replay$"),
+        # Row 1 is del, which needs q0s.
+        (lambda t: _state_word(t, "q0f q1s"),
+         "^stored word 1 does not replay$"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
         (lambda t: {"cells": t.cells + (t.cells[0],)},
@@ -629,11 +680,12 @@ class TestValidation:
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
             "unknown_side_edge", "unknown_cell_edge", "unknown_inner_top_edge",
             "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
-            "missing_cell_row", "cell_rule_and_index", "cell_kind",
-            "cell_index", "cell_in_other_rule_row", "cell_in_other_row",
-            "detached_sphere", "theta_spur_in_cell", "right_sides_swapped",
+            "bool_sign", "missing_cell_row", "cell_rule_and_index",
+            "cell_kind", "cell_index", "cell_in_other_rule_row",
+            "cell_in_other_row", "detached_sphere", "detached_sphere_no_row",
+            "theta_spur_in_cell", "right_sides_swapped",
             "edge_id", "edge_kind", "edge_atom", "edge_theta_atom",
-            "swapped_words",
+            "swapped_words", "forged_word", "forged_state_word",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
@@ -664,7 +716,8 @@ class TestValidation:
          "row 0 left side label is wrong"),
         (lambda r: setattr(r[4], "right", r[0].right),
          "row 4 right side label is wrong"),
-        (lambda r: setattr(r[0], "rule", "acc"), "row 0 does not replay"),
+        (lambda r: setattr(r[0], "rule", "acc"),
+         "row 0 left side label is wrong"),
         (lambda r: setattr(r[1], "bottom", r[0].bottom),
          "row 1 bottom label is wrong"),
     ], ids=["left_side", "right_side", "rule", "bottom"])

@@ -132,12 +132,15 @@ def _cell(c, **fields):
 def corruptions(trap, choose):
     """(name, trapezium) for each single corruption of a valid trapezium
     of at least two rows: a row's rule, sign, side, bottom or top; a
-    cell's row, label or boundary; an edge's atom or kind.  choose picks
-    the row, cell, edge and replacement among the candidates."""
+    cell's row, label or boundary; an edge's atom or kind; an inner stored
+    word replaced by another that differs from it, with the two row paths
+    that spell it pointed at that word's path.  choose picks the row,
+    cell, edge, word and replacement among the candidates."""
     m, rows, cells, edges = trap.machine, trap.rows, trap.cells, trap.edges
+    words = trap.words
 
-    def rebuilt(rows=rows, cells=cells, edges=edges):
-        return Trapezium(m, rows, cells, edges, trap.words)
+    def rebuilt(rows=rows, cells=cells, edges=edges, words=words):
+        return Trapezium(m, rows, cells, edges, words)
 
     j = choose(range(len(rows)))
     r = rows[j]
@@ -166,6 +169,15 @@ def corruptions(trap, choose):
                                                        edge.kind)})
     yield "edge_kind", rebuilt(edges={**edges, e: Edge(e, edge.atom,
                                                        choose(kinds))})
+    j = choose(range(1, len(rows)))
+    others = [k for k, aw in enumerate(words) if aw != words[j]]
+    if others:
+        k = choose(others)
+        path = rows[k].bottom if k < len(rows) else rows[-1].top
+        forged = _put(_put(rows, j - 1, _row(rows[j - 1], top=path)), j,
+                      _row(rows[j], bottom=path))
+        yield "stored_word", rebuilt(rows=forged,
+                                     words=_put(words, j, words[k]))
 
 
 def check_corruptions(trap, choose):

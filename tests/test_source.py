@@ -101,3 +101,19 @@ def test_only_machine_names_instance_dicts():
             if name == "__dict__":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_validation_runs_no_kernel():
+    # validate_trapezium applies no rule itself: its one replay of the
+    # stored words goes through trapezium_to_computation.
+    tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "validate_trapezium")
+    kernel = {"try_apply", "apply_ex", "_step", "successors", "run"}
+    found = [f"group.py:{node.lineno}: {name}" for node in ast.walk(func)
+             for name in [node.id if isinstance(node, ast.Name)
+                          else node.attr if isinstance(node, ast.Attribute)
+                          else None]
+             if name in kernel]
+    assert not found, found
