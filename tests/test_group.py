@@ -258,7 +258,8 @@ class TestTrapezium:
         m, comp = self.accepting()
         t = computation_to_trapezium(m, comp)
         t.rows[1].rule = "acc"
-        with pytest.raises(GroupError, match="^stored word 2 does not replay$"):
+        with pytest.raises(GroupError,
+                           match="^stored word 2 does not replay$"):
             trapezium_to_computation(t)
 
     def test_negative_steps(self):

@@ -7,8 +7,8 @@ conjugator read off the history must be the label of both sides.  The
 dump must be the text json.dumps writes for the same document.
 The label group records for each word of a machine's closure must be the
 one its letters name.  Every single corruption of a trapezium of at least
-two rows must be refused with a GroupError.  Examples are derandomized to keep the suite
-deterministic.
+two rows must be refused with a GroupError.  Examples are derandomized to
+keep the suite deterministic.
 """
 import json
 import random
@@ -96,16 +96,20 @@ def test_random_computations(case, data):
 # The writer and the emitter have one rule each, so a few walks already
 # reach both w^8 and w^-8.
 FIXTURES = [
-    (_unreduced_writer,
-     lambda m: input_configuration(m, Word.from_tokens("a b a^-1")), 4),
-    (lambda: make_cyclic(build_enhanced_standard(toy_deleter())),
-     lambda m: input_configuration(m, Word.from_tokens("y y")), 20),
-    (cyclic_emitter, lambda m: parse_admissible(m.hw, "u a0 v"), 4),
+    pytest.param(
+        _unreduced_writer,
+        lambda m: input_configuration(m, Word.from_tokens("a b a^-1")), 4,
+        id="unreduced"),
+    pytest.param(
+        lambda: make_cyclic(build_enhanced_standard(toy_deleter())),
+        lambda m: input_configuration(m, Word.from_tokens("y y")), 20,
+        id="cyclic_enhanced"),
+    pytest.param(cyclic_emitter, lambda m: parse_admissible(m.hw, "u a0 v"),
+                 4, id="cyclic_emitter"),
 ]
 
 
-@pytest.mark.parametrize("build, start, walks", FIXTURES,
-                         ids=["unreduced", "cyclic_enhanced", "cyclic_emitter"])
+@pytest.mark.parametrize("build, start, walks", FIXTURES)
 def test_fixture_computations(build, start, walks):
     m = build()
     rng = random.Random(7)
@@ -202,8 +206,7 @@ def test_corruptions_of_random_computations(case, data):
                       lambda seq: data.draw(st.sampled_from(seq)))
 
 
-@pytest.mark.parametrize("build, start, walks", FIXTURES,
-                         ids=["unreduced", "cyclic_enhanced", "cyclic_emitter"])
+@pytest.mark.parametrize("build, start, walks", FIXTURES)
 def test_corruptions_of_fixture_computations(build, start, walks):
     m = build()
     rng = random.Random(7)
