@@ -10,17 +10,24 @@ fixtures, whose writes meet them at every kind of junction; and the keys
 of admissible words of the fixtures against the keys of their flat words.
 On the fixtures, the skip argument of successors, words on foreign
 hardware and the enumeration of reduced computations, pruned or not, are
-checked against plain references too.
+checked against plain references too.  The breadth-first searches
+(bfs_reach, meet_reach, reachable_configs and area_oracle) are checked
+against the parent-map searches they replaced, kept here as references,
+under node budgets that stop a side inside a layer as well as at its end.
 """
+import collections
 import functools
 import itertools
 
 import pytest
 from hypothesis import assume, find, given, settings, strategies as st
 
-from smforge.encode import presentation_to_machine
+from smforge.encode import (IMPOSSIBLE, AreaResult, abelianized_trivial,
+                            area_oracle, presentation_to_machine,
+                            stored_relators)
 from smforge.enhance import build_enhanced_standard, make_cyclic
 from smforge.fixtures import (
+    commutator_presentation,
     paired_multiplier,
     toy_deleter,
     two_sided_multiplier,
@@ -43,13 +50,16 @@ from smforge.machine import (
 from smforge.search import (
     BOUNDED,
     FOUND,
+    UNREACHABLE,
+    ReachResult,
     bfs_reach,
     meet_reach,
     reachable_configs,
     reduced_computations,
     successors,
 )
-from smforge.words import EMPTY, Word, atom, free_reduce, reduced_words, splice
+from smforge.words import (EMPTY, Word, atom, free_reduce, reduced_words, splice,
+                           symmetrized_closure)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -550,3 +560,197 @@ def test_frame_walk_agrees_with_flat_stack(case, max_steps, cut_depth, cut_tape)
     assert runs[0] == runs[1]
     if max_steps <= 0 or cut_depth == 0:
         assert runs[0][0] == [((), start)]
+
+
+# -- the breadth-first searches against a parent-map reference -------------
+
+
+class _ReferenceVisited:
+    """One side of a breadth-first search kept as a parent map, key ->
+    (parent key, a, b) or None for the root, with a frontier of (key,
+    node) pairs and the layers run, each node keyed by its flat key()."""
+
+    def __init__(self, key, root):
+        self.parents = {key: None}
+        self.frontier = [(key, root)]
+        self.depth = 0
+
+    def __contains__(self, key):
+        return key in self.parents
+
+    def __len__(self):
+        return len(self.parents)
+
+    def path(self, key):
+        parents, steps = self.parents, []
+        while parents[key] is not None:
+            key, a, b = parents[key]
+            steps.append((a, b))
+        return steps[::-1]
+
+    def layers(self, expand, max_steps, stop=None):
+        parents = self.parents
+        while self.frontier and self.depth < max_steps and (
+                stop is None or len(parents) < stop):
+            nxt = []
+            frontier, self.frontier = self.frontier, nxt
+            self.depth += 1
+            for ckey, c in frontier:
+                for a, b, res in expand(c, parents[ckey]):
+                    k = res.key()
+                    if k not in parents:
+                        parents[k] = (ckey, a, b)
+                        nxt.append((k, res))
+                        yield k, res
+                        if stop is not None and len(parents) >= stop:
+                            return
+
+
+def _reference_expand(m):
+    def expand(c, entry):
+        return successors(m, c, entry and (entry[1], -entry[2]))
+    return expand
+
+
+def _reference_shortest(expand, start, tkey, max_steps, max_nodes=None):
+    skey = start.key()
+    if skey == tkey:
+        return FOUND, [], 0, 1
+    seen = _ReferenceVisited(skey, start)
+    for k, _ in seen.layers(expand, max_steps, max_nodes):
+        if k == tkey:
+            return FOUND, seen.path(k), seen.depth, len(seen)
+    return (BOUNDED if seen.frontier else UNREACHABLE), None, None, len(seen)
+
+
+def _reference_history(path):
+    return Word([(atom(rule.name), sign) for rule, sign in path])
+
+
+def _reference_bfs(m, start, target, max_steps, max_nodes=None):
+    status, path, depth, explored = _reference_shortest(
+        _reference_expand(m), start, target.key(), max_steps, max_nodes)
+    history = None if path is None else _reference_history(path)
+    return ReachResult(status, history, depth, explored)
+
+
+def _reference_reachable(m, start, max_steps):
+    start = AdmissibleWord(m.hw, start.states, start.tapes)
+    seen = _ReferenceVisited(start.key(), start)
+    dist = {start: 0}
+    for _, res in seen.layers(_reference_expand(m), max_steps):
+        dist[res] = seen.depth
+    return dist, not seen.frontier
+
+
+def _reference_meet(m, start, target, max_steps, max_nodes=None):
+    skey, tkey = start.key(), target.key()
+    if skey == tkey:
+        return ReachResult(FOUND, EMPTY, 0, 1)
+    expand = _reference_expand(m)
+    sides = fwd, back = (_ReferenceVisited(skey, start),
+                         _ReferenceVisited(tkey, target))
+    meet = None
+    while (meet is None and fwd.frontier and back.frontier
+           and fwd.depth + back.depth < max_steps
+           and (max_nodes is None or len(fwd) + len(back) < max_nodes)):
+        here, there = sorted(sides, key=lambda side: len(side.frontier))
+        stop = None if max_nodes is None else max_nodes - len(there)
+        for k, _ in here.layers(expand, here.depth + 1, stop):
+            if meet is None and k in there:
+                meet = k
+    explored = len(fwd) + len(back)
+    if meet is None:
+        status = BOUNDED if fwd.frontier and back.frontier else UNREACHABLE
+        return ReachResult(status, explored=explored)
+    history = (_reference_history(fwd.path(meet))
+               * _reference_history(back.path(meet)).inverse())
+    return ReachResult(FOUND, history, fwd.depth + back.depth, explored)
+
+
+def _reference_area(p, w, max_area, moves="symmetrized"):
+    """area_oracle on _reference_shortest, keyed by the flat key()."""
+    w = free_reduce(w)
+    if not abelianized_trivial(p, w):
+        return AreaResult(IMPOSSIBLE)
+    ins = (stored_relators(p) if moves == "stored"
+           else sorted(symmetrized_closure(p.relators), key=Word.sort_key))
+    max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
+    explored = 0
+
+    def insertions(u, _entry):
+        nonlocal explored
+        for s in ins:
+            for pos in range(len(u), -1, -1):
+                v = Word._of(splice(u.letters[:pos], s.letters,
+                                    u.letters[pos:])[0])
+                explored += 1
+                if len(v) <= max_len:
+                    yield (s, pos), v, v
+
+    status, path, depth, _ = _reference_shortest(insertions, w, EMPTY.key(),
+                                                 max_area)
+    if status != FOUND:
+        return AreaResult(BOUNDED, explored=explored)
+    return AreaResult(FOUND, depth, tuple([a for a, _ in path]),
+                      (w,) + tuple(v for _, v in path), explored)
+
+
+def _budgets(m, start, bound):
+    """No budget, 1 and 2, and the budgets that stop a breadth-first side
+    one node into a layer, at a layer's last node and one node before it."""
+    dist, _ = _reference_reachable(m, start, bound)
+    ends = list(itertools.accumulate(
+        collections.Counter(dist.values())[d] for d in range(bound + 1)))
+    return sorted({1, 2} | {e + k for e in ends for k in (-1, 0, 1)
+                            if e + k >= 1}) + [None]
+
+
+def check_searches(m, start, targets, bound):
+    """bfs_reach, meet_reach and reachable_configs give the reference's
+    answers, explored counts, distances and discovery order."""
+    for depth in range(bound + 1):
+        dist, whole = reachable_configs(m, start, depth)
+        want, want_whole = _reference_reachable(m, start, depth)
+        assert list(dist.items()) == list(want.items())
+        assert whole == want_whole
+    for budget in _budgets(m, start, bound):
+        for target in targets:
+            for search, reference in ((bfs_reach, _reference_bfs),
+                                      (meet_reach, _reference_meet)):
+                got = search(m, start, target, bound, max_nodes=budget)
+                assert got == reference(m, start, target, bound, budget)
+
+
+@PROPERTY
+@given(machines(), st.data())
+def test_searches_agree_with_parent_map_reference(case, data):
+    m, start = case
+    dist, _ = _reference_reachable(m, start, 3)
+    far = data.draw(st.sampled_from(list(dist)))
+    check_searches(m, start, [accept_configuration(m), start, far], 4)
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_INPUTS))
+def test_fixture_searches_agree_with_parent_map_reference(name):
+    m, start = _fixture_start(name)
+    dist, _ = _reference_reachable(m, start, 3)
+    # The accept configuration, the last one reached and a shallow one.
+    targets = [accept_configuration(m), list(dist)[-1], list(dist)[1]]
+    check_searches(m, start, targets, 4)
+
+
+def test_area_oracle_agrees_with_parent_map_reference():
+    p = commutator_presentation()
+    words = [Word.from_tokens(t) for t in (
+        "ε", "x", "x y x^-1 y^-1", "y^-1 x y x^-1", "x y y x^-1 y^-1 y^-1",
+        "x x y x^-1 x^-1 y^-1", "x y x^-1 y^-1 y x y^-1 x^-1",
+        "x y x^-1 y^-1 x y x^-1 y^-1")]
+    statuses = set()
+    for w in words:
+        for moves in ("symmetrized", "stored"):
+            for max_area in (1, 2, 3):
+                got = area_oracle(p, w, max_area, moves=moves)
+                assert got == _reference_area(p, w, max_area, moves)
+                statuses.add(got.status)
+    assert statuses == {FOUND, BOUNDED, IMPOSSIBLE}
