@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
@@ -398,7 +399,7 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     max_len = len(w) + 2 * max((len(r) for r in p.relators), default=1)
     explored = 0
 
-    def insertions(u, _entry):
+    def insertions(u, _a, _b):
         nonlocal explored
         for s in ins:
             # right-to-left: end-of-word insertions realize cheapest
@@ -409,7 +410,8 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
                 if len(v) <= max_len:
                     yield (s, pos), v, v
 
-    status, path, depth, _ = shortest(insertions, w, EMPTY.key(), max_area)
+    key = attrgetter("letters")
+    status, path, depth, _ = shortest(insertions, key, w, key(EMPTY), max_area)
     if status != FOUND:
         return AreaResult(BOUNDED, explored=explored)
     return AreaResult(FOUND, depth, tuple([a for a, _ in path]),

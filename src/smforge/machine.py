@@ -32,9 +32,11 @@ written in one tuple concatenation, and splice runs only when a junction
 cancels.  A rule keeps the base, so the
 gap sectors too: its results skip validation, words from users do not.  A
 configuration is the tuple record (hw, states, tapes), which the kernel
-builds in one allocation.  Its key is its letters: the state letters and
-each tape's letter tuple, concatenated on each call.  Atoms are ints, so
-keys, state tuples and domains hash and compare in C.
+builds in one allocation.  Its key() is its letters: the state letters
+and each tape's letter tuple, concatenated on each call.  Searches key
+it instead on (states, the tapes' letter tuples), built in one C call
+from tuples it already holds.  Atoms are ints, so keys, state tuples and
+domains hash and compare in C.
 Machine._step applies one signed rule of the machine's own; successors, the
 expansion every search runs, applies all of them.  No other module reads the
 compiled table.

@@ -8,15 +8,21 @@ A breadth-first search does not try the step back along the edge that
 reached a configuration: its child is the parent, which is already
 recorded, so answers and explored counts are those of the full expansion.
 Every breadth-first search, here and in encode.area_oracle, keeps each
-side in one _Visited, which owns the parent map, frontier and depth;
-the one-sided ones run on one driver, shortest.  _Visited and
-successors hold the determinism contract: rules are tried in (name,
-sign) order and frontiers kept in insertion order, so the witness
-history found for a given query never changes between runs.
+side in one _Visited: a discovery log that maps each node's search key
+to its place in discovery order and keeps, by place, its parent's place
+and the label of the edge that reached it, and that holds the nodes of
+one layer only.  Each driver hands the log its key function: a
+configuration's key is its state tuple and the letter tuples of its
+tapes, shared with the configuration and packed in C; an area word's is
+its letters.  The one-sided searches run on one driver, shortest.
+_Visited and successors hold the determinism contract: rules are tried
+in (name, sign) order and nodes logged in discovery order, so the
+witness history found for a given query never changes between runs.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from smforge.machine import (AdmissibleWord, Machine, MachineError,
@@ -50,75 +56,86 @@ def _history(path) -> Word:
     return Word([(atom(rule.name), sign) for rule, sign in path])
 
 
+def _key(c: AdmissibleWord, _letters=attrgetter("letters")) -> tuple:
+    """A configuration's search key: its state tuple and each tape's
+    letter tuple, shared with the configuration and packed in C."""
+    return (c.states, *map(_letters, c.tapes))
+
+
 def _expand(m: Machine):
-    """successors without the step back along the node's parent entry."""
-    def expand(c, entry):
-        return successors(m, c, entry and (entry[1], -entry[2]))
+    """successors without the step back along the edge that reached c."""
+    def expand(c, rule, sign):
+        return successors(m, c, rule and (rule, -sign))
     return expand
 
 
 class _Visited:
-    """One side of a breadth-first search: the parent map, key -> (parent
-    key, a, b) or None for the root, read and written only here; the
-    frontier, (key, node) pairs in discovery order, so each node's key is
-    computed once; and depth, the layers run."""
+    """One side of a breadth-first search, as a discovery log, read and
+    written only here.  index maps the search key of each node reached to
+    its place, the order it was first reached in (the root is place 0);
+    parent, a and b hold, by place, the parent's place and the label
+    (a, b) of the edge that reached the node.  frontier holds the nodes
+    of the last layer run, which are the last len(frontier) places, so
+    their keys are neither stored nor rebuilt; depth counts the layers
+    run."""
 
-    __slots__ = ("parents", "frontier", "depth")
+    __slots__ = ("key", "index", "parent", "a", "b", "frontier", "depth")
 
     def __init__(self, key, root):
-        self.parents = {key: None}
-        self.frontier = [(key, root)]
-        self.depth = 0
+        self.key, self.index = key, {key(root): 0}
+        self.parent, self.a, self.b = [None], [None], [None]
+        self.frontier, self.depth = [root], 0
 
     def __contains__(self, key) -> bool:
-        return key in self.parents
+        return key in self.index
 
     def __len__(self) -> int:
-        return len(self.parents)
+        return len(self.index)
 
     def path(self, key) -> list:
         """The (a, b) labels of the recorded edges from the root to key."""
-        parents, steps = self.parents, []
-        while parents[key] is not None:
-            key, a, b = parents[key]
-            steps.append((a, b))
+        place, steps = self.index[key], []
+        while place:
+            steps.append((self.a[place], self.b[place]))
+            place = self.parent[place]
         return steps[::-1]
 
     def layers(self, expand, max_steps: int, stop=None) -> Iterator[tuple]:
         """(key, child) for each node first reached, layer by layer in
         discovery order, until the frontier runs dry, max_steps layers
         have run, or stop nodes are visited (checked before expanding).
-        expand(node, its parent entry) yields (a, b, child): (rule, sign,
+        expand(node, a, b), given the label of the edge that reached the
+        node (None, None at the root), yields (a, b, child): (rule, sign,
         configuration) or ((relator, position), word, word)."""
-        parents = self.parents
+        key, index, a, b = self.key, self.index, self.a, self.b
         while self.frontier and self.depth < max_steps and (
-                stop is None or len(parents) < stop):
-            nxt = []
-            frontier, self.frontier = self.frontier, nxt
+                stop is None or len(index) < stop):
+            frontier, self.frontier = self.frontier, []
             self.depth += 1
-            for ckey, c in frontier:
-                for a, b, res in expand(c, parents[ckey]):
-                    k = res.key()
-                    if k not in parents:
-                        parents[k] = (ckey, a, b)
-                        nxt.append((k, res))
+            for place, c in enumerate(frontier, len(index) - len(frontier)):
+                for x, y, res in expand(c, a[place], b[place]):
+                    k = key(res)
+                    if k not in index:
+                        index[k] = len(index)
+                        self.parent.append(place)
+                        a.append(x)
+                        b.append(y)
+                        self.frontier.append(res)
                         yield k, res
-                        if stop is not None and len(parents) >= stop:
+                        if stop is not None and len(index) >= stop:
                             return
 
 
-def shortest(expand, start, tkey, max_steps: int,
+def shortest(expand, key, start, tkey, max_steps: int,
              max_nodes: Optional[int] = None) -> tuple:
-    """Breadth-first search from start for the node keyed tkey, as
-    (status, path, depth, visited) with the path labels of a shortest
-    route; UNREACHABLE if the frontier ran dry, BOUNDED if layers ran out."""
-    skey = start.key()
-    if skey == tkey:
-        return FOUND, [], 0, 1
-    seen = _Visited(skey, start)
-    for k, _ in seen.layers(expand, max_steps, max_nodes):
-        if k == tkey:
-            return FOUND, seen.path(k), seen.depth, len(seen)
+    """Breadth-first search from start for the node whose key(node) is
+    tkey, as (status, path, depth, visited) with the path labels of a
+    shortest route; UNREACHABLE if the frontier ran dry, BOUNDED if
+    layers ran out."""
+    seen = _Visited(key, start)
+    reached = (k for k, _ in seen.layers(expand, max_steps, max_nodes))
+    if tkey in seen or tkey in reached:
+        return FOUND, seen.path(tkey), seen.depth, len(seen)
     return (BOUNDED if seen.frontier else UNREACHABLE), None, None, len(seen)
 
 
@@ -127,7 +144,7 @@ def bfs_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     """Breadth-first search from start; shortest history to target.  It
     gives up, BOUNDED, after visiting max_nodes configurations."""
     status, path, depth, explored = shortest(
-        _expand(m), start, target.key(), max_steps, max_nodes)
+        _expand(m), _key, start, _key(target), max_steps, max_nodes)
     history = None if path is None else _history(path)
     return ReachResult(status, history, depth, explored)
 
@@ -138,7 +155,7 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
     The flag reports whether the whole component was exhausted.  Every
     configuration in the dict lies on m's hardware, start too."""
     start = AdmissibleWord(m.hw, start.states, start.tapes)
-    seen = _Visited(start.key(), start)
+    seen = _Visited(_key, start)
     dist = {start: 0}
     for _, res in seen.layers(_expand(m), max_steps):
         dist[res] = seen.depth
@@ -153,19 +170,17 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     would return).  It gives up, BOUNDED, after visiting max_nodes
     configurations on both sides together; it always holds both ends, so
     it visits at least 2."""
-    skey, tkey = start.key(), target.key()
-    if skey == tkey:
-        return ReachResult(FOUND, EMPTY, 0, 1)
     # fwd searches from start, back from target; a tie runs fwd (stable sort).
-    expand = _expand(m)
-    sides = fwd, back = _Visited(skey, start), _Visited(tkey, target)
+    sides = fwd, back = _Visited(_key, start), _Visited(_key, target)
+    if _key(target) in fwd:
+        return ReachResult(FOUND, EMPTY, 0, 1)
     meet = None
     while (meet is None and fwd.frontier and back.frontier
            and fwd.depth + back.depth < max_steps
            and (max_nodes is None or len(fwd) + len(back) < max_nodes)):
         here, there = sorted(sides, key=lambda side: len(side.frontier))
         stop = None if max_nodes is None else max_nodes - len(there)
-        for k, _ in here.layers(expand, here.depth + 1, stop):
+        for k, _ in here.layers(_expand(m), here.depth + 1, stop):
             # A meet in this layer has length fwd.depth + back.depth: k
             # cannot be shallower on the other side, or its parent here
             # would have met that side a layer earlier.
@@ -227,8 +242,7 @@ TimeFunction = namedtuple("TimeFunction", "values complete rejected")
 def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
                   max_nodes: Optional[int] = None) -> TimeFunction:
     values, complete, rejected = {}, {}, []
-    best = 0
-    all_complete = True
+    best, all_complete = 0, True
     for n in range(n_max + 1):
         for inputs in enumerate_inputs(m, n, exact=True):
             res = accepts(m, inputs, bound, method, max_nodes)

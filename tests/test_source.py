@@ -56,21 +56,26 @@ def test_only_machine_reads_the_compiled_table():
 
 
 def test_only_the_visited_map_touches_parents():
-    # Every breadth-first search keeps its parent map in one
-    # search._Visited; no other code subscripts, assigns or reads it.
+    # Every breadth-first search keeps each side in one search._Visited,
+    # a discovery log: no code outside the class, in search or in the
+    # area oracle's encode, reads or assigns its index of places, its
+    # parent places or its edge labels.
+    from smforge.search import _Visited
+    log = {"index", "parent", "a", "b"}
+    assert log <= set(_Visited.__slots__)
     tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
-    outside = [node for node in tree.body
+    outside = [("search.py", node) for node in tree.body
                if not (isinstance(node, ast.ClassDef)
                        and node.name == "_Visited")]
+    outside.append(("encode.py", ast.parse(
+        (SRC / "encode.py").read_text(encoding="utf-8"))))
     found = [f"search.py:{node.lineno}: def {node.name}"
              for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)
              and node.name in ("_layer", "_path")]
-    for node in (n for top in outside for n in ast.walk(top)):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name == "parents":
-            found.append(f"search.py:{node.lineno}: parents")
+    found += [f"{name}:{node.lineno}: .{node.attr}"
+              for name, top in outside for node in ast.walk(top)
+              if isinstance(node, ast.Attribute) and node.attr in log]
     assert not found, found
 
 
