@@ -425,10 +425,19 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
 
 def trapezium_to_computation(trap: Trapezium) -> Computation:
     """Re-run the stored interface words along the stored history.  Each
-    stored word must be the configuration the history reaches there."""
+    row must name a rule of the machine with the int sign 1 or -1, and
+    each stored word must be the configuration the history reaches there."""
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
-    comp = run(trap.machine, trap.words[0], trap.history(), strict=False)
+    m, steps = trap.machine, []
+    for j, row in enumerate(trap.rows):
+        rule = m.rule_by_name.get(row.rule)
+        if rule is None:
+            raise GroupError(f"row {j} names no rule of the machine")
+        if type(row.sign) is not int or row.sign not in (1, -1):
+            raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
+        steps.append((rule, row.sign))
+    comp = run(m, trap.words[0], steps, strict=False)
     for j, aw in enumerate(trap.words):
         if j == len(comp.configs) or comp.configs[j] != aw:
             raise GroupError(f"stored word {j} does not replay")
@@ -449,18 +458,19 @@ def validate_trapezium(trap: Trapezium) -> bool:
     named: every stored word is on the standard base, which the rest
     needs; every path names edges of the trapezium; every edge record
     carries its key as id and the kind of its atom, a generator of
-    M(machine); every cell spells a relator of the default presentation
-    and carries that relator's kind, rule and index as its label; every
-    edge is used exactly twice with opposite orientations (the outer
-    contour counts as a face); every row names a rule with the int sign
-    1 or -1, its sides read the theta letter followed by the word the
-    outer part writes off the end, and its bottom and top spell its
-    stored words.  Then trapezium_to_computation replays the stored
-    words exactly along the rows' history, which also counts them.  Then
-    each row's cells must form one theta-band from its left side to its
-    right, and each cell must lie on the band of the row it names, which
-    refuses a missing row and a row of another rule too.  Last, the
-    bottom and top must spell the stored end configurations."""
+    M(machine); every cell spells a relator of the default presentation,
+    carries that relator's kind, rule and index as its label, and names
+    its row by an int if it names one; every edge is used exactly twice
+    with opposite orientations (the outer contour counts as a face);
+    every row names a rule with the int sign 1 or -1, its sides read the
+    theta letter followed by the word the outer part writes off the end,
+    and its bottom and top spell its stored words.  Then
+    trapezium_to_computation replays the stored words exactly along the
+    rows' history, which also counts them.  Then each row's cells must
+    form one theta-band from its left side to its right, and each cell
+    must lie on the band of the row it names, which refuses a missing
+    row and a row of another rule too.  Last, the bottom and top must
+    spell the stored end configurations."""
     m = trap.machine
     for aw in trap.words:
         _check_standard_base(aw)
@@ -501,6 +511,9 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"cell {c!r} does not spell a relator")
         if label != (c.kind, c.rule, c.index):
             raise GroupError(f"cell {c!r} spells a relator of {label!r}")
+        # A row of None is refused by the band walk: no row walks it.
+        if c.row is not None and type(c.row) is not int:
+            raise GroupError(f"cell {c!r} has row {c.row!r}, not an int")
 
     # Once each way for every edge: no use repeats, each is +1 or -1, and
     # there are two per edge.  Otherwise name the first edge that fails.

@@ -243,6 +243,18 @@ class TestTrapezium:
         with pytest.raises(GroupError, match="^stored word 1 does not replay$"):
             trapezium_to_computation(bad)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rule", "nope", "^row 1 names no rule of the machine$"),
+        ("sign", 0, "^row 1 has sign 0, not 1 or -1$"),
+    ], ids=["unknown_rule", "zero_sign"])
+    def test_bad_row_does_not_replay(self, field, value, message):
+        # Unvalidated: the replay names the row, as validation would.
+        m, comp = self.accepting()
+        t = computation_to_trapezium(m, comp)
+        setattr(t.rows[1], field, value)
+        with pytest.raises(GroupError, match=message):
+            trapezium_to_computation(t)
+
     @pytest.mark.parametrize("words", [lambda w: w[:-1], lambda w: w + w[-1:]],
                              ids=["too_few", "too_many"])
     def test_stored_word_count(self, words):
@@ -645,6 +657,9 @@ class TestValidation:
         (lambda t: {"cells": _cell_with(t, 0, row=4)},
          r"^cell Cell\(tq, del, 0, row=4\) is not on the theta-band of its "
          "row$"),
+        # Cell 3 is the first cell of row 1, and True == 1.
+        (lambda t: {"cells": _cell_with(t, 3, row=True)},
+         r"^cell Cell\(tq, del, 0, row=True\) has row True, not an int$"),
         # Row 2 is a del row too, so only the band walk of row 0 sees it.
         (lambda t: {"cells": _cell_with(t, 0, row=2)},
          r"^cell Cell\(tq, del, 0, row=2\) is not on the theta-band of its "
@@ -683,7 +698,8 @@ class TestValidation:
             "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
             "bool_sign", "missing_cell_row", "cell_rule_and_index",
             "cell_kind", "cell_index", "cell_in_other_rule_row",
-            "cell_in_other_row", "detached_sphere", "detached_sphere_no_row",
+            "bool_cell_row", "cell_in_other_row", "detached_sphere",
+            "detached_sphere_no_row",
             "theta_spur_in_cell", "right_sides_swapped",
             "edge_id", "edge_kind", "edge_atom", "edge_theta_atom",
             "swapped_words", "forged_word", "forged_state_word",
