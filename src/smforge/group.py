@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
                     free_reduce, rotations)
-from .machine import AdmissibleWord, Computation, Machine, run
+from .machine import AdmissibleWord, Computation, Machine, SRule, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
 
@@ -423,20 +423,26 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     return Trapezium(m, rows, cells, edges, comp.configs)
 
 
+def _row_rule(m: Machine, j: int, row: Row) -> SRule:
+    """The rule row j names, which must be a rule of m, with the int sign
+    1 or -1."""
+    rule = m.rule_by_name.get(row.rule)
+    if rule is None:
+        raise GroupError(f"row {j} names no rule of the machine")
+    if type(row.sign) is not int or row.sign not in (1, -1):
+        raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
+    return rule
+
+
 def trapezium_to_computation(trap: Trapezium) -> Computation:
     """Re-run the stored interface words along the stored history.  Each
     row must name a rule of the machine with the int sign 1 or -1, and
     each stored word must be the configuration the history reaches there."""
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
-    m, steps = trap.machine, []
-    for j, row in enumerate(trap.rows):
-        rule = m.rule_by_name.get(row.rule)
-        if rule is None:
-            raise GroupError(f"row {j} names no rule of the machine")
-        if type(row.sign) is not int or row.sign not in (1, -1):
-            raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
-        steps.append((rule, row.sign))
+    m = trap.machine
+    steps = [(_row_rule(m, j, row), row.sign)
+             for j, row in enumerate(trap.rows)]
     comp = run(m, trap.words[0], steps, strict=False)
     for j, aw in enumerate(trap.words):
         if j == len(comp.configs) or comp.configs[j] != aw:
@@ -531,11 +537,7 @@ def validate_trapezium(trap: Trapezium) -> bool:
     spelled = [aw.key() for aw in trap.words]
     for j, (row, below, above) in enumerate(zip(trap.rows, spelled,
                                                  spelled[1:])):
-        rule = m.rule_by_name.get(row.rule)
-        if rule is None:
-            raise GroupError(f"row {j} names no rule of the machine")
-        if type(row.sign) is not int or row.sign not in (1, -1):
-            raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
+        rule = _row_rule(m, j, row)
         th = Word.of((theta_atom(rule.name, 0), 1))
         left = th * rule.parts[0].left
         right = th * rule.parts[-1].right.inverse()

@@ -56,7 +56,10 @@ def _history(path) -> Word:
     return Word([(atom(rule.name), sign) for rule, sign in path])
 
 
-def _key(c: AdmissibleWord, _letters=attrgetter("letters")) -> tuple:
+_letters = attrgetter("letters")
+
+
+def _key(c: AdmissibleWord) -> tuple:
     """A configuration's search key: its state tuple and each tape's
     letter tuple, shared with the configuration and packed in C."""
     return (c.states, *map(_letters, c.tapes))
