@@ -74,13 +74,13 @@ def _expand(m: Machine):
 
 class _Visited:
     """One side of a breadth-first search, as a discovery log, read and
-    written only here.  index maps the search key of each node reached to
-    its place, the order it was first reached in (the root is place 0);
-    parent, a and b hold, by place, the parent's place and the label
-    (a, b) of the edge that reached the node.  frontier holds the nodes
-    of the last layer run, which are the last len(frontier) places, so
-    their keys are neither stored nor rebuilt; depth counts the layers
-    run."""
+    written only here.  key(node) is a node's search key, and index maps
+    the key of each node reached to its place, the order it was first
+    reached in (the root is place 0); parent, a and b hold, by place,
+    the parent's place and the label (a, b) of the edge that reached the
+    node.  frontier holds the nodes of the last layer run, which are the
+    last len(frontier) places, so their keys are neither stored nor
+    rebuilt; depth counts the layers run."""
 
     __slots__ = ("key", "index", "parent", "a", "b", "frontier", "depth")
 
