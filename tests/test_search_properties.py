@@ -58,8 +58,8 @@ from smforge.search import (
     reduced_computations,
     successors,
 )
-from smforge.words import (EMPTY, Word, atom, free_reduce, reduced_words, splice,
-                           symmetrized_closure)
+from smforge.words import (EMPTY, Word, atom, free_reduce, reduced_words,
+                           splice, symmetrized_closure)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
