@@ -434,20 +434,26 @@ def _row_rule(m: Machine, j: int, row: Row) -> SRule:
     return rule
 
 
-def trapezium_to_computation(trap: Trapezium) -> Computation:
-    """Re-run the stored interface words along the stored history.  Each
-    row must name a rule of the machine with the int sign 1 or -1, and
-    each stored word must be the configuration the history reaches there."""
+def _replay(trap: Trapezium, steps: list) -> Computation:
+    """Re-run the stored interface words along steps, the rows' checked
+    (rule, sign) pairs.  Each stored word must be the configuration the
+    history reaches there."""
     if len(trap.words) != len(trap.rows) + 1:
         raise GroupError("one more stored word than rows expected")
-    m = trap.machine
-    steps = [(_row_rule(m, j, row), row.sign)
-             for j, row in enumerate(trap.rows)]
-    comp = run(m, trap.words[0], steps, strict=False)
+    comp = run(trap.machine, trap.words[0], steps, strict=False)
     for j, aw in enumerate(trap.words):
         if j == len(comp.configs) or comp.configs[j] != aw:
             raise GroupError(f"stored word {j} does not replay")
     return comp
+
+
+def trapezium_to_computation(trap: Trapezium) -> Computation:
+    """Re-run the stored interface words along the stored history.  Each
+    row must name a rule of the machine with the int sign 1 or -1, and
+    each stored word must be the configuration the history reaches there."""
+    m = trap.machine
+    return _replay(trap, [(_row_rule(m, j, row), row.sign)
+                          for j, row in enumerate(trap.rows)])
 
 
 # -- validation -------------------------------------------------------------
@@ -470,13 +476,12 @@ def validate_trapezium(trap: Trapezium) -> bool:
     with opposite orientations (the outer contour counts as a face);
     every row names a rule with the int sign 1 or -1, its sides read the
     theta letter followed by the word the outer part writes off the end,
-    and its bottom and top spell its stored words.  Then
-    trapezium_to_computation replays the stored words exactly along the
-    rows' history, which also counts them.  Then each row's cells must
-    form one theta-band from its left side to its right, and each cell
-    must lie on the band of the row it names, which refuses a missing
-    row and a row of another rule too.  Last, the bottom and top must
-    spell the stored end configurations."""
+    and its bottom and top spell its stored words.  Then the stored words
+    replay exactly along the rows' history, which also counts them.  Then
+    each row's cells must form one theta-band from its left side to its
+    right, and each cell must lie on the band of the row it names, which
+    refuses a missing row and a row of another rule too.  Last, the
+    bottom and top must spell the stored end configurations."""
     m = trap.machine
     for aw in trap.words:
         _check_standard_base(aw)
@@ -534,10 +539,11 @@ def validate_trapezium(trap: Trapezium) -> bool:
                                  "expected once each way")
 
     # The replay below refuses a stored word too few or too many.
-    spelled = [aw.key() for aw in trap.words]
+    spelled, steps = [aw.key() for aw in trap.words], []
     for j, (row, below, above) in enumerate(zip(trap.rows, spelled,
                                                  spelled[1:])):
         rule = _row_rule(m, j, row)
+        steps.append((rule, row.sign))
         th = Word.of((theta_atom(rule.name, 0), 1))
         left = th * rule.parts[0].left
         right = th * rule.parts[-1].right.inverse()
@@ -552,8 +558,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
         if letters(row.top) != above:
             raise GroupError(f"row {j} top label is wrong")
     # The one replay, after the rows, so that a row's own fault is
-    # named first.
-    trapezium_to_computation(trap)
+    # named first; it takes the rows' rules found above.
+    _replay(trap, steps)
 
     # Each row is one theta-band.  Every cell spells a relator with two
     # theta letters, so two theta uses per cell in all means exactly two

@@ -58,10 +58,11 @@ def test_only_machine_reads_the_compiled_table():
 def test_only_the_visited_map_touches_parents():
     # Every breadth-first search keeps each side in one search._Visited,
     # a discovery log: no code outside the class, in search or in the
-    # area oracle's encode, reads or assigns its index of places, its
-    # parent places or its edge labels.
+    # area oracle's encode, reads or assigns its places by key, its
+    # parent places or its edge labels.  The names are the log's own,
+    # so an unrelated .index or .a elsewhere does not trip the check.
     from smforge.search import _Visited
-    log = {"index", "parent", "a", "b"}
+    log = {"place_of", "parent_at", "a_at", "b_at"}
     assert log <= set(_Visited.__slots__)
     tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
     outside = [("search.py", node) for node in tree.body
@@ -110,7 +111,8 @@ def test_only_machine_names_instance_dicts():
 
 def test_validation_runs_no_kernel():
     # validate_trapezium applies no rule itself: its one replay of the
-    # stored words goes through trapezium_to_computation.
+    # stored words goes through group._replay, which
+    # trapezium_to_computation shares.
     tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
     func = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef)
