@@ -67,40 +67,39 @@ def _key(c: AdmissibleWord) -> tuple:
 
 def _expand(m: Machine):
     """successors without the step back along the edge that reached c."""
-    def expand(c, rule, sign):
-        return successors(m, c, rule and (rule, -sign))
-    return expand
+    return lambda c, rule, sign: successors(m, c, rule and (rule, -sign))
 
 
 class _Visited:
     """One side of a breadth-first search, as a discovery log, read and
-    written only here.  key(node) is a node's search key, and index maps
-    the key of each node reached to its place, the order it was first
-    reached in (the root is place 0); parent, a and b hold, by place,
-    the parent's place and the label (a, b) of the edge that reached the
-    node.  frontier holds the nodes of the last layer run, which are the
-    last len(frontier) places, so their keys are neither stored nor
-    rebuilt; depth counts the layers run."""
+    written only here.  key(node) is a node's search key, and place_of
+    maps the key of each node reached to its place, the order it was
+    first reached in (the root is place 0); parent_at, a_at and b_at
+    hold, by place, the parent's place and the label (a, b) of the edge
+    that reached the node.  frontier holds the nodes of the last layer
+    run, which are the last len(frontier) places, so their keys are
+    neither stored nor rebuilt; depth counts the layers run."""
 
-    __slots__ = ("key", "index", "parent", "a", "b", "frontier", "depth")
+    __slots__ = ("key", "place_of", "parent_at", "a_at", "b_at",
+                 "frontier", "depth")
 
     def __init__(self, key, root):
-        self.key, self.index = key, {key(root): 0}
-        self.parent, self.a, self.b = [None], [None], [None]
+        self.key, self.place_of = key, {key(root): 0}
+        self.parent_at, self.a_at, self.b_at = [None], [None], [None]
         self.frontier, self.depth = [root], 0
 
     def __contains__(self, key) -> bool:
-        return key in self.index
+        return key in self.place_of
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.place_of)
 
     def path(self, key) -> list:
         """The (a, b) labels of the recorded edges from the root to key."""
-        place, steps = self.index[key], []
+        place, steps = self.place_of[key], []
         while place:
-            steps.append((self.a[place], self.b[place]))
-            place = self.parent[place]
+            steps.append((self.a_at[place], self.b_at[place]))
+            place = self.parent_at[place]
         return steps[::-1]
 
     def layers(self, expand, max_steps: int, stop=None) -> Iterator[tuple]:
@@ -110,17 +109,16 @@ class _Visited:
         expand(node, a, b), given the label of the edge that reached the
         node (None, None at the root), yields (a, b, child): (rule, sign,
         configuration) or ((relator, position), word, word)."""
-        key, index, a, b = self.key, self.index, self.a, self.b
+        key, index, a, b = self.key, self.place_of, self.a_at, self.b_at
         while self.frontier and self.depth < max_steps and (
                 stop is None or len(index) < stop):
             frontier, self.frontier = self.frontier, []
             self.depth += 1
             for place, c in enumerate(frontier, len(index) - len(frontier)):
                 for x, y, res in expand(c, a[place], b[place]):
-                    k = key(res)
-                    if k not in index:
+                    if (k := key(res)) not in index:
                         index[k] = len(index)
-                        self.parent.append(place)
+                        self.parent_at.append(place)
                         a.append(x)
                         b.append(y)
                         self.frontier.append(res)
@@ -177,13 +175,14 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     sides = fwd, back = _Visited(_key, start), _Visited(_key, target)
     if _key(target) in fwd:
         return ReachResult(FOUND, EMPTY, 0, 1)
+    expand = _expand(m)
     meet = None
     while (meet is None and fwd.frontier and back.frontier
            and fwd.depth + back.depth < max_steps
            and (max_nodes is None or len(fwd) + len(back) < max_nodes)):
         here, there = sorted(sides, key=lambda side: len(side.frontier))
         stop = None if max_nodes is None else max_nodes - len(there)
-        for k, _ in here.layers(_expand(m), here.depth + 1, stop):
+        for k, _ in here.layers(expand, here.depth + 1, stop):
             # A meet in this layer has length fwd.depth + back.depth: k
             # cannot be shallower on the other side, or its parent here
             # would have met that side a layer earlier.
@@ -245,7 +244,8 @@ TimeFunction = namedtuple("TimeFunction", "values complete rejected")
 def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
                   max_nodes: Optional[int] = None) -> TimeFunction:
     values, complete, rejected = {}, {}, []
-    best, all_complete = 0, True
+    best = 0
+    all_complete = True
     for n in range(n_max + 1):
         for inputs in enumerate_inputs(m, n, exact=True):
             res = accepts(m, inputs, bound, method, max_nodes)

@@ -1,15 +1,16 @@
 """Peak memory and speed of one large breadth-first search.
 
-    python3 tools/reach_probe.py [--max-nodes N] [--runs R]
+    python3 tools/reach_probe.py [--max-nodes N]
 
-Each run starts a fresh child interpreter that builds the commutator
-encoder, presentation_to_machine(commutator_presentation()), and then
-times accepts(m, x, 6, "bfs", max_nodes=N) (N = 100000 by default), the
-search layer's query of ROADMAP aim 1.  One JSON line per run gives
-explored, bytes_per_config (the growth of the child's peak resident set,
+It starts a fresh child interpreter that builds the commutator encoder,
+presentation_to_machine(commutator_presentation()), and then times
+accepts(m, x, 6, "bfs", max_nodes=N) (N = 100000 by default), the search
+layer's query of ROADMAP aim 1.  Its one JSON line gives explored,
+bytes_per_config (the growth of the child's peak resident set,
 ru_maxrss, over the search, divided by explored) and configs_per_s.  The
 child imports the package from src/ of this checkout.  Run from
-anywhere; it reports only, and sets no bound.
+anywhere; it reports only, and sets no bound.  To repeat it, run it
+again: each run is a fresh child.
 """
 import argparse
 import json
@@ -56,11 +57,8 @@ def probe(max_nodes: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-nodes", type=int, default=100000)
-    ap.add_argument("--runs", type=int, default=1)
     args = ap.parse_args(argv)
-    for _ in range(args.runs):
-        print(json.dumps({"max_nodes": args.max_nodes,
-                          **probe(args.max_nodes)}), flush=True)
+    print(json.dumps({"max_nodes": args.max_nodes, **probe(args.max_nodes)}))
     return 0
 
 
