@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .words import (Atom, InvariantError, SmforgeError, Word, atom,
                     free_reduce, rotations)
-from .machine import AdmissibleWord, Computation, Machine, SRule, run
+from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
 
@@ -281,15 +281,14 @@ def _check_standard_base(aw: AdmissibleWord):
 
 
 def _check_computation(m: Machine, comp: Computation):
-    """Refuse a failed computation, a configuration off the standard base,
-    and a step that does not take its configuration to the next one."""
+    """Refuse a failed computation, configurations that do not follow its
+    history, in validation's words (_replay), and a start off the standard
+    base.  The kernel keeps a configuration's base, so every configuration
+    the replay reached is on the start's."""
     if not comp.ok:
         raise GroupError("computation failed; nothing to flatten")
-    for aw in comp.configs:
-        _check_standard_base(aw)
-    for t, (rule, sign) in enumerate(comp.steps):
-        if m.try_apply(comp.configs[t], rule, sign) != comp.configs[t + 1]:
-            raise GroupError(f"step {t} does not replay")
+    _replay(m, comp.configs, comp.steps)
+    _check_standard_base(comp.configs[0])
 
 
 def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
@@ -367,8 +366,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     row = Row(rule.name, 1, bottom, top,
               [(v_first, 1)] + pre[0],
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
-    word = Word._of(tuple([(edges[e].atom, o) for e, o in row.top]))
-    if word != hi.to_word():
+    if tuple([(edges[e].atom, o) for e, o in row.top]) != hi.key():
         raise InvariantError("row top does not spell the resulting word")
     return row, cells
 
@@ -380,8 +378,9 @@ def _flip_path(path):
 def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     """Flatten a computation into a trapezium over M(S).
 
-    Every configuration must have the standard base and every step must
-    replay; negative steps are built as their positive counterparts and
+    The configurations must replay along the history, counted as
+    validation counts the stored words, and the start must have the
+    standard base; negative steps are built as their positive counterparts and
     mounted upside down.  Consecutive rows share their interface path:
     a row's bottom is the previous row's top, and only cells are renumbered."""
     _check_computation(m, comp)
@@ -423,25 +422,29 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     return Trapezium(m, rows, cells, edges, comp.configs)
 
 
-def _row_rule(m: Machine, j: int, row: Row) -> SRule:
-    """The rule row j names, which must be a rule of m, with the int sign
-    1 or -1."""
-    rule = m.rule_by_name.get(row.rule)
-    if rule is None:
-        raise GroupError(f"row {j} names no rule of the machine")
-    if type(row.sign) is not int or row.sign not in (1, -1):
-        raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
-    return rule
+def _steps(trap: Trapezium) -> list:
+    """The rows' (rule, sign) pairs, one per row.  Each row must name a
+    rule of the machine with the int sign 1 or -1."""
+    steps = []
+    for j, row in enumerate(trap.rows):
+        rule = trap.machine.rule_by_name.get(row.rule)
+        if rule is None:
+            raise GroupError(f"row {j} names no rule of the machine")
+        if type(row.sign) is not int or row.sign not in (1, -1):
+            raise GroupError(f"row {j} has sign {row.sign!r}, not 1 or -1")
+        steps.append((rule, row.sign))
+    return steps
 
 
-def _replay(trap: Trapezium, steps: list) -> Computation:
-    """Re-run the stored interface words along steps, the rows' checked
-    (rule, sign) pairs.  Each stored word must be the configuration the
-    history reaches there."""
-    if len(trap.words) != len(trap.rows) + 1:
+def _replay(m: Machine, words, steps) -> Computation:
+    """The one check that configurations follow a history: words must hold
+    one more word than steps, and running steps from words[0] must reach
+    each of them in turn.  The first word the history does not reach is
+    named."""
+    if len(words) != len(steps) + 1:
         raise GroupError("one more stored word than rows expected")
-    comp = run(trap.machine, trap.words[0], steps, strict=False)
-    for j, aw in enumerate(trap.words):
+    comp = run(m, words[0], steps, strict=False)
+    for j, aw in enumerate(words):
         if j == len(comp.configs) or comp.configs[j] != aw:
             raise GroupError(f"stored word {j} does not replay")
     return comp
@@ -451,9 +454,7 @@ def trapezium_to_computation(trap: Trapezium) -> Computation:
     """Re-run the stored interface words along the stored history.  Each
     row must name a rule of the machine with the int sign 1 or -1, and
     each stored word must be the configuration the history reaches there."""
-    m = trap.machine
-    return _replay(trap, [(_row_rule(m, j, row), row.sign)
-                          for j, row in enumerate(trap.rows)])
+    return _replay(trap.machine, trap.words, _steps(trap))
 
 
 # -- validation -------------------------------------------------------------
@@ -538,12 +539,11 @@ def validate_trapezium(trap: Trapezium) -> bool:
                 raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
                                  "expected once each way")
 
-    # The replay below refuses a stored word too few or too many.
-    spelled, steps = [aw.key() for aw in trap.words], []
-    for j, (row, below, above) in enumerate(zip(trap.rows, spelled,
-                                                 spelled[1:])):
-        rule = _row_rule(m, j, row)
-        steps.append((rule, row.sign))
+    # steps covers every row, so the replay below refuses a stored word
+    # too few or too many.
+    spelled, steps = [aw.key() for aw in trap.words], _steps(trap)
+    for j, (row, (rule, _), below, above) in enumerate(
+            zip(trap.rows, steps, spelled, spelled[1:])):
         th = Word.of((theta_atom(rule.name, 0), 1))
         left = th * rule.parts[0].left
         right = th * rule.parts[-1].right.inverse()
@@ -558,8 +558,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
         if letters(row.top) != above:
             raise GroupError(f"row {j} top label is wrong")
     # The one replay, after the rows, so that a row's own fault is
-    # named first; it takes the rows' rules found above.
-    _replay(trap, steps)
+    # named first.
+    _replay(m, trap.words, steps)
 
     # Each row is one theta-band.  Every cell spells a relator with two
     # theta letters, so two theta uses per cell in all means exactly two

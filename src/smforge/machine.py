@@ -626,18 +626,16 @@ def run(m: Machine, start: AdmissibleWord, history, strict: bool = True) -> Comp
     """
     steps = _as_steps(m, history)
     configs = [start]
-    done = []
     for i, (rule, sign) in enumerate(steps):
         out = m.apply_ex(configs[-1], rule, sign)
         if not out.ok:
             if strict:
                 raise MachineError(
                     f"step {i} ({rule.name}^{sign}): {out.reason}")
-            return Computation(m, start, done, configs, ok=False,
+            return Computation(m, start, steps[:i], configs, ok=False,
                                failed_at=i, reason=out.reason)
-        done.append((rule, sign))
         configs.append(out.result)
-    return Computation(m, start, done, configs)
+    return Computation(m, start, steps, configs)
 
 
 # -- configurations --------------------------------------------------------

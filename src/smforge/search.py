@@ -22,6 +22,7 @@ witness history found for a given query never changes between runs.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -200,15 +201,20 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
 # -- acceptance and time functions -----------------------------------------
 
 
+def _search(method: str):
+    """The search a method names: "bfs" or "meet"."""
+    if method not in ("bfs", "meet"):
+        raise MachineError(f"unknown search method {method!r}")
+    return meet_reach if method == "meet" else bfs_reach
+
+
 def tm_of_config(m: Machine, config: AdmissibleWord, bound: int,
                  method: str = "bfs", max_nodes: Optional[int] = None
                  ) -> ReachResult:
     """Length of a shortest computation from config to the accept
     configuration."""
-    if method not in ("bfs", "meet"):
-        raise MachineError(f"unknown search method {method!r}")
-    search = meet_reach if method == "meet" else bfs_reach
-    return search(m, config, accept_configuration(m), bound, max_nodes)
+    return _search(method)(m, config, accept_configuration(m), bound,
+                           max_nodes)
 
 
 def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
@@ -219,19 +225,14 @@ def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
 
 def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]:
     """Tuples of reduced input words, one per input sector, of total
-    length <= n (== n if exact), in deterministic order."""
-    alphabets = [m.sector_alphabets[s] for s in m.input_sectors]
-
-    def rec(i, budget):
-        if i == len(alphabets):
-            if budget == 0 or budget > 0 and not exact:
-                yield ()
-            return
-        for w in reduced_words(alphabets[i], budget):
-            for rest in rec(i + 1, budget - len(w)):
-                yield (w,) + rest
-
-    yield from rec(0, n)
+    length <= n (== n if exact), in deterministic order: the product of
+    each sector's reduced_words up to n, filtered.  reduced_words is
+    breadth-first, so a sector's words up to any b <= n come first."""
+    for inputs in product(*[reduced_words(m.sector_alphabets[s], n)
+                            for s in m.input_sectors]):
+        total = sum(map(len, inputs))
+        if total == n or total < n and not exact:
+            yield inputs
 
 
 # TM(n) over all accepted inputs of length <= n: values maps n to the
@@ -243,12 +244,14 @@ TimeFunction = namedtuple("TimeFunction", "values complete rejected")
 
 def time_function(m: Machine, n_max: int, bound: int, method: str = "bfs",
                   max_nodes: Optional[int] = None) -> TimeFunction:
+    search = _search(method)
     values, complete, rejected = {}, {}, []
     best = 0
     all_complete = True
     for n in range(n_max + 1):
         for inputs in enumerate_inputs(m, n, exact=True):
-            res = accepts(m, inputs, bound, method, max_nodes)
+            res = search(m, input_configuration(m, inputs),
+                         accept_configuration(m), bound, max_nodes)
             if res.found:
                 best = max(best, res.length)
             elif res.status == UNREACHABLE:

@@ -298,7 +298,7 @@ class TestTm:
         for command in ("present", "encode")])
     def test_deeply_nested_input(self, capsys, tmp_path, command, text):
         path = tmp_path / "deep.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code = main([command, str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -544,7 +544,8 @@ def _fresh_python(*argv, cwd=None, text=True, **env_overrides):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=text, timeout=60)
+                          capture_output=True, text=text, timeout=60,
+                          encoding="utf-8" if text else None)
 
 
 C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}

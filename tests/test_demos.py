@@ -21,7 +21,8 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8",
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -32,7 +33,8 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     (tour,) = re.findall(r"```python\n(.*?)```", text, re.S)
     # python -c puts its working directory, here src, first on sys.path
     proc = subprocess.run([sys.executable, "-c", tour], cwd=ROOT / "src",
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8",
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2 del acc\n"
     (commands,) = [b for b in re.findall(r"```sh\n(.*?)```", text, re.S)

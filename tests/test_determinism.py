@@ -52,6 +52,7 @@ def _probe(tmp_path, *options, seed="0", names=()):
                                            str(ROOT / "tests")]))
     proc = subprocess.Popen([sys.executable, *options, "-c", PROBE, *names],
                             cwd=tmp_path, env=env, text=True,
+                            encoding="utf-8",
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     return proc, f"{options} PYTHONHASHSEED={seed}, {len(names)} atoms first"
 

@@ -105,11 +105,11 @@ class TestPresentation:
         assert q.dumps() == p.dumps()
         # canonical bytes: rewriting changes nothing
         q.save(path)
-        assert json.loads(path.read_text())["name"] == "z2"
+        assert json.loads(path.read_text(encoding="utf-8"))["name"] == "z2"
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
+        path.write_text("{nope", encoding="utf-8")
         with pytest.raises(SerializeError, match="not valid JSON"):
             GroupPresentation.load(path)
 

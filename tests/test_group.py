@@ -354,16 +354,24 @@ class TestTrapezium:
                            match="^interface paths do not match$"):
             computation_to_trapezium(m, comp)
 
-    @pytest.mark.parametrize("flatten", [computation_to_trapezium,
-                                         conjugator_from_accepting],
-                             ids=["trapezium", "conjugator"])
-    def test_step_that_does_not_replay_refused(self, flatten):
-        # del takes q0s y q1s to q0s q1s, not back to q0s y q1s
-        m = toy_deleter()
-        c0 = input_configuration(m, W("y"))
-        comp = Computation(m, c0, [(m.rule("del"), 1)], [c0, c0])
-        with pytest.raises(GroupError, match="^step 0 does not replay$"):
-            flatten(m, comp)
+    @pytest.mark.parametrize("flatten, configs, message", [
+        (flatten, configs, message)
+        for configs, message in [
+            # del takes q0s y y q1s to q0s y q1s, not back to q0s y y q1s
+            (lambda c: c[:1] + c[:1] + c[2:], "^stored word 1 does not replay$"),
+            (lambda c: c[:-1], "^one more stored word than rows expected$"),
+            (lambda c: c + c[-1:], "^one more stored word than rows expected$"),
+        ]
+        for flatten in (computation_to_trapezium, conjugator_from_accepting)
+    ], ids=["trapezium", "conjugator", "trapezium_too_few", "conjugator_too_few",
+            "trapezium_too_many", "conjugator_too_many"])
+    def test_step_that_does_not_replay_refused(self, flatten, configs, message):
+        # Flattening refuses the configurations in the words validation
+        # uses for the stored words it keeps them as.
+        m, comp = self.accepting()
+        bad = Computation(m, comp.start, comp.steps, configs(comp.configs))
+        with pytest.raises(GroupError, match=message):
+            flatten(m, bad)
 
 
 class TestTrapeziumExport:

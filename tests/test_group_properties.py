@@ -7,11 +7,14 @@ conjugator read off the history must be the label of both sides.  The
 dump must be the text json.dumps writes for the same document.
 The label group records for each word of a machine's closure must be the
 one its letters name.  Every single corruption of a trapezium of at least
-two rows must be refused with a GroupError.  Examples are derandomized to
-keep the suite deterministic.
+two rows must be refused with a GroupError, and so must every single
+corruption of a computation that no longer follows its history; one that
+still does must flatten.  Examples are derandomized to keep the suite
+deterministic.
 """
 import json
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +32,8 @@ from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
                            theta_atom, trapezium_dumps,
                            trapezium_to_computation, trapezium_to_dict,
                            validate_trapezium)
-from smforge.machine import input_configuration, parse_admissible, run
+from smforge.machine import (Computation, input_configuration,
+                             parse_admissible, run)
 from smforge.primitive import build_lr, build_rl
 from smforge.search import successors
 from smforge.words import Word, symmetrized_closure
@@ -214,6 +218,80 @@ def test_corruptions_of_fixture_computations(build, start, walks):
         comp = _walk(m, start(m), rng.choice, 8)
         if len(comp) >= 2:
             check_corruptions(computation_to_trapezium(m, comp), rng.choice)
+
+
+def computation_corruptions(comp, choose):
+    """(name, computation) for each single corruption of a computation of
+    at least two steps: a configuration dropped, duplicated or swapped
+    with the next one, or a step's sign flipped.  choose picks the
+    configuration and the step."""
+    configs, steps = comp.configs, comp.steps
+
+    def rebuilt(configs=configs, steps=steps):
+        return Computation(comp.machine, configs[0], steps, configs)
+
+    i = choose(range(len(configs)))
+    yield "drop", rebuilt(configs=configs[:i] + configs[i + 1:])
+    yield "duplicate", rebuilt(configs=configs[:i + 1] + configs[i:])
+    k = choose(range(len(configs) - 1))
+    yield "swap", rebuilt(configs=_put(_put(configs, k, configs[k + 1]),
+                                       k + 1, configs[k]))
+    t = choose(range(len(steps)))
+    rule, sign = steps[t]
+    yield "step_sign", rebuilt(steps=_put(steps, t, (rule, -sign)))
+
+
+def follows(comp):
+    """The reference: one configuration more than steps, and each step
+    takes its configuration to the next, as successors lists it."""
+    m, configs = comp.machine, comp.configs
+    return len(configs) == len(comp.steps) + 1 and all(
+        (rule, sign, after) in successors(m, before)
+        for (rule, sign), before, after in zip(comp.steps, configs,
+                                                configs[1:]))
+
+
+def check_computation_corruptions(comp, choose):
+    m = comp.machine
+    assert validate_trapezium(computation_to_trapezium(m, comp))
+    for name, bad in computation_corruptions(comp, choose):
+        if follows(bad):
+            assert validate_trapezium(computation_to_trapezium(m, bad)), name
+            continue
+        for flatten in (computation_to_trapezium, conjugator_from_accepting):
+            try:
+                flatten(m, bad)
+            except GroupError as err:
+                assert str(err) == "one more stored word than rows expected" \
+                    or str(err).endswith(" does not replay"), (name, err)
+            else:
+                pytest.fail(f"{name}: {flatten.__name__} takes the "
+                            "corrupted computation")
+
+
+@PROPERTY
+@given(machines(), st.data())
+def test_corruptions_of_random_computation_histories(case, data):
+    m, start = case
+    comp = _walk(m, start,
+                 lambda options: data.draw(st.sampled_from(options)),
+                 data.draw(st.integers(2, 8)))
+    assume(len(comp) >= 2)
+    check_computation_corruptions(comp,
+                                  lambda seq: data.draw(st.sampled_from(seq)))
+
+
+def test_corruption_that_still_replays_flattens():
+    # idle writes nothing and keeps the state letters, so idle^-1 takes
+    # each configuration where idle does: the flipped step still replays,
+    # and the check must flatten and validate it.
+    m = one_sector_left_multiplier(idle=True)
+    comp = run(m, input_configuration(m, Word.from_tokens("a")),
+               ["mul(b)", "idle", "mul(a)"])
+    choose = itemgetter(1)
+    bad = dict(computation_corruptions(comp, choose))["step_sign"]
+    assert bad.steps[1] == (m.rule("idle"), -1) and follows(bad)
+    check_computation_corruptions(comp, choose)
 
 
 def scanned_labels(m):

@@ -294,8 +294,11 @@ class TestInputsAndTimeFunction:
             with pytest.raises(MachineError,
                                match=f"unknown search method '{method}'"):
                 accepts(m, W("y y"), 3, method=method)
-        with pytest.raises(MachineError, match="unknown search method 'typo'"):
-            time_function(m, 1, 3, method="typo")
+        # n_max = -1 asks for no input at all: the method is still checked.
+        for n_max in (1, -1):
+            with pytest.raises(MachineError,
+                               match="unknown search method 'typo'"):
+                time_function(m, n_max, 3, method="typo")
 
 
 class TestReducedComputations:

@@ -137,7 +137,7 @@ class TestValidation:
 
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text("{nope")
+        p.write_text("{nope", encoding="utf-8")
         with pytest.raises(SerializeError, match="not valid JSON"):
             load_machine(p)
 

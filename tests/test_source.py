@@ -124,3 +124,26 @@ def test_validation_runs_no_kernel():
                           else None]
              if name in kernel]
     assert not found, found
+
+
+def test_group_replays_in_one_place():
+    # Every check in group that configurations follow a history, for
+    # validation, the round trip, flattening and conjugators alike, is
+    # the one counted replay in group._replay: group applies no rule
+    # anywhere else, and names machine.run only there.
+    tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
+    replay = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_replay")
+    inside = set(map(id, ast.walk(replay)))
+    kernel = {"try_apply", "apply_ex", "_step", "successors"}
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None)
+        if name in kernel or (name == "run" and id(node) not in inside
+                              and not isinstance(node, ast.alias)):
+            found.append(f"group.py:{node.lineno}: {name}")
+    assert not found, found

@@ -13,7 +13,8 @@ def test_reach_probe_reports_one_line():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "reach_probe.py"),
          "--max-nodes", "300"],
-        capture_output=True, text=True, timeout=120, check=True)
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
+        check=True)
     (line,) = proc.stdout.splitlines()
     row = json.loads(line)
     assert row["max_nodes"] == 300 and row["explored"] == 300
