@@ -366,8 +366,8 @@ class TestTrapezium:
     ], ids=["trapezium", "conjugator", "trapezium_too_few", "conjugator_too_few",
             "trapezium_too_many", "conjugator_too_many"])
     def test_step_that_does_not_replay_refused(self, flatten, configs, message):
-        # Flattening refuses the configurations in the words validation
-        # uses for the stored words it keeps them as.
+        # Flattening keeps the configurations as the trapezium's stored
+        # words, so it refuses them in validation's words.
         m, comp = self.accepting()
         bad = Computation(m, comp.start, comp.steps, configs(comp.configs))
         with pytest.raises(GroupError, match=message):
