@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from smforge.machine import (AdmissibleWord, Hardware, Machine, RulePart,
@@ -384,7 +383,8 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     if at most 5, an upper bound above.  Breadth-first from w on
     search.shortest: insert one relator (the symmetrized closure, or just
     the stored ones) at any position and reduce, splicing at the two
-    junctions.  Words longer than w plus two relators are skipped; as one
+    junctions.  The search runs on bare letter tuples, each its own
+    search key, and builds Words only for the answer.  Words longer than w plus two relators are skipped; as one
     insertion changes the length by at most a relator's, a derivation of
     k insertions passes that cap only when k >= 6.  Running out of words
     certifies nothing: only ``found`` and ``impossible`` are conclusive,
@@ -404,18 +404,17 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
         for s in ins:
             # right-to-left: end-of-word insertions realize cheapest
             for pos in range(len(u), -1, -1):
-                v = Word._of(splice(u.letters[:pos], s.letters,
-                                    u.letters[pos:])[0])
+                v = splice(u[:pos], s.letters, u[pos:])[0]
                 explored += 1
                 if len(v) <= max_len:
                     yield (s, pos), v, v
 
-    key = attrgetter("letters")
-    status, path, depth, _ = shortest(insertions, key, w, key(EMPTY), max_area)
+    status, path, depth, _ = shortest(insertions, tuple, w.letters, (),
+                                      max_area)
     if status != FOUND:
         return AreaResult(BOUNDED, explored=explored)
     return AreaResult(FOUND, depth, tuple([a for a, _ in path]),
-                      (w,) + tuple(v for _, v in path), explored)
+                      (w,) + tuple(Word._of(v) for _, v in path), explored)
 
 
 # -- canonical computations ------------------------------------------------

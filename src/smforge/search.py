@@ -22,7 +22,6 @@ witness history found for a given query never changes between runs.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -225,14 +224,18 @@ def accepts(m: Machine, inputs, bound: int, method: str = "bfs",
 
 def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]:
     """Tuples of reduced input words, one per input sector, of total
-    length <= n (== n if exact), in deterministic order: the product of
-    each sector's reduced_words up to n, filtered.  reduced_words is
-    breadth-first, so a sector's words up to any b <= n come first."""
-    for inputs in product(*[reduced_words(m.sector_alphabets[s], n)
-                            for s in m.input_sectors]):
-        total = sum(map(len, inputs))
-        if total == n or total < n and not exact:
-            yield inputs
+    length <= n (== n if exact), in the order of the product of every
+    sector's reduced_words up to n: each sector's words stop at the room
+    the earlier ones left, a prefix of its words up to n, as reduced_words
+    is breadth-first.  So the walk visits about as many tuples as it yields."""
+    def walk(inputs, room, sectors):
+        if not sectors:
+            if room == 0 or room > 0 and not exact:
+                yield inputs
+            return
+        for w in reduced_words(m.sector_alphabets[sectors[0]], room):
+            yield from walk(inputs + (w,), room - len(w), sectors[1:])
+    yield from walk((), n, m.input_sectors)
 
 
 # TM(n) over all accepted inputs of length <= n: values maps n to the

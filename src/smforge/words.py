@@ -8,7 +8,8 @@ tuples of atoms hash and compare in C.  A Word is an immutable sequence of
 signed atoms, and its letters are its hashable key; nothing here reduces
 automatically.  Free reduction is an explicit step: ``free_reduce``
 for arbitrary words, and ``splice`` for a product of three pieces that are
-each already reduced, where only the two junctions can cancel.
+each already reduced, where only the two junctions can cancel: it runs
+one junction scan, ``_join``, at each of them.
 """
 from __future__ import annotations
 
@@ -203,36 +204,31 @@ def free_reduce(w: Word) -> Word:
     return Word._of(tuple(out))
 
 
+def _join(left: tuple, right: tuple) -> tuple[tuple, int]:
+    """The reduced product of two reduced letter tuples, with the number
+    of letters cancelled at their junction; an empty piece passes the
+    other through."""
+    if not left or not right:
+        return left or right, 0
+    n, i = len(left), 0
+    k = n if n < len(right) else len(right)
+    while i < k:
+        (a, s), (b, t) = left[-1 - i], right[i]
+        if a is not b or s != -t:
+            break
+        i += 1
+    return left[:n - i] + right[i:], i
+
+
 def splice(left: tuple, mid: tuple, right: tuple) -> tuple[tuple, int, int]:
     """The reduced product of three reduced letter tuples, with the number
     of letters cancelled at the left junction (left against mid) and then
-    at the right one (what is left of left.mid against right).  Only the
-    junctions are scanned, so every piece must already be reduced; an empty
-    piece is skipped without a scan or a copy."""
-    i = j = 0
-    if left and mid:
-        n = len(left)
-        k = n if n < len(mid) else len(mid)
-        while i < k:
-            (a, s), (b, t) = left[-1 - i], mid[i]
-            if a is not b or s != -t:
-                break
-            i += 1
-        left = left[:n - i] + mid[i:]
-    elif mid:
-        left = mid
-    if left and right:
-        n = len(left)
-        k = n if n < len(right) else len(right)
-        while j < k:
-            (a, s), (b, t) = left[-1 - j], right[j]
-            if a is not b or s != -t:
-                break
-            j += 1
-        left = left[:n - j] + right[j:]
-    elif right:
-        left = right
-    return left, i, j
+    at the right one (what is left of left.mid against right).  Each
+    junction is one _join, so every piece must already be reduced; an
+    empty piece passes through without a scan or a copy."""
+    inner, i = _join(left, mid)
+    product, j = _join(inner, right)
+    return product, i, j
 
 
 def rotations(w: Word) -> list[Word]:
@@ -291,14 +287,16 @@ def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
 
 
 def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:
-    """All reduced words of length <= max_len, in deterministic order."""
+    """All reduced words of length <= max_len, in deterministic order:
+    breadth-first, so shorter words come first.  Each is derived from the
+    alphabet's atoms, so it is built unchecked."""
     if max_len < 0:
         return
     sigs = []
     for a in sorted(alphabet, key=lambda a: a.name):
         sigs.extend([(a, 1), (a, -1)])
     frontier = [()]
-    yield Word()
+    yield Word._of(())
     for _ in range(max_len):
         nxt = []
         for tup in frontier:
@@ -307,5 +305,5 @@ def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:
                     continue
                 new = tup + (let,)
                 nxt.append(new)
-                yield Word(new)
+                yield Word._of(new)
         frontier = nxt

@@ -37,7 +37,7 @@ from smforge.search import (
     time_function,
     tm_of_config,
 )
-from smforge.words import EMPTY, Word
+from smforge.words import EMPTY, Word, reduced_words
 
 
 def W(text):
@@ -250,7 +250,46 @@ class TestMeet:
             assert a.found and b.found and a.length == b.length
 
 
+def _sectors_machine(alphabets, input_sectors):
+    """A machine without rules whose sectors have these alphabets."""
+    parts = [StatePart(f"S{i}", [f"s{i}"]) for i in range(len(alphabets) + 1)]
+    return Machine("sectors", Hardware(parts, alphabets, input_sectors), [])
+
+
+def _product_inputs(m, n, exact):
+    # The reference: the product of every input sector's words up to n,
+    # filtered by their total length.
+    for inputs in itertools.product(*[reduced_words(m.sector_alphabets[s], n)
+                                      for s in m.input_sectors]):
+        total = sum(map(len, inputs))
+        if total == n or total < n and not exact:
+            yield inputs
+
+
 class TestInputsAndTimeFunction:
+    def test_enumerate_inputs_keeps_the_product_order(self):
+        # Zero to three input sectors, in and out of sector order.
+        alphabets = [["p", "q"], ["r"], ["t"]]
+        for inputs in [(), (0,), (2, 0), (1, 0, 2)]:
+            m = _sectors_machine(alphabets, inputs)
+            for n in range(-1, 5):
+                for exact in (False, True):
+                    assert (list(enumerate_inputs(m, n, exact))
+                            == list(_product_inputs(m, n, exact)))
+
+    def test_enumerate_inputs_visits_about_what_it_yields(self, monkeypatch):
+        # Each sector's words stop at what the earlier sectors left of n,
+        # so the work is counted per yielded tuple, not per candidate of
+        # the product of every sector's words.
+        m = _sectors_machine([["p", "q"], ["r", "s"]], (0, 1))
+        calls = []
+        length = Word.__len__
+        monkeypatch.setattr(Word, "__len__",
+                            lambda w: calls.append(1) or length(w))
+        got = list(enumerate_inputs(m, 4, exact=True))
+        assert len(got) == 648
+        assert len(calls) <= 4 * len(got)
+
     def test_enumerate_inputs_counts(self):
         m = toy_deleter()
         assert len(list(enumerate_inputs(m, 2))) == 1 + 2 + 2

@@ -147,3 +147,23 @@ def test_group_replays_in_one_place():
                               and not isinstance(node, ast.alias)):
             found.append(f"group.py:{node.lineno}: {name}")
     assert not found, found
+
+
+def test_splice_runs_one_junction_scan():
+    # Both junctions of words.splice go through one scan loop: splice and
+    # the words.py functions it calls, transitively, hold one while loop.
+    tree = ast.parse((SRC / "words.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    todo, seen = ["splice"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo += [node.func.id for node in ast.walk(funcs[name])
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id in funcs]
+    loops = [f"words.py:{node.lineno}" for name in sorted(seen)
+             for node in ast.walk(funcs[name]) if isinstance(node, ast.While)]
+    assert len(loops) == 1, loops

@@ -207,6 +207,15 @@ class TestSplice:
         assert splice(W("x y").letters, W("y^-1").letters,
                       W("x^-1").letters) == ((), 1, 1)
 
+    def test_empty_pieces_pass_through(self):
+        # The kernel's splice(pre, (), post) relies on this: with two
+        # pieces empty, the third comes back itself, not a copy.
+        t = W("x y^-1 x").letters
+        assert splice(t, (), ())[0] is t
+        assert splice((), t, ())[0] is t
+        assert splice((), (), t)[0] is t
+        assert splice((), (), ()) == ((), 0, 0)
+
 
 class TestCyclic:
     def test_rotations_count(self):
