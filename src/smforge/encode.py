@@ -384,11 +384,12 @@ def area_oracle(p: GroupPresentation, w: Word, max_area: int,
     search.shortest: insert one relator (the symmetrized closure, or just
     the stored ones) at any position and reduce, splicing at the two
     junctions.  The search runs on bare letter tuples, each its own
-    search key, and builds Words only for the answer.  Words longer than w plus two relators are skipped; as one
-    insertion changes the length by at most a relator's, a derivation of
-    k insertions passes that cap only when k >= 6.  Running out of words
-    certifies nothing: only ``found`` and ``impossible`` are conclusive,
-    and all three are sound."""
+    search key, and builds Words only for the answer.  Words longer than
+    w plus two relators are skipped; as one insertion changes the length
+    by at most a relator's, a derivation of k insertions passes that cap
+    only when k >= 6.  Running out of words certifies nothing: only
+    ``found`` and ``impossible`` are conclusive, and all three are
+    sound."""
     if moves not in ("symmetrized", "stored"):
         raise EncodeError(f"unknown move set {moves!r}")
     w = free_reduce(w)

@@ -226,8 +226,8 @@ def enumerate_inputs(m: Machine, n: int, exact: bool = False) -> Iterator[tuple]
     """Tuples of reduced input words, one per input sector, of total
     length <= n (== n if exact), in the order of the product of every
     sector's reduced_words up to n: each sector's words stop at the room
-    the earlier ones left, a prefix of its words up to n, as reduced_words
-    is breadth-first.  So the walk visits about as many tuples as it yields."""
+    the earlier ones left, which are a prefix of its words up to n as
+    reduced_words is breadth-first.  The walk yields about what it visits."""
     def walk(inputs, room, sectors):
         if not sectors:
             if room == 0 or room > 0 and not exact:

@@ -287,9 +287,8 @@ def copy_alphabet(base: Iterable[Atom], fmt: str) -> AlphabetMorphism:
 
 
 def reduced_words(alphabet: Iterable[Atom], max_len: int) -> Iterator[Word]:
-    """All reduced words of length <= max_len, in deterministic order:
-    breadth-first, so shorter words come first.  Each is derived from the
-    alphabet's atoms, so it is built unchecked."""
+    """All reduced words of length <= max_len, breadth-first in name order;
+    derived from the alphabet's atoms, they are built unchecked."""
     if max_len < 0:
         return
     sigs = []
