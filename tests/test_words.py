@@ -146,6 +146,36 @@ class TestAlgebra:
             assert seen[r.key()] == r
 
 
+def _stack_pass(letters):
+    """Free reduction as a stack that keeps the reduced letters: the
+    reference free_reduce must agree with."""
+    out = []
+    for a, s in letters:
+        if out and out[-1][0] is a and out[-1][1] == -s:
+            out.pop()
+        else:
+            out.append((a, s))
+    return tuple(out)
+
+
+_LETTERS = st.sampled_from([(x, 1), (x, -1), (y, 1), (y, -1)])
+
+
+@st.composite
+def _folded_words(draw):
+    """Letter tuples of up to 64 letters over {x, y}: a random word with
+    up to three pieces u . u^-1 put in, each u random, so cancellations
+    come nested, and a piece may go in again, so they repeat."""
+    letters = draw(st.lists(_LETTERS, max_size=16))
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.lists(_LETTERS, max_size=4))
+        piece = u + [(a, -s) for a, s in reversed(u)]
+        for _ in range(draw(st.integers(1, 2))):
+            pos = draw(st.integers(0, len(letters)))
+            letters[pos:pos] = piece
+    return tuple(letters)
+
+
 class TestFreeReduce:
     def test_exhaustive_idempotent_and_fixed(self):
         # Every length-<=5 word over {x,y}: reduction is idempotent, and the
@@ -164,6 +194,17 @@ class TestFreeReduce:
     def test_reduced_detects(self):
         assert W("x y").is_reduced()
         assert not W("x x^-1").is_reduced()
+
+    @PROPERTY
+    @given(_folded_words())
+    def test_agrees_with_a_plain_stack_pass(self, letters):
+        assert free_reduce(Word(letters)).letters == _stack_pass(letters)
+
+    @pytest.mark.parametrize("text", [
+        "x x^-1", "x x x^-1 x^-1", "x y y^-1 x^-1 x x", "x x^-1 x x^-1 x",
+        "y x x^-1 y^-1 y x x^-1 y^-1 y", "x^-1 y x x^-1 y^-1 x x"])
+    def test_nested_and_repeated(self, text):
+        assert free_reduce(W(text)).letters == _stack_pass(W(text).letters)
 
 
 def _reduced():
