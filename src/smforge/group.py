@@ -15,8 +15,8 @@ from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
-from .words import (Atom, InvariantError, SmforgeError, Word, atom,
-                    free_reduce, rotations)
+from .words import (Atom, InvariantError, SmforgeError, Word, _cancellations,
+                    atom, free_reduce, rotations)
 from .machine import AdmissibleWord, Computation, Machine, run
 from .encode import GroupPresentation
 from .serialize import SCHEMA_VERSION, dumps_canonical
@@ -259,21 +259,6 @@ def _spell_admissible(edges, aw):
     return tuple(path), b_state, b_tape
 
 
-def _fold(*words: Word):
-    """The flat letters of the product of ``words`` and, for each, the
-    position it cancels with or None.  Survivors spell the reduced product."""
-    letters = list(chain.from_iterable([w.letters for w in words]))
-    partner = [None] * len(letters)
-    stack = []
-    for t, (a, e) in enumerate(letters):
-        if stack and letters[stack[-1]] == (a, -e):
-            s = stack.pop()
-            partner[s], partner[t] = t, s
-        else:
-            stack.append(t)
-    return letters, partner
-
-
 def _check_standard_base(aw: AdmissibleWord):
     want = tuple((i, 1) for i in range(aw.hw.n_parts))
     if aw.base != want:
@@ -295,10 +280,12 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
                   hi: AdmissibleWord):
     """Build one band for a positive application of ``rule`` taking ``lo``
     to ``hi``, both on the standard base; the outer parts' writes fall off
-    the ends of the word.  Returns (row, cells).  In each sector's fold of
-    right write · tape · left write, a tape letter keeps its bottom edge,
-    each other letter in turn shares its partner's edge if that has one yet
-    or takes a fresh one, and each surviving tape letter gets a square."""
+    the ends of the word.  Returns (row, cells).  In each sector, the one
+    free-reduction scan (words._cancellations) of right write · tape · left
+    write pairs the letters that cancel: a tape letter keeps its bottom
+    edge, each other letter in turn shares its partner's edge if that has
+    one yet or takes a fresh one, and the survivors, in order, spell the
+    sector's top, each surviving tape letter through a square."""
     n = m.n_parts
     rp = rule.parts
     # theta[i] is theta_{(i+1) mod n}, so theta[-1] is theta_0.
@@ -316,11 +303,12 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     squares = [[] for _ in range(n - 1)]
     sector_top = [[] for _ in range(n - 1)]
     for s in range(n - 1):
-        tape = lo.tapes[s]
-        letters, partner = _fold(rp[s].right, tape, rp[s + 1].left)
-        rn = len(rp[s].right)
-        wn = rn + len(tape)
-        spans = [None] * rn + b_tape[s] + [None] * (len(letters) - wn)
+        right, left = rp[s].right.letters, rp[s + 1].left.letters
+        letters = right + lo.tapes[s].letters + left
+        partner, survivors = _cancellations(letters)
+        rn = len(right)
+        wn = len(letters) - len(left)
+        spans = [None] * rn + b_tape[s] + [None] * len(left)
         for t, (a, e) in enumerate(letters):
             if spans[t] is not None:
                 continue
@@ -331,13 +319,13 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
                 spans[t] = (_new_edge(edges, a, "a"), e)
         post[s] = spans[:rn]
         pre[s + 1] = spans[wn:]
-        for t, p in enumerate(partner):  # the tape letters are at rn..wn-1
-            if p is None and rn <= t < wn:
+        for t in survivors:  # the tape letters are at rn..wn-1
+            if rn <= t < wn:
                 be, e = spans[t]
                 te = _new_edge(edges, letters[t][0], "a")
                 squares[s].append((be, e, te))
                 sector_top[s].append((te, e))
-            elif p is None:
+            else:
                 sector_top[s].append(spans[t])
 
     # Columns left to right; every vertical over sector s carries index

@@ -9,7 +9,9 @@ signed atoms, and its letters are its hashable key; nothing here reduces
 automatically.  Free reduction is an explicit step: ``free_reduce``
 for arbitrary words, and ``splice`` for a product of three pieces that are
 each already reduced, where only the two junctions can cancel: it runs
-one junction scan, ``_join``, at each of them.
+one junction scan, ``_join``, at each of them.  ``free_reduce`` keeps the
+survivors of the one free-reduction scan, ``_cancellations``, whose
+pairing of cancelled letters the trapezium rows read too.
 """
 from __future__ import annotations
 
@@ -193,15 +195,26 @@ _new = object.__new__
 EMPTY = Word()
 
 
-def free_reduce(w: Word) -> Word:
-    """Free reduction by a single stack pass."""
-    out: list[Letter] = []
-    for a, s in w.letters:
-        if out and out[-1][0] is a and out[-1][1] == -s:
-            out.pop()
+def _cancellations(letters: tuple) -> tuple[list, list]:
+    """The one free-reduction scan, a single stack pass: partner[t] is the
+    position of the letter that letter t cancels against, or None, and
+    survivors lists, in order, the positions whose letters spell the
+    reduced word."""
+    partner: list = [None] * len(letters)
+    survivors: list[int] = []
+    for t, (a, s) in enumerate(letters):
+        if survivors and letters[survivors[-1]] == (a, -s):
+            u = survivors.pop()
+            partner[u], partner[t] = t, u
         else:
-            out.append((a, s))
-    return Word._of(tuple(out))
+            survivors.append(t)
+    return partner, survivors
+
+
+def free_reduce(w: Word) -> Word:
+    """Free reduction: the letters that survive the one scan."""
+    letters = w.letters
+    return Word._of(tuple([letters[t] for t in _cancellations(letters)[1]]))
 
 
 def _join(left: tuple, right: tuple) -> tuple[tuple, int]:

@@ -627,9 +627,9 @@ class TestEntryPoint:
     def test_failed_self_check_exits_4(self, capsys, monkeypatch, deleter_file):
         # Without the pairing of cancelling letters, the y^-1 that 'del'
         # writes stays on the row top, which then misspells the result.
-        fold = group._fold
-        monkeypatch.setattr(group, "_fold", lambda *words: (
-            fold(*words)[0], [None] * sum(map(len, words))))
+        # The row builder's scan is patched where group imports it.
+        monkeypatch.setattr(group, "_cancellations", lambda letters: (
+            [None] * len(letters), list(range(len(letters)))))
         code = main(["trapezium", deleter_file, "--input", "y",
                      "--history", "del acc"])
         captured = capsys.readouterr()

@@ -6,14 +6,16 @@ computation and dump to the same bytes on a second build, and the
 conjugator read off the history must be the label of both sides.  The
 dump must be the text json.dumps writes for the same document.
 The label group records for each word of a machine's closure must be the
-one its letters name.  Every single corruption of a trapezium of at least
-two rows must be refused with a GroupError, and so must every single
+one its letters name.  The row builder's free-reduction scan must pair
+the letters of its inputs as a plain stack pass does.  Every single
+corruption of a trapezium of at least two rows must be refused with a GroupError, and so must every single
 corruption of a computation that no longer follows its history; one that
 still does must flatten.  Examples are derandomized to keep the suite
 deterministic.
 """
 import json
 import random
+from itertools import chain
 from operator import itemgetter
 
 import pytest
@@ -35,11 +37,11 @@ from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
 from smforge.machine import (Computation, input_configuration,
                              parse_admissible, run)
 from smforge.primitive import build_lr, build_rl
-from smforge.search import successors
-from smforge.words import Word, symmetrized_closure
+from smforge.search import reachable_configs, successors
+from smforge.words import Word, _cancellations, symmetrized_closure
 
 from test_group import cyclic_emitter
-from test_search_properties import _unreduced_writer, machines
+from test_search_properties import _long_writer, _unreduced_writer, machines
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -339,3 +341,57 @@ def test_closure_labels_are_pinned(build):
 @given(machines())
 def test_closure_labels_of_random_machines(case):
     check_labels(case[0])
+
+
+def _fold(*words):
+    """The flat letters of the product of words and, for each, the position
+    it cancels with or None: the stack pass that paired a row's letters
+    before the row builder shared free_reduce's scan, kept as the
+    reference."""
+    letters = list(chain.from_iterable([w.letters for w in words]))
+    partner = [None] * len(letters)
+    stack = []
+    for t, (a, e) in enumerate(letters):
+        if stack and letters[stack[-1]] == (a, -e):
+            s = stack.pop()
+            partner[s], partner[t] = t, s
+        else:
+            stack.append(t)
+    return letters, partner
+
+
+def check_row_scans(m, start):
+    """For each rule applied to a configuration within three steps of
+    start, each sector's right write . tape . left write, the letters the
+    row builder scans, pairs as _fold pairs them, and the survivors are
+    the unpaired positions in order."""
+    n = m.n_parts
+    for c in reachable_configs(m, start, 3)[0]:
+        for rule, sign, res in successors(m, c):
+            lo, rp = (c if sign > 0 else res), rule.parts
+            for s in range(n - 1):
+                pieces = (rp[s].right, lo.tapes[s], rp[s + 1].left)
+                letters = tuple(chain.from_iterable(
+                    [w.letters for w in pieces]))
+                partner, survivors = _cancellations(letters)
+                assert (list(letters), partner) == _fold(*pieces)
+                assert survivors == [t for t, p in enumerate(partner)
+                                     if p is None]
+
+
+@pytest.mark.parametrize("build, inputs", [
+    (_unreduced_writer, "a b a^-1 b a"), (_long_writer, "a^-1 b a b"),
+    (toy_deleter, "y y y"), (paired_multiplier, "a_l b_r a_r^-1 b_l"),
+    (two_sided_multiplier, "a b a b^-1"),
+    (lambda: make_cyclic(build_enhanced_standard(toy_deleter())), "y y"),
+], ids=["unreduced", "long_writer", "deleter", "paired", "two_sided",
+        "cyclic_enhanced"])
+def test_row_scan_pairs_as_a_stack_pass(build, inputs):
+    m = build()
+    check_row_scans(m, input_configuration(m, Word.from_tokens(inputs)))
+
+
+@PROPERTY
+@given(machines())
+def test_row_scan_pairs_as_a_stack_pass_on_random_machines(case):
+    check_row_scans(*case)

@@ -167,3 +167,15 @@ def test_splice_runs_one_junction_scan():
     loops = [f"words.py:{node.lineno}" for name in sorted(seen)
              for node in ast.walk(funcs[name]) if isinstance(node, ast.While)]
     assert len(loops) == 1, loops
+
+
+def test_group_holds_no_reduction_pass():
+    # Trapezium rows pair their cancelling letters with the one
+    # free-reduction scan in words, which free_reduce shares: group makes
+    # no .pop() call, so it holds no stack pass of its own.
+    tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
+    found = [f"group.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pop"]
+    assert not found, found
