@@ -457,7 +457,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
 
     Each fact is checked once, in this order, and the first fault is
     named: every stored word is on the standard base, which the rest
-    needs; every path names edges of the trapezium; every edge record
+    needs; every path names edges of the trapezium, each with the int
+    orientation 1 or -1; every edge record
     carries its key as id and the kind of its atom, a generator of
     M(machine); every cell spells a relator of the default presentation,
     carries that relator's kind, rule and index as its label, and names
@@ -469,7 +470,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
     replay exactly along the rows' history, which also counts them.  Then
     each row's cells must form one theta-band from its left side to its
     right, and each cell must lie on the band of the row it names, which
-    refuses a missing row and a row of another rule too.  Last, the
+    refuses a missing row and a row of another rule too; and a cell of
+    each row must use every edge of that row's bottom and top.  Last, the
     bottom and top must spell the stored end configurations."""
     m = trap.machine
     for aw in trap.words:
@@ -481,6 +483,12 @@ def validate_trapezium(trap: Trapezium) -> bool:
     paths = [p for r in trap.rows for p in (r.bottom, r.top, r.left, r.right)]
     if not set(map(itemgetter(0), chain(uses, *paths))) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
+    # True equals 1 but is no orientation, and the checks below compare
+    # orientations by value.
+    if not set(map(type, map(itemgetter(1), chain(uses, *paths)))) <= {int}:
+        e, o = next((e, o) for e, o in chain(uses, *paths)
+                    if type(o) is not int)
+        raise GroupError(f"edge {e} has orientation {o!r}, not 1 or -1")
 
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
@@ -562,14 +570,17 @@ def validate_trapezium(trap: Trapezium) -> bool:
         raise GroupError("a cell has more than two theta edges")
     first = dict(zip(reversed(theta), range(len(theta) - 1, -1, -1)))
     last = dict(zip(theta, range(len(theta))))
-    # A cell no row walks matches no row field, not even None.
+    # A cell no row walks matches no row field, not even None.  band lists
+    # the cells in walk order, row j's from ends[j] to ends[j + 1].
     walked = [object()] * len(trap.cells)
+    band, ends = [], [0]
     for j, row in enumerate(trap.rows):
         end = -1 if row.sign < 0 else 0
         e, stop = row.left[end][0], row.right[end][0]
         t = first.get(e, -1)
         while t >= 0:
             walked[t >> 1] = j
+            band.append(t >> 1)
             t ^= 1
             e = theta[t]
             if e == stop:
@@ -579,9 +590,20 @@ def validate_trapezium(trap: Trapezium) -> bool:
         else:
             raise GroupError(f"row {j} is not one theta-band: its walk "
                              f"stops at edge {e}")
+        ends.append(len(band))
     if walked != list(map(attrgetter("row"), trap.cells)):
         c = next(c for c, j in zip(trap.cells, walked) if c.row != j)
         raise GroupError(f"cell {c!r} is not on the theta-band of its row")
+    # Each row's bottom and top run along its own band: a cell of the row
+    # uses every edge on them.
+    boundaries = list(map(attrgetter("boundary"), trap.cells))
+    for j, row in enumerate(trap.rows):
+        used = set(map(itemgetter(0), chain.from_iterable(
+            map(boundaries.__getitem__, band[ends[j]:ends[j + 1]]))))
+        for side, path in (("bottom", row.bottom), ("top", row.top)):
+            if not used.issuperset(map(itemgetter(0), path)):
+                e = next(e for e, _ in path if e not in used)
+                raise GroupError(f"row {j} {side} leaves its band at edge {e}")
 
     if letters(trap.bottom) != spelled[0]:
         raise GroupError("bottom label is wrong")

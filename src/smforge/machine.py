@@ -271,7 +271,7 @@ class AdmissibleWord(tuple):
                 raise MachineError(f"bad state letter {a!r}")
             if a not in hw.part_of:
                 raise MachineError(f"{a.name!r} is not a state letter")
-            if isinstance(e, Atom) or e not in (1, -1):
+            if type(e) is not int or e not in (1, -1):  # no atom, no bool
                 raise MachineError(f"bad sign {e!r}")
         for j, (w, s) in enumerate(zip(tapes, self.gap_sectors)):
             for a, _ in w.letters:
@@ -514,7 +514,7 @@ class Machine:
         return {rs: _SignedRule(self.hw, *rs) for rs in self._signed_rules}, {}
 
     def _entry(self, rule: SRule, sign: int) -> _SignedRule:
-        if isinstance(sign, Atom) or sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # no atom, no bool
             raise MachineError(f"rule {rule.name!r}: bad sign {sign!r}")
         entry = self._table[0].get((rule, sign))
         if entry is None:

@@ -93,8 +93,9 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
         for a, s in letters:
-            # An atom equals its id: the atom whose id is 1 is no sign.
-            if (not isinstance(a, Atom) or isinstance(s, Atom)
+            # An atom equals its id and True equals 1, but neither is a
+            # sign: only the ints 1 and -1 are.
+            if (not isinstance(a, Atom) or type(s) is not int
                     or s not in (1, -1)):
                 raise WordError(f"bad letter {(a, s)!r}")
         _set_letters(self, letters)

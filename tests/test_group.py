@@ -528,14 +528,26 @@ def _row_with(t, j, **fields):
     rows = list(t.rows)
     r = rows[j]
     rows[j] = Row(fields.get("rule", r.rule), fields.get("sign", r.sign),
-                  r.bottom, r.top, r.left, r.right)
+                  fields.get("bottom", r.bottom), fields.get("top", r.top),
+                  r.left, r.right)
+    return rows
+
+
+def _interface_on_row_2_top(t):
+    """Rows 0 and 1 with the path between them pointed at row 2's top,
+    which spells the same word, q0s y q1s: every label still reads, and
+    the outer contour is untouched, so every edge is still used once
+    each way."""
+    rows = _row_with(t, 0, top=t.rows[2].top)
+    rows[1] = _row_with(t, 1, bottom=t.rows[2].top)[1]
     return rows
 
 
 def _cell_with(t, i, **fields):
     cells = list(t.cells)
     c = cells[i]
-    cells[i] = Cell(fields.get("kind", c.kind), c.boundary,
+    cells[i] = Cell(fields.get("kind", c.kind),
+                    fields.get("boundary", c.boundary),
                     fields.get("rule", c.rule), fields.get("index", c.index),
                     fields.get("row", c.row))
     return cells
@@ -680,6 +692,13 @@ class TestValidation:
         (_theta_spur_in_cell, "^a cell has more than two theta edges$"),
         (lambda t: {"rows": _right_sides_swapped(t)},
          "^row 0 is not one theta-band: its walk stops at edge 10$"),
+        (lambda t: {"rows": _interface_on_row_2_top(t)},
+         "^row 0 top leaves its band at edge 19$"),
+        # Cell 0 starts with edge 0, the state letter q0s of the bottom;
+        # True == 1, so every edge is still used once each way.
+        (lambda t: {"cells": _cell_with(t, 0, boundary=(
+            (0, True),) + t.cells[0].boundary[1:])},
+         "^edge 0 has orientation True, not 1 or -1$"),
         # Edge 2 is the first tape letter y of the bottom.
         (lambda t: {"edges": _edge_with(t, 2, id=3)},
          r"^edge 2 is recorded as Edge\(3, y, a\), not Edge\(2, y, a\)$"),
@@ -709,6 +728,7 @@ class TestValidation:
             "bool_cell_row", "cell_in_other_row", "detached_sphere",
             "detached_sphere_no_row",
             "theta_spur_in_cell", "right_sides_swapped",
+            "interface_on_another_row", "bool_orientation",
             "edge_id", "edge_kind", "edge_atom", "edge_theta_atom",
             "swapped_words", "forged_word", "forged_state_word",
             "one_letter_base", "duplicated_cell"])

@@ -546,6 +546,25 @@ class TestSigns:
             AdmissibleWord(m.hw, [(atom("q0s"), one), (atom("q1s"), 1)],
                            [EMPTY])
 
+    # True equals 1 too, but a configuration or a step spelled with it
+    # would write true where an equal one writes 1.
+
+    def test_a_bool_is_no_rule_sign(self):
+        m = toy_deleter()
+        c = input_configuration(m, W("y"))
+        rule = m.rule("del")
+        for call in (lambda: m.apply_ex(c, rule, True),
+                     lambda: m.try_apply(c, rule, True),
+                     lambda: run(m, c, [(rule, True)])):
+            with pytest.raises(MachineError, match="bad sign True"):
+                call()
+
+    def test_a_bool_is_no_state_letter_sign(self):
+        m = toy_deleter()
+        with pytest.raises(MachineError, match="^bad sign True$"):
+            AdmissibleWord(m.hw, [(atom("q0s"), True), (atom("q1s"), 1)],
+                           [EMPTY])
+
     def test_an_id_is_no_state_letter(self):
         # Nor is an id an atom, though it equals one.
         m = toy_deleter()

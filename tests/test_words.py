@@ -68,6 +68,11 @@ class TestAtoms:
         with pytest.raises(WordError, match="bad letter"):
             Word([(x, one)])
 
+    def test_a_bool_is_no_sign(self):
+        # True equals 1, but a word spelled with it would write true.
+        with pytest.raises(WordError, match="bad letter"):
+            Word([(x, True)])
+
     def test_copies_are_the_interned_atom(self):
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         assert pickle.loads(pickle.dumps((x, -1)))[0] is x
