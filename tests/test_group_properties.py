@@ -8,10 +8,10 @@ dump must be the text json.dumps writes for the same document.
 The label group records for each word of a machine's closure must be the
 one its letters name.  The row builder's free-reduction scan must pair
 the letters of its inputs as a plain stack pass does.  Every single
-corruption of a trapezium of at least two rows must be refused with a GroupError, and so must every single
-corruption of a computation that no longer follows its history; one that
-still does must flatten.  Examples are derandomized to keep the suite
-deterministic.
+corruption of a trapezium of at least two rows must be refused with a
+GroupError, and so must every single corruption of a computation that
+no longer follows its history; one that still does must flatten.
+Examples are derandomized to keep the suite deterministic.
 """
 import json
 import random
@@ -371,8 +371,7 @@ def check_row_scans(m, start):
             lo, rp = (c if sign > 0 else res), rule.parts
             for s in range(n - 1):
                 pieces = (rp[s].right, lo.tapes[s], rp[s + 1].left)
-                letters = tuple(chain.from_iterable(
-                    [w.letters for w in pieces]))
+                letters = (pieces[0] * pieces[1] * pieces[2]).letters
                 partner, survivors = _cancellations(letters)
                 assert (list(letters), partner) == _fold(*pieces)
                 assert survivors == [t for t, p in enumerate(partner)
