@@ -11,7 +11,7 @@ sides record the history.
 from __future__ import annotations
 
 import weakref
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -101,19 +101,19 @@ _GROUPS = weakref.WeakKeyDictionary()
 
 
 def _group_record(m: Machine, closure: bool = True) -> list:
-    """[kind_of, closure] of the default M(m), kept while m lives.
-    kind_of maps each generator to "q", "a" or "theta", a state or tape
-    letter before a theta letter of the same name.  closure, None until
-    asked for, maps each word of the symmetrized closure to the label of
-    its relator; machine_to_group(m) checks M(m) first, and a failure is
-    raised again on every call."""
+    """[edge_of, closure] of the default M(m), kept while m lives.
+    edge_of maps each generator to its one Edge, of kind "q", "a" or
+    "theta", a state or tape letter before a theta letter of the same
+    name.  closure, None until asked for, maps each word of the
+    symmetrized closure to the label of its relator; machine_to_group(m)
+    checks M(m) first, and a failure is raised again on every call."""
     record = _GROUPS.get(m)
     if record is None:
         kind_of = {theta_atom(r.name, i): "theta"
                    for r in m.rules for i in range(m.n_parts)}
         kind_of.update(dict.fromkeys(m.hw.sector_of, "a"))
         kind_of.update(dict.fromkeys(m.hw.part_of, "q"))
-        record = _GROUPS[m] = [kind_of, None]
+        record = _GROUPS[m] = [{a: Edge(a, k) for a, k in kind_of.items()}, None]
     if closure and record[1] is None:
         machine_to_group(m)
         record[1] = {v.letters: label for label, w in _relators(m)
@@ -129,11 +129,11 @@ Q_TYPE, A_TYPE, THETA_TYPE = "q", "a", "t"
 def letter_types(m: Machine, w: Word) -> str:
     """Classify each letter of a word over M(S) as q, a, or t(heta): the
     first letter of its edge kind."""
-    kind_of = _group_record(m, closure=False)[0]
+    edge_of = _group_record(m, closure=False)[0]
     for a, _ in w:
-        if a not in kind_of:
+        if a not in edge_of:
             raise GroupError(f"{a.name!r} is not a generator of M({m.name})")
-    return "".join([kind_of[a][0] for a, _ in w])
+    return "".join([edge_of[a].kind[0] for a, _ in w])
 
 
 def modified_length_from_types(types: str, n_parts: int) -> Fraction:
@@ -159,15 +159,17 @@ def modified_length(m: Machine, w: Word) -> Fraction:
 # -- trapezia ---------------------------------------------------------------
 
 class Edge:
-    __slots__ = ("id", "atom", "kind")  # kind: "q" | "a" | "theta"
+    """The label record of one generator of M(S), shared by every edge
+    that carries it."""
 
-    def __init__(self, id, atom, kind):
-        self.id = id
+    __slots__ = ("atom", "kind")  # kind: "q" | "a" | "theta"
+
+    def __init__(self, atom, kind):
         self.atom = atom
         self.kind = kind
 
     def __repr__(self):
-        return f"Edge({self.id}, {self.atom.name}, {self.kind})"
+        return f"Edge({self.atom.name}, {self.kind})"
 
 
 class Cell:
@@ -241,17 +243,17 @@ class Trapezium:
                 f"{len(self.cells)} cells)")
 
 
-def _new_edge(edges: list, a: Atom, kind: str) -> int:
-    """Append a fresh edge; its id is its position in the list."""
-    edges.append(Edge(len(edges), a, kind))
+def _new_edge(edges: list, a: Atom) -> int:
+    """Append a fresh edge's atom; its id is its position in the list."""
+    edges.append(a)
     return len(edges) - 1
 
 
 def _spell_admissible(edges, aw):
     """Fresh edges spelling an admissible word; returns (path, state edge
     ids, per-sector tape paths)."""
-    b_state = [_new_edge(edges, a, "q") for a, _ in aw.states]
-    b_tape = [[(_new_edge(edges, a, "a"), e) for a, e in w] for w in aw.tapes]
+    b_state = [_new_edge(edges, a) for a, _ in aw.states]
+    b_tape = [[(_new_edge(edges, a), e) for a, e in w] for w in aw.tapes]
     path = [(b_state[0], aw.states[0][1])]
     for j, tape in enumerate(b_tape):
         path.extend(tape)
@@ -292,14 +294,14 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     theta = [theta_atom(rule.name, (i + 1) % n) for i in range(n)]
 
     bottom, b_state, b_tape = _spell_admissible(edges, lo)
-    t_state = [_new_edge(edges, rp[i].to, "q") for i in range(n)]
+    t_state = [_new_edge(edges, rp[i].to) for i in range(n)]
 
     # Per part: the l- and r-spans of its cell top; per sector: squares for
     # the surviving tape letters and the resulting top-path entries.
     pre = [None] * n
     post = [None] * n
-    pre[0] = [(_new_edge(edges, a, "a"), e) for a, e in rp[0].left.letters]
-    post[n - 1] = [(_new_edge(edges, a, "a"), e) for a, e in rp[-1].right.letters]
+    pre[0] = [(_new_edge(edges, a), e) for a, e in rp[0].left.letters]
+    post[n - 1] = [(_new_edge(edges, a), e) for a, e in rp[-1].right.letters]
     squares = [[] for _ in range(n - 1)]
     sector_top = [[] for _ in range(n - 1)]
     for s in range(n - 1):
@@ -316,13 +318,13 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
             if p is not None and spans[p] is not None:
                 spans[t] = (spans[p][0], -spans[p][1])
             else:
-                spans[t] = (_new_edge(edges, a, "a"), e)
+                spans[t] = (_new_edge(edges, a), e)
         post[s] = spans[:rn]
         pre[s + 1] = spans[wn:]
         for t in survivors:  # the tape letters are at rn..wn-1
             if rn <= t < wn:
                 be, e = spans[t]
-                te = _new_edge(edges, letters[t][0], "a")
+                te = _new_edge(edges, letters[t][0])
                 squares[s].append((be, e, te))
                 sector_top[s].append((te, e))
             else:
@@ -331,11 +333,11 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     # Columns left to right; every vertical over sector s carries index
     # (s+1) mod n, and the outermost two carry index 0.
     cells = []
-    left_v = _new_edge(edges, theta[-1], "theta")
+    left_v = _new_edge(edges, theta[-1])
     v_first = left_v
     top = []
     for i in range(n):
-        rv = _new_edge(edges, theta[i], "theta")
+        rv = _new_edge(edges, theta[i])
         span = list(pre[i]) + [(t_state[i], 1)] + list(post[i])
         boundary = ([(b_state[i], 1), (rv, 1)]
                     + [(e, -o) for e, o in reversed(span)]
@@ -345,7 +347,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
         top.append((t_state[i], 1))
         if i < n - 1:
             for be, e, te in squares[i]:
-                rv = _new_edge(edges, theta[i], "theta")
+                rv = _new_edge(edges, theta[i])
                 cells.append(Cell("ta", [(be, e), (rv, 1), (te, -e),
                                          (left_v, -1)], rule.name, i))
                 left_v = rv
@@ -354,7 +356,7 @@ def _positive_row(edges: list, m: Machine, lo: AdmissibleWord, rule,
     row = Row(rule.name, 1, bottom, top,
               [(v_first, 1)] + pre[0],
               [(left_v, 1)] + [(e, -o) for e, o in reversed(post[n - 1])])
-    if tuple([(edges[e].atom, o) for e, o in row.top]) != hi.key():
+    if tuple([(edges[e], o) for e, o in row.top]) != hi.key():
         raise InvariantError("row top does not spell the resulting word")
     return row, cells
 
@@ -372,14 +374,8 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
     mounted upside down.  Consecutive rows share their interface path:
     a row's bottom is the previous row's top, and only cells are renumbered."""
     _check_computation(m, comp)
-    edges = []
-    if not comp.steps:
-        path, _, _ = _spell_admissible(edges, comp.configs[0])
-        return Trapezium(m, [], [], dict(enumerate(edges)), comp.configs,
-                         degenerate=path)
-    rows = []
-    cells = []
-    alias = {}
+    edges, rows, cells, alias = [], [], [], {}
+    path = () if comp.steps else _spell_admissible(edges, comp.configs[0])[0]
     for t, (rule, sign) in enumerate(comp.steps):
         lo, hi = comp.configs[t], comp.configs[t + 1]
         if sign > 0:
@@ -397,8 +393,7 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
             # Glue: the fresh bottom spells the previous top edge for edge;
             # only it and this row's cells name the edges dropped here.
             up, down = rows[-1].top, row.bottom
-            if ([(edges[e].atom, edges[e].kind, o) for e, o in up]
-                    != [(edges[e].atom, edges[e].kind, o) for e, o in down]):
+            if [(edges[e], o) for e, o in up] != [(edges[e], o) for e, o in down]:
                 raise InvariantError("interface paths do not match")
             alias.update(zip(map(itemgetter(0), down), map(itemgetter(0), up)))
             row.bottom = up
@@ -406,8 +401,9 @@ def computation_to_trapezium(m: Machine, comp: Computation) -> Trapezium:
         cells.extend(rcells)
     for c in cells:
         c.boundary = tuple([(alias.get(e, e), o) for e, o in c.boundary])
-    edges = {e: edge for e, edge in enumerate(edges) if e not in alias}
-    return Trapezium(m, rows, cells, edges, comp.configs)
+    edge_of = _group_record(m, closure=False)[0]
+    edges = {e: edge_of[a] for e, a in enumerate(edges) if e not in alias}
+    return Trapezium(m, rows, cells, edges, comp.configs, degenerate=path)
 
 
 def _steps(trap: Trapezium) -> list:
@@ -457,13 +453,14 @@ def validate_trapezium(trap: Trapezium) -> bool:
 
     Each fact is checked once, in this order, and the first fault is
     named: every stored word is on the standard base, which the rest
-    needs; every path names edges of the trapezium, each with the int
-    orientation 1 or -1; every edge record
-    carries its key as id and the kind of its atom, a generator of
-    M(machine); every cell spells a relator of the default presentation,
-    carries that relator's kind, rule and index as its label, and names
-    its row by an int if it names one; every edge is used exactly twice
-    with opposite orientations (the outer contour counts as a face);
+    needs; every path names edges of the trapezium; every edge key, both
+    members of every path entry, every cell index and every cell row
+    other than None is an int, in one pass; every edge record carries
+    the kind of its atom, a generator of M(machine), by value, so that a
+    copy of a trapezium validates too; every cell spells a relator of
+    the default presentation and carries that relator's kind, rule and
+    index as its label; every edge is used exactly twice, with the
+    opposite orientations 1 and -1 (the outer contour counts as a face);
     every row names a rule with the int sign 1 or -1, its sides read the
     theta letter followed by the word the outer part writes off the end,
     and its bottom and top spell its stored words.  Then the stored words
@@ -483,29 +480,41 @@ def validate_trapezium(trap: Trapezium) -> bool:
     paths = [p for r in trap.rows for p in (r.bottom, r.top, r.left, r.right)]
     if not set(map(itemgetter(0), chain(uses, *paths))) <= trap.edges.keys():
         raise GroupError("a path mentions an unknown edge")
-    # True equals 1 but is no orientation, and the checks below compare
-    # orientations by value.
-    if not set(map(type, map(itemgetter(1), chain(uses, *paths)))) <= {int}:
-        e, o = next((e, o) for e, o in chain(uses, *paths)
-                    if type(o) is not int)
-        raise GroupError(f"edge {e} has orientation {o!r}, not 1 or -1")
+    # True equals 1, so it passes every check below, which compare by
+    # value, but it dumps as true.  A cell row of None is refused by the
+    # band walk: no row walks it.
+    ints = chain(trap.edges, chain.from_iterable(chain(uses, *paths)),
+                 map(attrgetter("index"), trap.cells),
+                 [c.row for c in trap.cells if c.row is not None])
+    if not set(map(type, ints)) <= {int}:
+        # Name the first offender: the edge keys, each read as a path
+        # entry, then the paths, then the cells.
+        for e, o in chain(zip(trap.edges, repeat(1)), uses, *paths):
+            if type(e) is not int:
+                raise GroupError(f"edge id {e!r} is not an int")
+            if type(o) is not int:
+                raise GroupError(f"edge {e} has orientation {o!r}, not 1 or -1")
+        c = next(c for c in trap.cells if type(c.index) is not int
+                 or type(c.row) not in (int, type(None)))
+        f = "index" if type(c.index) is not int else "row"
+        raise GroupError(f"cell {c!r} has {f} {getattr(c, f)!r}, not an int")
 
     # Every closure word is reduced, so a cell that spells one as it
     # stands needs no reduction.  Built before the edge records are read,
     # so that a theta letter colliding with a generator is named first.
-    kind_of, closure = _group_record(m)
-    # Each edge record must carry its key as id and its atom's kind.
+    edge_of, closure = _group_record(m)
+    # Each edge record must carry its atom's kind, compared by value, so
+    # that a copy of a trapezium validates too.
     atoms, thetas = {}, set()
     for e, edge in trap.edges.items():
         a = atoms[e] = edge.atom
-        kind = kind_of.get(a)
-        if kind is None:
+        record = edge_of.get(a)
+        if record is None:
             raise GroupError(f"edge {e} has atom {a.name!r}, not a "
                              f"generator of M({m.name})")
-        if edge.id != e or edge.kind != kind:
-            raise GroupError(f"edge {e} is recorded as {edge!r}, not "
-                             f"{Edge(e, a, kind)!r}")
-        if kind == "theta":
+        if edge.kind != record.kind:
+            raise GroupError(f"edge {e} is recorded as {edge!r}, not {record!r}")
+        if record.kind == "theta":
             thetas.add(e)
 
     def letters(path) -> tuple:
@@ -519,9 +528,6 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"cell {c!r} does not spell a relator")
         if label != (c.kind, c.rule, c.index):
             raise GroupError(f"cell {c!r} spells a relator of {label!r}")
-        # A row of None is refused by the band walk: no row walks it.
-        if c.row is not None and type(c.row) is not int:
-            raise GroupError(f"cell {c!r} has row {c.row!r}, not an int")
 
     # Once each way for every edge: no use repeats, each is +1 or -1, and
     # there are two per edge.  Otherwise name the first edge that fails.
@@ -655,8 +661,8 @@ def trapezium_to_dict(trap: Trapezium) -> dict:
         "machine": trap.machine.name,
         "history": trap.history().tokens(),
         "words": [aw.tokens() for aw in trap.words],
-        "edges": [{"id": e.id, "atom": e.atom.name, "kind": e.kind}
-                  for e in sorted(trap.edges.values(), key=lambda e: e.id)],
+        "edges": [{"id": e, "atom": edge.atom.name, "kind": edge.kind}
+                  for e, edge in sorted(trap.edges.items())],
         "cells": [{"kind": c.kind, "rule": c.rule, "index": c.index,
                    "row": c.row, "boundary": c.boundary}
                   for c in trap.cells],

@@ -190,6 +190,71 @@ class TestModifiedLength:
         assert letter_types(m, W("s0 go.1 go.0^-1 s1")) == "qatq"
 
 
+# The dump of the zero-step trapezium of toy_deleter on "y": the word
+# read twice, its three edges, and no rows or cells.
+EMPTY_HISTORY_DOCUMENT = """\
+{
+  "boundary": {
+    "bottom": [
+      [
+        0,
+        1
+      ],
+      [
+        2,
+        1
+      ],
+      [
+        1,
+        1
+      ]
+    ],
+    "left": [],
+    "right": [],
+    "top": [
+      [
+        0,
+        1
+      ],
+      [
+        2,
+        1
+      ],
+      [
+        1,
+        1
+      ]
+    ]
+  },
+  "cells": [],
+  "edges": [
+    {
+      "atom": "q0s",
+      "id": 0,
+      "kind": "q"
+    },
+    {
+      "atom": "q1s",
+      "id": 1,
+      "kind": "q"
+    },
+    {
+      "atom": "y",
+      "id": 2,
+      "kind": "a"
+    }
+  ],
+  "history": "ε",
+  "machine": "toy_deleter",
+  "rows": [],
+  "schema_version": 1,
+  "words": [
+    "q0s y q1s"
+  ]
+}
+"""
+
+
 class TestTrapezium:
     def accepting(self):
         m = toy_deleter()
@@ -293,6 +358,7 @@ class TestTrapezium:
         assert trap.n_cells() == 0
         assert validate_trapezium(trap)
         assert trap.boundary_word() == Word()
+        assert trapezium_dumps(trap) == EMPTY_HISTORY_DOCUMENT
 
     def test_lr_standard_computation(self):
         lr = build_lr(["y"])
@@ -561,8 +627,7 @@ def _cell_on_missing_row(t):
 
 def _edge_with(t, e, **fields):
     edge = t.edges[e]
-    return {**t.edges, e: Edge(fields.get("id", edge.id), edge.atom,
-                               fields.get("kind", edge.kind))}
+    return {**t.edges, e: Edge(edge.atom, fields.get("kind", edge.kind))}
 
 
 def _detached_sphere(t, row=0):
@@ -572,7 +637,7 @@ def _detached_sphere(t, row=0):
     pair."""
     c = next(c for c in t.cells if c.kind == "ta")
     n = max(t.edges) + 1
-    fresh = {n + i: Edge(n + i, t.edges[e].atom, t.edges[e].kind)
+    fresh = {n + i: Edge(t.edges[e].atom, t.edges[e].kind)
              for i, (e, _) in enumerate(c.boundary)}
     a = tuple((n + i, o) for i, (_, o) in enumerate(c.boundary))
     b = tuple((e, -o) for e, o in reversed(a))
@@ -590,7 +655,7 @@ def _theta_spur_in_cell(t):
     return {"cells": (Cell(c.kind, c.boundary[:1] + ((spur, 1), (spur, -1))
                            + c.boundary[1:], c.rule, c.index, c.row),)
             + t.cells[1:],
-            "edges": {**t.edges, spur: Edge(spur, atom("del.1"), "theta")}}
+            "edges": {**t.edges, spur: Edge(atom("del.1"), "theta")}}
 
 
 def _right_sides_swapped(t):
@@ -699,15 +764,24 @@ class TestValidation:
         (lambda t: {"cells": _cell_with(t, 0, boundary=(
             (0, True),) + t.cells[0].boundary[1:])},
          "^edge 0 has orientation True, not 1 or -1$"),
+        # Cell 2 is the (theta,q) cell of part 1 in row 0, and it starts
+        # with edge 1, the state letter q1s of the bottom.  True == 1, so
+        # each passes every check that compares by value, and would dump
+        # as true: only the int pass refuses it.
+        (lambda t: {"cells": _cell_with(t, 2, index=True)},
+         r"^cell Cell\(tq, del, True, row=0\) has index True, not an int$"),
+        (lambda t: {"edges": {(True if e == 1 else e): edge
+                              for e, edge in t.edges.items()}},
+         "^edge id True is not an int$"),
+        (lambda t: {"cells": _cell_with(t, 2, boundary=(
+            (True, 1),) + t.cells[2].boundary[1:])},
+         "^edge id True is not an int$"),
         # Edge 2 is the first tape letter y of the bottom.
-        (lambda t: {"edges": _edge_with(t, 2, id=3)},
-         r"^edge 2 is recorded as Edge\(3, y, a\), not Edge\(2, y, a\)$"),
         (lambda t: {"edges": _edge_with(t, 2, kind="theta")},
-         r"^edge 2 is recorded as Edge\(2, y, theta\), not "
-         r"Edge\(2, y, a\)$"),
-        (lambda t: {"edges": {**t.edges, 2: Edge(2, atom("zebra"), "a")}},
+         r"^edge 2 is recorded as Edge\(y, theta\), not Edge\(y, a\)$"),
+        (lambda t: {"edges": {**t.edges, 2: Edge(atom("zebra"), "a")}},
          r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
-        (lambda t: {"edges": {**t.edges, 2: Edge(2, atom("zebra"), "theta")}},
+        (lambda t: {"edges": {**t.edges, 2: Edge(atom("zebra"), "theta")}},
          r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
         # Row 1 is del, which applies to stored word 0 as well.
@@ -729,7 +803,8 @@ class TestValidation:
             "detached_sphere_no_row",
             "theta_spur_in_cell", "right_sides_swapped",
             "interface_on_another_row", "bool_orientation",
-            "edge_id", "edge_kind", "edge_atom", "edge_theta_atom",
+            "bool_cell_index", "bool_edge_key", "bool_path_edge",
+            "edge_kind", "edge_atom", "edge_theta_atom",
             "swapped_words", "forged_word", "forged_state_word",
             "one_letter_base", "duplicated_cell"])
     def test_corruption_refused(self, corrupt, message):
@@ -752,7 +827,7 @@ class TestValidation:
         c = t.cells[0]
         cells = (Cell(c.kind, c.boundary[:1] + ((spur, 1), (spur, -1))
                       + c.boundary[1:], c.rule, c.index, c.row),) + t.cells[1:]
-        edges = {**t.edges, spur: Edge(spur, atom("y"), "a")}
+        edges = {**t.edges, spur: Edge(atom("y"), "a")}
         assert validate_trapezium(Trapezium(t.machine, t.rows, cells, edges,
                                             t.words))
 

@@ -55,6 +55,9 @@ def check_trapezium(m, comp):
     for r in trap.rows:
         paths += [r.bottom, r.top, r.left, r.right]
     assert {e for path in paths for e, _ in path} <= trap.edges.keys()
+    # Every edge shares the one record of its generator.
+    edge_of = group._group_record(m)[0]
+    assert all(edge is edge_of[edge.atom] for edge in trap.edges.values())
     for lower, upper in zip(trap.rows, trap.rows[1:]):
         assert upper.bottom == lower.top
     back = trapezium_to_computation(trap)
@@ -175,9 +178,9 @@ def corruptions(trap, choose):
     edge = edges[e]
     atoms = [g for g in machine_to_group(m).generators if g != edge.atom]
     kinds = [k for k in ("q", "a", "theta") if k != edge.kind]
-    yield "edge_atom", rebuilt(edges={**edges, e: Edge(e, choose(atoms),
+    yield "edge_atom", rebuilt(edges={**edges, e: Edge(choose(atoms),
                                                        edge.kind)})
-    yield "edge_kind", rebuilt(edges={**edges, e: Edge(e, edge.atom,
+    yield "edge_kind", rebuilt(edges={**edges, e: Edge(edge.atom,
                                                        choose(kinds))})
     j = choose(range(1, len(rows)))
     others = [k for k, aw in enumerate(words) if aw != words[j]]

@@ -179,3 +179,20 @@ def test_group_holds_no_reduction_pass():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "pop"]
     assert not found, found
+
+
+def test_group_builds_edge_records_once():
+    # An edge of a trapezium carries the one Edge record of its
+    # generator: group builds Edge records only in _group_record, once
+    # per machine, so neither construction nor validation makes one.
+    tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_group_record")
+    inside = set(map(id, ast.walk(record)))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "Edge"]
+    assert calls
+    found = [f"group.py:{node.lineno}" for node in calls
+             if id(node) not in inside]
+    assert not found, found
