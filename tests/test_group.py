@@ -625,9 +625,8 @@ def _cell_on_missing_row(t):
                                 len(t.rows)),)
 
 
-def _edge_with(t, e, **fields):
-    edge = t.edges[e]
-    return {**t.edges, e: Edge(edge.atom, fields.get("kind", edge.kind))}
+def _edge_with(t, e, kind):
+    return {**t.edges, e: Edge(t.edges[e].atom, kind)}
 
 
 def _detached_sphere(t, row=0):
@@ -777,7 +776,7 @@ class TestValidation:
             (True, 1),) + t.cells[2].boundary[1:])},
          "^edge id True is not an int$"),
         # Edge 2 is the first tape letter y of the bottom.
-        (lambda t: {"edges": _edge_with(t, 2, kind="theta")},
+        (lambda t: {"edges": _edge_with(t, 2, "theta")},
          r"^edge 2 is recorded as Edge\(y, theta\), not Edge\(y, a\)$"),
         (lambda t: {"edges": {**t.edges, 2: Edge(atom("zebra"), "a")}},
          r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
