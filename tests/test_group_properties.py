@@ -10,8 +10,10 @@ one its letters name.  The row builder's free-reduction scan must pair
 the letters of its inputs as a plain stack pass does.  Every single
 corruption of a trapezium of at least two rows must be refused with a
 GroupError, and so must every single corruption of a computation that
-no longer follows its history; one that still does must flatten.
-Examples are derandomized to keep the suite deterministic.
+no longer follows its history; one that still does must flatten.  A row
+built for any rule on any nearby configuration, whether the machine
+allows the step or not, must validate exactly when the step is one the
+kernel takes.  Examples are derandomized to keep the suite deterministic.
 """
 import json
 import random
@@ -34,11 +36,12 @@ from smforge.group import (Cell, Edge, GroupError, Row, Trapezium,
                            theta_atom, trapezium_dumps,
                            trapezium_to_computation, trapezium_to_dict,
                            validate_trapezium)
-from smforge.machine import (Computation, input_configuration,
-                             parse_admissible, run)
-from smforge.primitive import build_lr, build_rl
+from smforge.machine import (AdmissibleWord, Computation,
+                             input_configuration, parse_admissible, run)
+from smforge.primitive import build_lr, build_rl, home_configuration
 from smforge.search import reachable_configs, successors
-from smforge.words import Word, _cancellations, symmetrized_closure
+from smforge.words import (Word, _cancellations, free_reduce,
+                           symmetrized_closure)
 
 from test_group import cyclic_emitter
 from test_search_properties import _long_writer, _unreduced_writer, machines
@@ -397,3 +400,97 @@ def test_row_scan_pairs_as_a_stack_pass(build, inputs):
 @given(machines())
 def test_row_scan_pairs_as_a_stack_pass_on_random_machines(case):
     check_row_scans(*case)
+
+
+def forged_result(m, lo, rule):
+    """What the top of the row built for a positive step of rule on lo
+    spells, whether the step applies or not: the rule's end state letters
+    and, in each sector, the reduced right write . tape . left write.  No
+    state letter, domain or lock is checked."""
+    rp = rule.parts
+    return AdmissibleWord(m.hw, [(p.to, 1) for p in rp], [
+        free_reduce(rp[s].right * lo.tapes[s] * rp[s + 1].left)
+        for s in range(m.n_parts - 1)])
+
+
+def forged_trapezium(m, configs, steps):
+    """The trapezium construction builds for configs along steps, with
+    nothing checked first: each row is the row builder's, as a forger
+    would mount it, whether the kernel takes its step or not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(group, "_check_computation", lambda m, comp: None)
+        return computation_to_trapezium(
+            m, Computation(m, configs[0], steps, configs))
+
+
+def check_forgeries(m, start, radius):
+    """For each configuration c within radius of start and each rule, the
+    row built from c (forged_result) is mounted both ways up: as the step
+    c -> hi of sign 1 and as hi -> c of sign -1.  Each is validated alone,
+    mounted last above a genuine step into its bottom, and followed by a
+    genuine step out of its top.  Validation must refuse it exactly when
+    the kernel does not take the step, and an accepted trapezium's row
+    top must spell the kernel's result.  Returns the numbers of
+    trapezia refused and accepted."""
+    tally = [0, 0]
+    for c in reachable_configs(m, start, radius)[0]:
+        for rule in m.rules:
+            hi = forged_result(m, c, rule)
+            for lo, sign, hi in ((c, 1, hi), (hi, -1, c)):
+                ok = (rule, sign, hi) in successors(m, lo)
+                shapes = [((lo, hi), [(rule, sign)], 0)]
+                for r, s, x in successors(m, lo)[:1]:
+                    shapes.append(((x, lo, hi), [(r, -s), (rule, sign)], 1))
+                for r, s, y in successors(m, hi)[:1]:
+                    shapes.append(((lo, hi, y), [(rule, sign), (r, s)], 0))
+                for configs, steps, k in shapes:
+                    trap = forged_trapezium(m, configs, steps)
+                    try:
+                        validate_trapezium(trap)
+                    except GroupError:
+                        assert not ok, (rule.name, sign, lo, configs)
+                        tally[0] += 1
+                        continue
+                    assert ok, (rule.name, sign, lo, hi, configs)
+                    result = m.apply_ex(lo, rule, sign).result
+                    assert trap.path_word(trap.rows[k].top) == result.to_word()
+                    assert trapezium_to_computation(trap).configs == configs
+                    tally[1] += 1
+    return tally
+
+
+def _input(tokens):
+    return lambda m: input_configuration(m, Word.from_tokens(tokens))
+
+
+def _home(tokens):
+    return lambda m: home_configuration(m, Word.from_tokens(tokens))
+
+
+@pytest.mark.parametrize("build, start, radius, refused, accepted", [
+    (toy_deleter, _input("y y"), 3, 36, 48),
+    (lambda: one_sector_left_multiplier(idle=True), _input("a"), 3, 0, 954),
+    (two_sided_multiplier, _input("a b"), 2, 0, 1032),
+    (paired_multiplier, _input("a_l b_r"), 2, 0, 204),
+    (lambda: build_lr(["a", "b"]), _home("a b"), 3, 966, 654),
+    (lambda: build_rl(["a", "b"]), _home("a b"), 3, 966, 654),
+    (lambda: presentation_to_machine(z2_presentation()), _input("x x"), 2,
+     3016, 1146),
+    (lambda: build_enhanced_standard(toy_deleter()), _input("y y"), 2, 2230,
+     438),
+], ids=["toy_deleter", "idle_left_multiplier", "two_sided_multiplier",
+        "paired_multiplier", "lr", "rl", "z2_encoder", "enhanced_deleter"])
+def test_forged_rows_validate_exactly_when_the_kernel_steps(
+        build, start, radius, refused, accepted):
+    """The kernel refuses for a state letter the rule does not take and
+    for a tape letter outside its domain, or in a sector it locks, as
+    toy_deleter's acc and LR's zeta do.  The multipliers' rules apply
+    everywhere, so nothing of theirs is refused."""
+    m = build()
+    assert check_forgeries(m, start(m), radius) == [refused, accepted]
+
+
+@PROPERTY
+@given(machines())
+def test_forged_rows_on_random_machines(case):
+    check_forgeries(*case, 2)
