@@ -269,9 +269,9 @@ def _check_standard_base(aw: AdmissibleWord):
 
 def _check_computation(m: Machine, comp: Computation):
     """Refuse a failed computation, configurations that do not follow its
-    history, in validation's words (_replay), and a start off the standard
-    base.  The kernel keeps a configuration's base, so every configuration
-    the replay reached is on the start's."""
+    history, in trapezium_to_computation's words (_replay), and a start off
+    the standard base.  The kernel keeps a configuration's base, so every
+    configuration the replay reached is on the start's."""
     if not comp.ok:
         raise GroupError("computation failed; nothing to flatten")
     _replay(m, comp.configs, comp.steps)
@@ -449,7 +449,7 @@ def _outer_loop(trap: Trapezium):
 
 
 def validate_trapezium(trap: Trapezium) -> bool:
-    """Check a trapezium cell by cell and edge by edge, and replay it.
+    """Check a trapezium cell by cell and edge by edge, running no rule.
 
     Each fact is checked once, in this order, and the first fault is
     named: every stored word is on the standard base, which the rest
@@ -463,13 +463,15 @@ def validate_trapezium(trap: Trapezium) -> bool:
     opposite orientations 1 and -1 (the outer contour counts as a face);
     every row names a rule with the int sign 1 or -1, its sides read the
     theta letter followed by the word the outer part writes off the end,
-    and its bottom and top spell its stored words.  Then the stored words
-    replay exactly along the rows' history, which also counts them.  Then
-    each row's cells must form one theta-band from its left side to its
-    right, and each cell must lie on the band of the row it names, which
-    refuses a missing row and a row of another rule too; and a cell of
-    each row must use every edge of that row's bottom and top.  Last, the
-    bottom and top must spell the stored end configurations."""
+    and its bottom and top spell its stored words, of which there must be
+    one more than rows.  Then each row's cells must form one theta-band
+    from its left side to its right, and each cell must lie on the band of
+    the row it names, which refuses a missing row and a row of another
+    rule too; and a cell of each row must use every edge of that row's
+    bottom and top.  Last, the bottom and top must spell the stored end
+    configurations.  These checks alone make the history and the stored
+    words a computation (the trapezium lemma), so the kernel that made
+    them is not run; trapezium_to_computation replays them."""
     m = trap.machine
     for aw in trap.words:
         _check_standard_base(aw)
@@ -541,8 +543,6 @@ def validate_trapezium(trap: Trapezium) -> bool:
                 raise GroupError(f"edge {e} used {use.get(e, ())!r}, "
                                  "expected once each way")
 
-    # steps covers every row, so the replay below refuses a stored word
-    # too few or too many.
     spelled, steps = [aw.key() for aw in trap.words], _steps(trap)
     for j, (row, (rule, _), below, above) in enumerate(
             zip(trap.rows, steps, spelled, spelled[1:])):
@@ -559,9 +559,8 @@ def validate_trapezium(trap: Trapezium) -> bool:
             raise GroupError(f"row {j} bottom label is wrong")
         if letters(row.top) != above:
             raise GroupError(f"row {j} top label is wrong")
-    # The one replay, after the rows, so that a row's own fault is
-    # named first.
-    _replay(m, trap.words, steps)
+    if len(trap.words) != len(steps) + 1:
+        raise GroupError("one more stored word than rows expected")
 
     # Each row is one theta-band.  Every cell spells a relator with two
     # theta letters, so two theta uses per cell in all means exactly two

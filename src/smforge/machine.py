@@ -116,6 +116,9 @@ class Hardware:
                 self.sector_of[a] = s
         self.n_parts, self.n_sectors = n, want
 
+    def __deepcopy__(self, memo):  # shared, as the words built on it share it
+        return self
+
     def left_sector(self, i: int) -> Optional[int]:
         """Index of the sector to the left of part i, if any."""
         if i > 0:
@@ -168,23 +171,13 @@ def make_rule(hw: Hardware, name: str, parts, domains=None) -> SRule:
     "full" (the whole sector alphabet), an iterable of letters, or the
     whole argument may be None for all-full.
     """
-    rps = []
-    for p in parts:
-        if isinstance(p, RulePart):
-            rps.append(p)
-        else:
-            rps.append(RulePart(*p))
+    rps = [p if isinstance(p, RulePart) else RulePart(*p) for p in parts]
     if domains is None:
-        doms = [hw.sector_alphabets[s] for s in range(hw.n_sectors)]
-    else:
-        doms = []
-        if len(domains) != hw.n_sectors:
-            raise MachineError(f"rule {name!r}: expected {hw.n_sectors} domains")
-        for s, d in enumerate(domains):
-            if d == FULL:
-                doms.append(hw.sector_alphabets[s])
-            else:
-                doms.append(frozenset(map(atom, d)))
+        domains = [FULL] * hw.n_sectors
+    if len(domains) != hw.n_sectors:
+        raise MachineError(f"rule {name!r}: expected {hw.n_sectors} domains")
+    doms = [hw.sector_alphabets[s] if d == FULL else frozenset(map(atom, d))
+            for s, d in enumerate(domains)]
     rule = SRule(name, rps, doms)
     validate_rule(hw, rule)
     return rule

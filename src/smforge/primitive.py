@@ -71,10 +71,15 @@ def build_rl(letters, name: str = "RL") -> Machine:
 
 
 def home_configuration(m: Machine, u: Word, level: int = 1):
-    """The configuration holding (a copy of) u in the machine's home
-    sector, with level-1 or level-2 state letters."""
+    """The configuration holding (a copy of) u in the home sector of an LR
+    or RL machine, with level-1 or level-2 state letters."""
+    kind = m.meta.get("kind")
+    if kind not in ("LR", "RL"):
+        raise MachineError(f"machine {m.name!r} is neither LR nor RL")
+    if type(level) is not int or level not in (1, 2):
+        raise MachineError(f"level {level!r} is not 1 or 2")
     states = [(p.letters[level - 1], 1) for p in m.parts]
-    if m.meta["kind"] == "LR":
+    if kind == "LR":
         tapes = [m.meta["copy1"](u), EMPTY]
     else:
         tapes = [EMPTY, m.meta["copy2"](u)]

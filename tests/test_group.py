@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 from fractions import Fraction
@@ -670,7 +671,8 @@ def _right_sides_swapped(t):
 def _forged_word(t, word, path):
     """Stored word 1 replaced by ``word``, with row 0's top and row 1's
     bottom pointed at ``path``, which spells it: every row still reads its
-    stored words and every edge use stays, so only the replay sees it."""
+    stored words and every edge use stays, so only the tie of each row's
+    bottom and top to its own band sees it."""
     rows = list(t.rows)
     r0, r1 = rows[:2]
     rows[:2] = [Row(r0.rule, r0.sign, r0.bottom, path, r0.left, r0.right),
@@ -783,16 +785,21 @@ class TestValidation:
         (lambda t: {"edges": {**t.edges, 2: Edge(atom("zebra"), "theta")}},
          r"^edge 2 has atom 'zebra', not a generator of M\(toy_deleter\)$"),
         (lambda t: {"words": _swapped_last_words(t)}, "top label is wrong"),
-        # Row 1 is del, which applies to stored word 0 as well.
+        # Row 1 is del, which applies to stored word 0 as well; row 0's
+        # bottom edges are on row 0's band, not on row 1's.
         (lambda t: _forged_word(t, t.words[0], t.rows[0].bottom),
-         "^stored word 1 does not replay$"),
-        # Row 1 is del, which needs q0s.
+         "^row 1 bottom leaves its band at edge 0$"),
+        # Row 1 is del, which needs q0s; edge 37 is the first q0f edge, on
+        # row 4's band.
         (lambda t: _state_word(t, "q0f q1s"),
-         "^stored word 1 does not replay$"),
+         "^row 0 top leaves its band at edge 37$"),
         (lambda t: {"words": _one_letter_last_word(t)}, "standard base"),
         # Uses in face order: the cells, then the outer contour.
         (lambda t: {"cells": t.cells + (t.cells[0],)},
          r"^edge 0 used \[1, 1, -1\], expected once each way$"),
+        # Edge 42 is one past the last: a record that no path names.
+        (lambda t: {"edges": {**t.edges, max(t.edges) + 1: t.edges[2]}},
+         r"^edge 42 used \(\), expected once each way$"),
     ], ids=["dropped_word", "flipped_square_edge", "dropped_cell",
             "unknown_side_edge", "unknown_cell_edge", "unknown_inner_top_edge",
             "unknown_inner_bottom_edge", "unknown_rule", "zero_sign",
@@ -805,7 +812,7 @@ class TestValidation:
             "bool_cell_index", "bool_edge_key", "bool_path_edge",
             "edge_kind", "edge_atom", "edge_theta_atom",
             "swapped_words", "forged_word", "forged_state_word",
-            "one_letter_base", "duplicated_cell"])
+            "one_letter_base", "duplicated_cell", "unused_edge"])
     def test_corruption_refused(self, corrupt, message):
         t = self.trap()
         assert validate_trapezium(t)
@@ -816,6 +823,22 @@ class TestValidation:
                         parts["edges"], parts["words"])
         with pytest.raises(GroupError, match=message):
             validate_trapezium(bad)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: _forged_word(t, t.words[0], t.rows[0].bottom),
+        lambda t: _state_word(t, "q0f q1s"),
+    ], ids=["forged_word", "forged_state_word"])
+    def test_forged_word_does_not_replay(self, corrupt):
+        """The round trip replays the stored words, so it names the forged
+        one, where validation names the row that leaves its band."""
+        t = self.trap()
+        parts = {"rows": t.rows, "cells": t.cells, "words": t.words,
+                 "edges": t.edges}
+        parts.update(corrupt(t))
+        bad = Trapezium(t.machine, parts["rows"], parts["cells"],
+                        parts["edges"], parts["words"])
+        with pytest.raises(GroupError, match="^stored word 1 does not replay$"):
+            trapezium_to_computation(bad)
 
     def test_cell_spelling_a_relator_once_reduced(self):
         """A spur, one fresh edge out and back, in a cell's boundary: the
@@ -939,6 +962,25 @@ def test_machines_pickle_without_their_caches(protocol):
         dup = pickle.loads(before)
         assert machine_dumps(dup) == machine_dumps(m)
         assert accepts(dup, [W(text)], 4).history == comp.history_word()
+
+
+def test_deep_copies_flatten_validate_and_replay():
+    """A deep copy of a computation or a trapezium shares the hardware of
+    its configurations, as a deep copy of a configuration is the
+    configuration itself, so every replay reaches the stored words."""
+    m = toy_deleter()
+    comp = run(m, input_configuration(m, W("y y")),
+               ["del", "del", "del^-1", "del", "acc"])
+    dup = copy.deepcopy(comp)
+    assert dup.machine is not m and dup.machine.hw is m.hw
+    trap = computation_to_trapezium(dup.machine, dup)
+    assert trapezium_dumps(trap) == trapezium_dumps(
+        computation_to_trapezium(m, comp))
+    assert conjugator_from_accepting(dup.machine, dup) == \
+        conjugator_from_accepting(m, comp)
+    twin = copy.deepcopy(trap)
+    assert validate_trapezium(twin)
+    assert trapezium_to_computation(twin).configs == comp.configs
 
 
 class TestDichotomy:

@@ -83,6 +83,18 @@ class TestStandardComputations:
             comp = run(m, home_configuration(m, u, 1), h)
             assert comp.end == home_configuration(m, u, 2)
 
+    @pytest.mark.parametrize("build, level, message", [
+        (lambda: build_lr(Y), 0, "^level 0 is not 1 or 2$"),
+        (lambda: build_rl(Y), 3, "^level 3 is not 1 or 2$"),
+        (lambda: build_lr(Y), True, "^level True is not 1 or 2$"),
+        (lambda: build_lr(Y), 1.0, "^level 1.0 is not 1 or 2$"),
+        (toy_deleter, 1, "^machine 'toy_deleter' is neither LR nor RL$"),
+    ], ids=["level_0", "level_3", "bool_level", "float_level", "no_kind"])
+    def test_home_configuration_refuses_bad_input(self, build, level,
+                                                  message):
+        with pytest.raises(MachineError, match=message):
+            home_configuration(build(), W("a"), level)
+
     def test_connecting_rule_waits_for_empty_sector(self):
         m = build_lr(Y)
         c = home_configuration(m, W("a"))

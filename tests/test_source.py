@@ -110,14 +110,15 @@ def test_only_machine_names_instance_dicts():
 
 
 def test_validation_runs_no_kernel():
-    # validate_trapezium applies no rule itself: its one replay of the
-    # stored words goes through group._replay, which
-    # trapezium_to_computation shares.
+    # validate_trapezium applies no rule and replays nothing: the band
+    # checks alone prove that its stored words follow its history, so a
+    # checker of a trapezium does not run the kernel that made it.
     tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
     func = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "validate_trapezium")
-    kernel = {"try_apply", "apply_ex", "_step", "successors", "run"}
+    kernel = {"try_apply", "apply_ex", "_step", "successors", "run",
+              "_replay"}
     found = [f"group.py:{node.lineno}: {name}" for node in ast.walk(func)
              for name in [node.id if isinstance(node, ast.Name)
                           else node.attr if isinstance(node, ast.Attribute)
@@ -127,10 +128,10 @@ def test_validation_runs_no_kernel():
 
 
 def test_group_replays_in_one_place():
-    # Every check in group that configurations follow a history, for
-    # validation, the round trip, flattening and conjugators alike, is
-    # the one counted replay in group._replay: group applies no rule
-    # anywhere else, and names machine.run only there.
+    # Every replay in group, for the round trip, flattening and
+    # conjugators alike, is the one counted replay in group._replay:
+    # group applies no rule anywhere else, and names machine.run only
+    # there.  Validation replays nothing (test_validation_runs_no_kernel).
     tree = ast.parse((SRC / "group.py").read_text(encoding="utf-8"))
     replay = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef)
