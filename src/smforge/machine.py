@@ -171,13 +171,23 @@ def make_rule(hw: Hardware, name: str, parts, domains=None) -> SRule:
     "full" (the whole sector alphabet), an iterable of letters, or the
     whole argument may be None for all-full.
     """
-    rps = [p if isinstance(p, RulePart) else RulePart(*p) for p in parts]
+    rps = []
+    for p in parts:
+        if isinstance(p, RulePart):
+            rps.append(p)
+        else:
+            rps.append(RulePart(*p))
     if domains is None:
-        domains = [FULL] * hw.n_sectors
-    if len(domains) != hw.n_sectors:
-        raise MachineError(f"rule {name!r}: expected {hw.n_sectors} domains")
-    doms = [hw.sector_alphabets[s] if d == FULL else frozenset(map(atom, d))
-            for s, d in enumerate(domains)]
+        doms = [hw.sector_alphabets[s] for s in range(hw.n_sectors)]
+    else:
+        doms = []
+        if len(domains) != hw.n_sectors:
+            raise MachineError(f"rule {name!r}: expected {hw.n_sectors} domains")
+        for s, d in enumerate(domains):
+            if d == FULL:
+                doms.append(hw.sector_alphabets[s])
+            else:
+                doms.append(frozenset(map(atom, d)))
     rule = SRule(name, rps, doms)
     validate_rule(hw, rule)
     return rule

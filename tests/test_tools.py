@@ -37,25 +37,13 @@ def test_trapezium_probe_reports_one_line():
     assert row["bytes_per_edge"] > 0
 
 
-def test_mutant_snippets_occur_once():
-    # Every entry of tools/mutants.json names a snippet that occurs
-    # exactly once in its file under src/, and node ids of tier-1 test
-    # files: a refactor that moves a snippet re-targets its entry.
-    entries = json.loads((ROOT / "tools" / "mutants.json").read_text(
-        encoding="utf-8"))
-    assert entries
-    for e in entries:
-        text = (ROOT / e["file"]).read_text(encoding="utf-8")
-        assert text.count(e["snippet"]) == 1, e["name"]
-        assert e["snippet"] != e["replacement"], e["name"]
-        for node in e["kills"]:
-            assert (ROOT / node.split("::")[0]).is_file(), node
-
-
 def test_mutant_runner_fails_on_survivors_and_stale_snippets(tmp_path):
-    # A mutant that changes only a comment survives its node id; a snippet
-    # that is not in the file is stale.  Either makes the runner exit 1,
-    # and the checkout is left as it was.
+    # A mutant that changes only a comment survives its node id, and so
+    # does one that stops the package importing, though its node id then
+    # does not pass either: only a failure kills.  A snippet that is not
+    # in the file is stale, and a replacement that breaks the syntax is
+    # bad.  Each makes the runner exit 1, and the checkout is left as it
+    # was.
     node = "tests/test_group.py::TestValidation::test_corruption_refused[dropped_word]"
     group = ROOT / "src" / "smforge" / "group.py"
     before = group.read_text(encoding="utf-8")
@@ -64,16 +52,25 @@ def test_mutant_runner_fails_on_survivors_and_stale_snippets(tmp_path):
         {"name": "comment", "file": "src/smforge/group.py",
          "snippet": "# -- validation ---", "replacement": "# -- checks ---",
          "kills": [node]},
+        {"name": "unimportable", "file": "src/smforge/group.py",
+         "snippet": "# -- validation ---",
+         "replacement": "raise ImportError  # -- validation ---",
+         "kills": [node]},
         {"name": "gone", "file": "src/smforge/group.py",
          "snippet": "no such text", "replacement": "", "kills": [node]},
+        {"name": "broken", "file": "src/smforge/group.py",
+         "snippet": "def validate_trapezium(", "replacement": "def (",
+         "kills": [node]},
     ]), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "mutants.py"), "--list",
          str(listed)], capture_output=True, text=True, encoding="utf-8",
         timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
-        f"comment: SURVIVED, still passing: {node}",
-        "gone: STALE, its snippet occurs 0 times in src/smforge/group.py",
-        "2 mutants, 2 failing"]
+    comment, unimportable, gone, broken, total = proc.stdout.splitlines()
+    assert comment == f"comment: SURVIVED, not failing: {node} PASSED"
+    assert unimportable == f"unimportable: SURVIVED, not failing: {node} did not run"
+    assert gone == "gone: STALE, its snippet occurs 0 times in src/smforge/group.py"
+    assert broken.startswith("broken: BAD, the mutated file does not compile")
+    assert total == "4 mutants, 4 failing"
     assert group.read_text(encoding="utf-8") == before

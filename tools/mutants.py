@@ -1,6 +1,6 @@
 """Mutants of the package source that the tier-1 tests must kill.
 
-    python3 tools/mutants.py [--list FILE] [NAME ...]
+    python3 tools/mutants.py [--list FILE]
 
 Each entry of the list (tools/mutants.json by default) names a file under
 src/, a snippet that occurs there exactly once, its replacement, and the
@@ -8,13 +8,15 @@ tier-1 node ids that must fail once the snippet is replaced.  The runner
 copies src/, tests/, tools/, demos/, pyproject.toml and README.md to a
 temporary directory and never writes the checkout.  There it first runs
 every listed node id unmutated, each of which must pass; then, for each
-mutant in turn (or only those NAMEd), it writes the mutated file, runs
-the mutant's node ids in a fresh pytest process and restores the file.
+mutant in turn, it writes the mutated file, runs the mutant's node ids in
+a fresh pytest process and restores the file.
 
-It prints one line per mutant: "killed", "SURVIVED" with the node ids
-that still pass, or "STALE" when the snippet does not occur exactly once
-(a refactor re-targets such an entry; it does not delete it).  It exits
-1 when a mutant survives, a snippet is stale, or a listed node id fails
+It prints one line per mutant: "killed" when every one of its node ids
+fails, "SURVIVED" with each node id that passes, errors or does not run,
+"STALE" when the snippet does not occur exactly once (a refactor
+re-targets such an entry; it does not delete it), or "BAD" when the
+mutated file does not compile, so that a broken import never reads as a
+kill.  It exits 1 when a mutant is not killed, or a listed node id fails
 or is missing unmutated, and 0 otherwise.  A mutant can make a loop run
 away, so each pytest process gets TIMEOUT seconds and, where the
 resource module exists, MEMORY bytes of address space; a run that times
@@ -81,14 +83,7 @@ def outcomes(copy: Path, nodes) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--list", type=Path, default=ROOT / "tools" / "mutants.json")
-    ap.add_argument("names", nargs="*", help="run only these mutants")
-    args = ap.parse_args(argv)
-    entries = load(args.list)
-    unknown = set(args.names) - {e["name"] for e in entries}
-    if unknown:
-        sys.exit(f"no mutant named {sorted(unknown)}")
-    if args.names:
-        entries = [e for e in entries if e["name"] in args.names]
+    entries = load(ap.parse_args(argv).list)
 
     bad = 0
     with tempfile.TemporaryDirectory(prefix="smforge-mutants-") as tmp:
@@ -116,8 +111,15 @@ def main(argv=None) -> int:
                       f"{text.count(e['snippet'])} times in {e['file']}")
                 bad += 1
                 continue
-            path.write_text(text.replace(e["snippet"], e["replacement"]),
-                            encoding="utf-8")
+            mutated = text.replace(e["snippet"], e["replacement"])
+            try:
+                compile(mutated, e["file"], "exec")
+            except SyntaxError as err:
+                print(f"{e['name']}: BAD, the mutated file does not compile: "
+                      f"{err.msg} at line {err.lineno}")
+                bad += 1
+                continue
+            path.write_text(mutated, encoding="utf-8")
             try:
                 after = outcomes(copy, e["kills"])
             finally:
@@ -126,9 +128,10 @@ def main(argv=None) -> int:
                 print(f"{e['name']}: TIMEOUT after {TIMEOUT} s")
                 bad += 1
                 continue
-            alive = [n for n in e["kills"] if after.get(n) == "PASSED"]
+            alive = [f"{n} {after.get(n, 'did not run')}" for n in e["kills"]
+                     if after.get(n) != "FAILED"]
             if alive:
-                print(f"{e['name']}: SURVIVED, still passing: {' '.join(alive)}")
+                print(f"{e['name']}: SURVIVED, not failing: {', '.join(alive)}")
                 bad += 1
             else:
                 print(f"{e['name']}: killed")
