@@ -268,12 +268,17 @@ def _check_standard_base(aw: AdmissibleWord):
 
 
 def _check_computation(m: Machine, comp: Computation):
-    """Refuse a failed computation, configurations that do not follow its
-    history, in trapezium_to_computation's words (_replay), and a start off
-    the standard base.  The kernel keeps a configuration's base, so every
-    configuration the replay reached is on the start's."""
+    """Refuse a failed computation, a step whose rule is not m's own object
+    (a twin machine's or a deep copy's), configurations that do not follow
+    its history, in trapezium_to_computation's words (_replay), and a start
+    off the standard base.  The kernel keeps a configuration's base, so
+    every configuration the replay reached is on the start's."""
     if not comp.ok:
         raise GroupError("computation failed; nothing to flatten")
+    for t, (rule, _) in enumerate(comp.steps):
+        if m.rule_by_name.get(rule.name) is not rule:
+            raise GroupError(f"step {t} applies rule {rule.name!r} of "
+                             "another machine")
     _replay(m, comp.configs, comp.steps)
     _check_standard_base(comp.configs[0])
 

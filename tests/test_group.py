@@ -983,6 +983,58 @@ def test_deep_copies_flatten_validate_and_replay():
     assert trapezium_to_computation(twin).configs == comp.configs
 
 
+@pytest.mark.parametrize("flatten", [computation_to_trapezium,
+                                     conjugator_from_accepting])
+def test_rules_of_another_machine_refused(flatten):
+    """A computation run on a twin machine, or a deep copy of one, applies
+    rule objects the machine it is flattened with does not own: a
+    one-line GroupError names the first such step before any replay."""
+    m, twin = toy_deleter(), toy_deleter()
+    start = input_configuration(twin, W("y y"))
+    comp = run(twin, start, ["del", "del", "acc"])
+    message = "^step 0 applies rule 'del' of another machine$"
+    with pytest.raises(GroupError, match=message):
+        flatten(m, comp)
+    with pytest.raises(GroupError, match=message):
+        flatten(twin, copy.deepcopy(comp))
+    assert flatten(twin, comp) is not None
+
+
+def _deleter_run(history, strict=True):
+    m = toy_deleter()
+    return run(m, input_configuration(m, W("y y")), history, strict=strict)
+
+
+def _deleter_trapezium():
+    comp = _deleter_run(["del", "del", "acc"])
+    return computation_to_trapezium(comp.machine, comp)
+
+
+# name -> (value, its repr), on toy_deleter and the z2 presentation.
+REPRS = {
+    "word": (lambda: W("y y^-1"), "Word(y y^-1)"),
+    "state_part": (lambda: toy_deleter().hw.parts[0],
+                   "StatePart(T0, ['q0s', 'q0f'])"),
+    "rule_part": (lambda: toy_deleter().rule("del").parts[1],
+                  "[q1s -> y^-1 . q1s . ε]"),
+    "rule": (lambda: toy_deleter().rule("del"), "SRule(del)"),
+    "computation": (lambda: _deleter_run(["del", "del", "acc"]),
+                    "Computation(3 steps, ok)"),
+    "failed_computation": (lambda: _deleter_run(["acc"], strict=False),
+                           "Computation(0 steps, failed at 0)"),
+    "trapezium": (_deleter_trapezium,
+                  "Trapezium(toy_deleter, 3 rows, 7 cells)"),
+    "presentation": (z2_presentation,
+                     "<presentation z2: 1 generators, 1 relators>"),
+}
+
+
+@pytest.mark.parametrize("name", REPRS)
+def test_reprs_are_pinned(name):
+    build, text = REPRS[name]
+    assert repr(build()) == text
+
+
 class TestDichotomy:
     def test_short_runs(self):
         m = toy_deleter()

@@ -7,34 +7,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_reach_probe_reports_one_line():
-    # A small budget: the search stops BOUNDED at exactly that many
-    # configurations, in a child the probe starts from a clean process.
+def test_probe_reports_both_layers():
+    # Small sizes: the search stops BOUNDED at exactly its budget, and five
+    # steps, del del^-1 del del acc, make a small trapezium, each measured
+    # in a child the probe starts from a clean process.
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "reach_probe.py"),
-         "--max-nodes", "300"],
+        [sys.executable, str(ROOT / "tools" / "probe.py"),
+         "--max-nodes", "300", "--steps", "5"],
         capture_output=True, text=True, encoding="utf-8", timeout=120,
         check=True)
-    (line,) = proc.stdout.splitlines()
-    row = json.loads(line)
-    assert row["max_nodes"] == 300 and row["explored"] == 300
-    assert row["status"] == "bound-limited"
-    assert row["configs_per_s"] > 0 and row["bytes_per_config"] >= 0
+    search, group = map(json.loads, proc.stdout.splitlines())
+    assert search["layer"] == "search" and search["max_nodes"] == 300
+    assert search["explored"] == 300 and search["status"] == "bound-limited"
+    assert search["configs_per_s"] > 0 and search["bytes_per_config"] >= 0
+    assert search["seconds"] >= 0
+    assert group["layer"] == "group" and group["steps"] == 5
+    assert group["cells"] == 13 and group["edges"] == 36
+    assert group["build_ms"] >= 0 and group["validate_ms"] >= 0
+    assert group["bytes_per_edge"] > 0
 
 
-def test_trapezium_probe_reports_one_line():
-    # Five steps, del del^-1 del del acc: a small trapezium built and
-    # validated in a child the probe starts from a clean process.
+def test_probe_refuses_an_even_step_count():
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "trapezium_probe.py"),
-         "--steps", "5"],
-        capture_output=True, text=True, encoding="utf-8", timeout=120,
-        check=True)
-    (line,) = proc.stdout.splitlines()
-    row = json.loads(line)
-    assert row["steps"] == 5 and row["cells"] == 13 and row["edges"] == 36
-    assert row["build_ms"] >= 0 and row["validate_ms"] >= 0
-    assert row["bytes_per_edge"] > 0
+        [sys.executable, str(ROOT / "tools" / "probe.py"), "--steps", "4"],
+        capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--steps must be odd and at least 3" in proc.stderr
 
 
 def test_mutant_runner_fails_on_survivors_and_stale_snippets(tmp_path):
