@@ -7,22 +7,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_probe_reports_both_layers():
-    # Small sizes: the search stops BOUNDED at exactly its budget, and five
-    # steps, del del^-1 del del acc, make a small trapezium, each measured
-    # in a child the probe starts from a clean process.
+def _probe_lines():
+    # The search line is the reach probe, the group line the trapezium
+    # probe, as tools/probe.py prints them.  Small sizes: the search stops
+    # BOUNDED at exactly its budget, and five steps, del del^-1 del del
+    # acc, make a small trapezium, each measured in a child the probe
+    # starts from a clean process.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "probe.py"),
          "--max-nodes", "300", "--steps", "5"],
         capture_output=True, text=True, encoding="utf-8", timeout=120,
         check=True)
     search, group = map(json.loads, proc.stdout.splitlines())
-    assert search["layer"] == "search" and search["max_nodes"] == 300
-    assert search["explored"] == 300 and search["status"] == "bound-limited"
+    assert search["layer"] == "search" and group["layer"] == "group"
+    return search, group
+
+
+def test_reach_probe_reports_one_line():
+    search, _ = _probe_lines()
+    assert search["max_nodes"] == 300 and search["explored"] == 300
+    assert search["status"] == "bound-limited"
     assert search["configs_per_s"] > 0 and search["bytes_per_config"] >= 0
     assert search["seconds"] >= 0
-    assert group["layer"] == "group" and group["steps"] == 5
-    assert group["cells"] == 13 and group["edges"] == 36
+
+
+def test_trapezium_probe_reports_one_line():
+    _, group = _probe_lines()
+    assert group["steps"] == 5 and group["cells"] == 13 and group["edges"] == 36
     assert group["build_ms"] >= 0 and group["validate_ms"] >= 0
     assert group["bytes_per_edge"] > 0
 
