@@ -11,17 +11,35 @@ Every breadth-first search, here and in encode.area_oracle, keeps each
 side in one _Visited: a discovery log that maps each node's search key
 to its place in discovery order and keeps, by place, its parent's place
 and the label of the edge that reached it, and that holds the nodes of
-one layer only.  Each driver hands the log its key function: a
+its newest layer only (and of the layer before while the newest is
+unfinished).  Each driver hands the log its key function: a
 configuration's key is its state tuple and the letter tuples of its
 tapes, shared with the configuration and packed in C; an area word's is
 its letters.  The one-sided searches run on one driver, shortest.
 _Visited and successors hold the determinism contract: rules are tried
 in (name, sign) order and nodes logged in discovery order, so the
 witness history found for a given query never changes between runs.
+
+The meet searches to a machine's accept configuration share that
+configuration's side: one log per machine, rooted there, kept in
+_ACCEPT_SIDES while the machine lives and grown only as far as a query
+reads it.  A log records where each layer starts, so a search reads it
+as its first n places, as a fresh side would have grown them, and its
+answer, witness and explored count are those of a fresh side; each
+search still grows its own start side.  accepts, tm_of_config,
+time_function(method="meet") and a meet_reach to that configuration read
+it; any other target gets a side of its own.  The log holds at most the
+largest accept side any meet search on the machine has read, so no more
+than that search's max_nodes when it has one; a later search holds it
+and its own start side at once, which may pass its own max_nodes.  It is
+not thread-safe: meet searches on one machine from two threads at once
+may corrupt it.
 """
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -76,23 +94,39 @@ class _Visited:
     maps the key of each node reached to its place, the order it was
     first reached in (the root is place 0); parent_at, a_at and b_at
     hold, by place, the parent's place and the label (a, b) of the edge
-    that reached the node.  frontier holds the nodes of the last layer
-    run, which are the last len(frontier) places, so their keys are
-    neither stored nor rebuilt; depth counts the layers run."""
+    that reached the node, and starts the place where each layer begins,
+    so depth, the number of layers begun, is len(starts) - 1.  frontier
+    holds the nodes of the newest layer, which are the last len(frontier)
+    places, so their keys are neither stored nor rebuilt.  While that
+    layer is unfinished, parents holds the nodes of the layer before it;
+    a walk stops only right after logging a node, so it resumes by
+    expanding that node's parent again, whose children already logged
+    are skipped.  A reader can take the log as its first n places, whole
+    layers up to its own depth, the last one perhaps cut (within, width,
+    layer)."""
 
-    __slots__ = ("key", "place_of", "parent_at", "a_at", "b_at",
-                 "frontier", "depth")
+    __slots__ = ("key", "place_of", "parent_at", "a_at", "b_at", "starts",
+                 "frontier", "parents")
 
     def __init__(self, key, root):
         self.key, self.place_of = key, {key(root): 0}
         self.parent_at, self.a_at, self.b_at = [None], [None], [None]
-        self.frontier, self.depth = [root], 0
+        self.starts, self.frontier, self.parents = [0], [root], None
 
-    def __contains__(self, key) -> bool:
-        return key in self.place_of
+    @property
+    def depth(self) -> int:
+        return len(self.starts) - 1
 
     def __len__(self) -> int:
         return len(self.place_of)
+
+    def within(self, key, n: int) -> bool:
+        """Whether key is among the first n places."""
+        return self.place_of.get(key, n) < n
+
+    def width(self, d: int, n: int) -> int:
+        """How many of the first n places lie in layer d, the last of them."""
+        return n - self.starts[d]
 
     def path(self, key) -> list:
         """The (a, b) labels of the recorded edges from the root to key."""
@@ -105,26 +139,47 @@ class _Visited:
     def layers(self, expand, max_steps: int, stop=None) -> Iterator[tuple]:
         """(key, child) for each node first reached, layer by layer in
         discovery order, until the frontier runs dry, max_steps layers
-        have run, or stop nodes are visited (checked before expanding).
+        have begun and are finished, or stop nodes are visited (checked
+        before expanding); an unfinished layer is finished first.
         expand(node, a, b), given the label of the edge that reached the
         node (None, None at the root), yields (a, b, child): (rule, sign,
         configuration) or ((relator, position), word, word)."""
         key, index, a, b = self.key, self.place_of, self.a_at, self.b_at
-        while self.frontier and self.depth < max_steps and (
-                stop is None or len(index) < stop):
-            frontier, self.frontier = self.frontier, []
-            self.depth += 1
-            for place, c in enumerate(frontier, len(index) - len(frontier)):
+        parent_at, starts, n = self.parent_at, self.starts, len(index)
+        while stop is None or n < stop:
+            if self.parents is None:
+                if not self.frontier or len(starts) > max_steps:
+                    return
+                self.parents, self.frontier = self.frontier, []
+                starts.append(n)
+            first, fresh = starts[-2], self.frontier
+            place = parent_at[-1] if n > starts[-1] else first
+            for place, c in enumerate(islice(self.parents, place - first, None),
+                                       place):
                 for x, y, res in expand(c, a[place], b[place]):
-                    if (k := key(res)) not in index:
-                        index[k] = len(index)
-                        self.parent_at.append(place)
+                    if index.setdefault(k := key(res), n) == n:
+                        n += 1
+                        parent_at.append(place)
                         a.append(x)
                         b.append(y)
-                        self.frontier.append(res)
+                        fresh.append(res)
                         yield k, res
-                        if stop is not None and len(index) >= stop:
+                        if stop is not None and n >= stop:
                             return
+            self.parents = None
+
+    def layer(self, expand, d: int, stop=None) -> Iterator:
+        """The keys of layer d in discovery order, up to place stop, for a
+        reader that has read layer d - 1 whole: first those logged, then
+        those the log grows."""
+        if d <= self.depth:
+            end = self.starts[d + 1] if d < self.depth else len(self.place_of)
+            yield from islice(self.place_of, self.starts[d],
+                              end if stop is None else min(end, stop))
+            if d < self.depth or self.parents is None:
+                return
+        for k, _ in self.layers(expand, d, stop):
+            yield k
 
 
 def shortest(expand, key, start, tkey, max_steps: int,
@@ -135,7 +190,7 @@ def shortest(expand, key, start, tkey, max_steps: int,
     layers ran out."""
     seen = _Visited(key, start)
     reached = (k for k, _ in seen.layers(expand, max_steps, max_nodes))
-    if tkey in seen or tkey in reached:
+    if seen.within(tkey, 1) or tkey in reached:
         return FOUND, seen.path(tkey), seen.depth, len(seen)
     return (BOUNDED if seen.frontier else UNREACHABLE), None, None, len(seen)
 
@@ -163,6 +218,24 @@ def reachable_configs(m: Machine, start: AdmissibleWord,
     return dist, not seen.frontier
 
 
+# The accept side of every meet search on a machine, by machine: one log
+# rooted at its accept configuration, grown only as far as a query reads it.
+_ACCEPT_SIDES = weakref.WeakKeyDictionary()
+
+
+def _target_side(m: Machine, target: AdmissibleWord, tkey) -> _Visited:
+    """m's accept-side log when tkey is the key of m's accept
+    configuration (its end states and empty tapes), else a new log
+    rooted at target."""
+    log = _ACCEPT_SIDES.get(m)
+    if log is None:
+        if tkey != (tuple([(p.end, 1) for p in m.parts]),
+                    *[()] * (m.n_parts - 1)):
+            return _Visited(_key, target)
+        log = _ACCEPT_SIDES[m] = _Visited(_key, target)
+    return log if log.within(tkey, 1) else _Visited(_key, target)
+
+
 def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
                max_steps: int, max_nodes: Optional[int] = None) -> ReachResult:
     """Bidirectional layered search.  Finds the exact minimal history
@@ -170,31 +243,49 @@ def meet_reach(m: Machine, start: AdmissibleWord, target: AdmissibleWord,
     minimal one (deterministic, but not necessarily the one bfs_reach
     would return).  It gives up, BOUNDED, after visiting max_nodes
     configurations on both sides together; it always holds both ends, so
-    it visits at least 2."""
-    # fwd searches from start, back from target; a tie runs fwd (stable sort).
-    sides = fwd, back = _Visited(_key, start), _Visited(_key, target)
-    if _key(target) in fwd:
+    it visits at least 2.  The target's side is read from m's accept-side
+    log when target is the accept configuration, and that log keeps what
+    this search grows of it, but the answer is that of a new side."""
+    tkey = _key(target)
+    if _key(start) == tkey:
         return ReachResult(FOUND, EMPTY, 0, 1)
+    # fwd searches from start, back from target.  Each side is read as
+    # its first seen[i] places, whole layers up to depth[i] but the last
+    # one a budget cuts; the side whose last layer is narrower runs next,
+    # and a tie runs fwd.
+    sides = fwd, back = _Visited(_key, start), _target_side(m, target, tkey)
+    depth, seen = [0, 0], [1, 1]
+
+    def width(i):
+        return sides[i].width(depth[i], seen[i])
+
     expand = _expand(m)
     meet = None
-    while (meet is None and fwd.frontier and back.frontier
-           and fwd.depth + back.depth < max_steps
-           and (max_nodes is None or len(fwd) + len(back) < max_nodes)):
-        here, there = sorted(sides, key=lambda side: len(side.frontier))
-        stop = None if max_nodes is None else max_nodes - len(there)
-        for k, _ in here.layers(expand, here.depth + 1, stop):
-            # A meet in this layer has length fwd.depth + back.depth: k
-            # cannot be shallower on the other side, or its parent here
-            # would have met that side a layer earlier.
-            if meet is None and k in there:
-                meet = k
-    explored = len(fwd) + len(back)
+    try:
+        while (meet is None and width(0) and width(1)
+               and depth[0] + depth[1] < max_steps
+               and (max_nodes is None or seen[0] + seen[1] < max_nodes)):
+            i = int(width(1) < width(0))
+            j = 1 - i
+            stop = None if max_nodes is None else max_nodes - seen[j]
+            depth[i] += 1
+            for k in sides[i].layer(expand, depth[i], stop):
+                seen[i] += 1
+                # A meet in this layer has length depth[0] + depth[1]: k
+                # cannot be shallower on the other side, or its parent
+                # here would have met that side a layer earlier.
+                if meet is None and sides[j].within(k, seen[j]):
+                    meet = k
+    except BaseException:
+        _ACCEPT_SIDES.pop(m, None)  # a walk cut short may leave it half-logged
+        raise
+    explored = seen[0] + seen[1]
     if meet is None:
-        status = BOUNDED if fwd.frontier and back.frontier else UNREACHABLE
+        status = BOUNDED if width(0) and width(1) else UNREACHABLE
         return ReachResult(status, explored=explored)
     # back's path leads target -> meet; inverted, it continues to target.
     history = _history(fwd.path(meet)) * _history(back.path(meet)).inverse()
-    return ReachResult(FOUND, history, fwd.depth + back.depth, explored)
+    return ReachResult(FOUND, history, depth[0] + depth[1], explored)
 
 
 # -- acceptance and time functions -----------------------------------------

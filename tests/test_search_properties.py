@@ -16,8 +16,12 @@ against the parent-map searches they replaced, kept here as references,
 under node budgets that stop a side inside a layer as well as at its end.
 """
 import collections
+import copy
 import functools
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
 from hypothesis import assume, find, given, settings, strategies as st
@@ -33,6 +37,7 @@ from smforge.fixtures import (
     two_sided_multiplier,
     z2_presentation,
 )
+from smforge.primitive import build_lr
 from smforge.machine import (
     AdmissibleWord,
     Hardware,
@@ -52,11 +57,16 @@ from smforge.search import (
     FOUND,
     UNREACHABLE,
     ReachResult,
+    _ACCEPT_SIDES,
+    _key,
+    accepts,
     bfs_reach,
+    enumerate_inputs,
     meet_reach,
     reachable_configs,
     reduced_computations,
     successors,
+    time_function,
 )
 from smforge.words import (EMPTY, Word, atom, free_reduce, reduced_words,
                            splice, symmetrized_closure)
@@ -643,7 +653,9 @@ def _reference_reachable(m, start, max_steps):
     return dist, not seen.frontier
 
 
-def _reference_meet(m, start, target, max_steps, max_nodes=None):
+def _reference_meet(m, start, target, max_steps, max_nodes=None, read=None):
+    """meet_reach on fresh parent-map sides; read, if given, gets the
+    size of the target's side the search grew."""
     skey, tkey = start.key(), target.key()
     if skey == tkey:
         return ReachResult(FOUND, EMPTY, 0, 1)
@@ -660,6 +672,8 @@ def _reference_meet(m, start, target, max_steps, max_nodes=None):
             if meet is None and k in there:
                 meet = k
     explored = len(fwd) + len(back)
+    if read is not None:
+        read.append(len(back))
     if meet is None:
         status = BOUNDED if fwd.frontier and back.frontier else UNREACHABLE
         return ReachResult(status, explored=explored)
@@ -754,3 +768,123 @@ def test_area_oracle_agrees_with_parent_map_reference():
                 assert got == _reference_area(p, w, max_area, moves)
                 statuses.add(got.status)
     assert statuses == {FOUND, BOUNDED, IMPOSSIBLE}
+
+
+# -- the shared accept side against a fresh one ------------------------------
+
+
+@functools.cache
+def _accept_side_machines():
+    """The fixture machines, the commutator encoder, LR({a, b}) and the
+    enhanced deleter; the z2 encoder is a fixture machine."""
+    return _fixture_machines() + [
+        presentation_to_machine(commutator_presentation()),
+        build_lr(["a", "b"]), build_enhanced_standard(toy_deleter())]
+
+
+def _meet_queries(m, rng):
+    """Meet queries of m in a shuffled order, as (start, target, bound,
+    budget): from its inputs of length at most 2, the configurations
+    within 2 steps of its accept configuration and that configuration
+    itself, to the accept configuration, under a budget of 2, 7, 40 or
+    300 nodes or none, and from every fourth of them to a configuration
+    next to the accept configuration, whose side is private."""
+    acc = accept_configuration(m)
+    near = list(_reference_reachable(m, acc, 2)[0])
+    starts = [input_configuration(m, inputs)
+              for inputs in enumerate_inputs(m, 2)] + near
+    queries = [(s, acc, bound, budget) for s in starts
+               for bound, budget in ((3, None), (5, None), (12, 2), (12, 7),
+                                     (12, 40), (12, 300))]
+    queries += [(s, near[-1], 6, 40) for s in starts[::4]]
+    rng.shuffle(queries)
+    return queries
+
+
+def check_accept_side(m, queries):
+    """Each query gives the answer of a fresh side, the parent-map
+    reference's, and m's accept-side log then holds as many places as
+    the most any meet to the accept configuration has read of its side.
+    Returns how many queries read less of that side than the log held
+    before them and how many read more."""
+    def held():
+        log = _ACCEPT_SIDES.get(m)
+        return 1 if log is None else len(log)
+
+    fewer = more = 0
+    acc_key = _key(accept_configuration(m))
+    for start, target, bound, budget in queries:
+        before, read = held(), []
+        want = _reference_meet(m, start, target, bound, budget, read)
+        assert meet_reach(m, start, target, bound, budget) == want
+        if read and _key(target) == acc_key:
+            fewer += read[0] < before
+            more += read[0] > before > 1
+            before = max(before, read[0])
+        assert held() == before
+    return fewer, more
+
+
+def test_accept_side_answers_as_a_fresh_side():
+    # Each machine's queries run on a deep copy of it, a machine with a
+    # log of its own: once all on one copy, and once in runs of ten, each
+    # on a new copy, so that more queries find a log grown past its root
+    # but not as far as they read.
+    fewer = more = 0
+    for index, m in enumerate(_accept_side_machines()):
+        queries = _meet_queries(m, random.Random(index))
+        for run in [queries] + [queries[k:k + 10]
+                                for k in range(0, len(queries), 10)]:
+            counts = check_accept_side(copy.deepcopy(m), run)
+            fewer, more = fewer + counts[0], more + counts[1]
+    assert fewer > 100 and more > 100, (fewer, more)
+
+
+@PROPERTY
+@given(machines(), st.randoms(use_true_random=False))
+def test_accept_side_answers_as_a_fresh_side_on_random_machines(case, rng):
+    m, _ = case
+    check_accept_side(m, _meet_queries(m, rng))
+
+
+def _reference_table(m, n_max, bound, max_nodes):
+    """time_function(m, n_max, bound, "meet", max_nodes) on the reference."""
+    values, complete, rejected, best, every = {}, {}, [], 0, True
+    acc = accept_configuration(m)
+    for n in range(n_max + 1):
+        for inputs in enumerate_inputs(m, n, exact=True):
+            res = _reference_meet(m, input_configuration(m, inputs), acc,
+                                  bound, max_nodes)
+            if res.found:
+                best = max(best, res.length)
+            elif res.status == UNREACHABLE:
+                rejected.append(inputs)
+            else:
+                every = False
+        values[n], complete[n] = best, every
+    return values, complete, rejected
+
+
+def test_meet_tables_share_the_accept_side():
+    # Every machine but the cyclic one, which has no accept configuration:
+    # nine tables, each of whose searches stop at 25 nodes.
+    tables = 0
+    for m in _accept_side_machines():
+        if not m.cyclic:
+            got = time_function(m, 3, 12, "meet", max_nodes=25)
+            assert tuple(got) == _reference_table(m, 3, 12, 25), m.name
+            tables += 1
+    assert tables == 9
+
+
+def test_accept_side_does_not_keep_its_machine_alive():
+    # The log is kept by machine, weakly: a search cut inside a layer
+    # leaves the log's walk suspended, and it holds nothing that keeps
+    # the machine.
+    m = build_lr(["a", "b"])
+    alive = weakref.ref(m)
+    res = accepts(m, Word.from_tokens("a#1 b#1"), 12, "meet", max_nodes=40)
+    assert res.status == BOUNDED and m in _ACCEPT_SIDES
+    del m, res
+    gc.collect()
+    assert alive() is None

@@ -8,31 +8,43 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _probe_lines():
-    # The search line is the reach probe, the group line the trapezium
-    # probe, as tools/probe.py prints them.  Small sizes: the search stops
-    # BOUNDED at exactly its budget, and five steps, del del^-1 del del
-    # acc, make a small trapezium, each measured in a child the probe
-    # starts from a clean process.
+    # The search line is the reach probe, the meet line the LR({a, b})
+    # meet table and the group line the trapezium probe, as
+    # tools/probe.py prints them.  Small sizes: the search stops BOUNDED
+    # at exactly its budget, every search of the table at 300 nodes at
+    # most, and five steps, del del^-1 del del acc, make a small
+    # trapezium, each measured in a child the probe starts from a clean
+    # process.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "probe.py"),
          "--max-nodes", "300", "--steps", "5"],
         capture_output=True, text=True, encoding="utf-8", timeout=120,
         check=True)
-    search, group = map(json.loads, proc.stdout.splitlines())
+    search, meet, group = map(json.loads, proc.stdout.splitlines())
     assert search["layer"] == "search" and group["layer"] == "group"
-    return search, group
+    assert meet["layer"] == "meet"
+    return search, meet, group
 
 
 def test_reach_probe_reports_one_line():
-    search, _ = _probe_lines()
+    search, _, _ = _probe_lines()
     assert search["max_nodes"] == 300 and search["explored"] == 300
     assert search["status"] == "bound-limited"
     assert search["configs_per_s"] > 0 and search["bytes_per_config"] >= 0
     assert search["seconds"] >= 0
 
 
+def test_meet_table_probe_reports_one_line():
+    # The table's 17 searches explore 4807 configurations in all under a
+    # budget of 300 each, and some of them hit it.
+    _, meet, _ = _probe_lines()
+    assert meet["max_nodes"] == 300 and meet["explored"] == 4807
+    assert meet["complete"] is False
+    assert meet["seconds"] >= 0 and meet["peak_rss_mb"] > 0
+
+
 def test_trapezium_probe_reports_one_line():
-    _, group = _probe_lines()
+    _, _, group = _probe_lines()
     assert group["steps"] == 5 and group["cells"] == 13 and group["edges"] == 36
     assert group["build_ms"] >= 0 and group["validate_ms"] >= 0
     assert group["bytes_per_edge"] > 0

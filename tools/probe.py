@@ -2,7 +2,7 @@
 
     python3 tools/probe.py [--max-nodes N] [--steps N]
 
-It runs two queries of ROADMAP aim 1, each in its own fresh child
+It runs three queries of ROADMAP aim 1, each in its own fresh child
 interpreter, and prints one JSON line for each, the layer first.
 
   search  builds the commutator encoder,
@@ -11,6 +11,12 @@ interpreter, and prints one JSON line for each, the layer first.
           The line gives max_nodes, status, explored, bytes_per_config
           (the growth of the child's peak resident set, ru_maxrss, over
           the search, divided by explored), configs_per_s and seconds.
+  meet    times the meet-in-the-middle table of ROADMAP item 6,
+          time_function(build_lr(["a", "b"]), 2, 12, "meet", max_nodes=N),
+          whose 17 searches read one accept-side log.  The line gives
+          max_nodes, explored (the sum over the table's searches),
+          complete (whether every value is exact), seconds and
+          peak_rss_mb (the child's peak resident set).
   group   runs toy_deleter from "y y" along del del^-1 repeated, then del
           del acc: N steps in all (N = 14003 by default, which makes
           105021 edges; N must be odd and at least 3).  It times
@@ -54,6 +60,34 @@ print(json.dumps({"status": res.status, "explored": res.explored,
                   "bytes_per_config": round(grown / res.explored, 1),
                   "configs_per_s": round(res.explored / seconds),
                   "seconds": round(seconds, 3)}))
+"""
+
+MEET = """
+import json, resource, sys, time
+import smforge.search as search
+from smforge.primitive import build_lr
+
+explored, meet_reach = 0, search.meet_reach
+
+
+def counted(*args):
+    global explored
+    res = meet_reach(*args)
+    explored += res.explored
+    return res
+
+
+search.meet_reach = counted  # time_function looks it up on each search
+m = build_lr(["a", "b"])
+t0 = time.perf_counter()
+table = search.time_function(m, 2, 12, "meet", max_nodes=int(sys.argv[1]))
+seconds = time.perf_counter() - t0
+scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
+print(json.dumps({"explored": explored,
+                  "complete": all(table.complete.values()),
+                  "seconds": round(seconds, 3),
+                  "peak_rss_mb": round(peak / 2 ** 20, 1)}))
 """
 
 GROUP = """
@@ -106,6 +140,8 @@ def main(argv=None) -> int:
         ap.error("--steps must be odd and at least 3")
     print(json.dumps({"layer": "search", "max_nodes": args.max_nodes,
                       **probe(SEARCH, args.max_nodes)}))
+    print(json.dumps({"layer": "meet", "max_nodes": args.max_nodes,
+                      **probe(MEET, args.max_nodes)}))
     print(json.dumps({"layer": "group", "steps": args.steps,
                       **probe(GROUP, args.steps)}))
     return 0
