@@ -14,6 +14,9 @@ checked against plain references too.  The breadth-first searches
 (bfs_reach, meet_reach, reachable_configs and area_oracle) are checked
 against the parent-map searches they replaced, kept here as references,
 under node budgets that stop a side inside a layer as well as at its end.
+Meet searches that read a machine's shared accept-side log, in shuffled
+order so that each finds the log grown less or further than it reads,
+are checked against that reference too.
 """
 import collections
 import copy
@@ -37,7 +40,6 @@ from smforge.fixtures import (
     two_sided_multiplier,
     z2_presentation,
 )
-from smforge.primitive import build_lr
 from smforge.machine import (
     AdmissibleWord,
     Hardware,
@@ -52,6 +54,7 @@ from smforge.machine import (
     parse_admissible,
     run,
 )
+from smforge.primitive import build_lr
 from smforge.search import (
     BOUNDED,
     FOUND,
@@ -787,8 +790,8 @@ def _meet_queries(m, rng):
     budget): from its inputs of length at most 2, the configurations
     within 2 steps of its accept configuration and that configuration
     itself, to the accept configuration, under a budget of 2, 7, 40 or
-    300 nodes or none, and from every fourth of them to a configuration
-    next to the accept configuration, whose side is private."""
+    300 nodes or none, and from every fourth of them to the last of
+    those configurations within 2 steps, whose side is private."""
     acc = accept_configuration(m)
     near = list(_reference_reachable(m, acc, 2)[0])
     starts = [input_configuration(m, inputs)
